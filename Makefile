@@ -1,14 +1,5 @@
 GO ?= go
 
-# Every library package (everything except commands and examples) holds
-# the documentation contract (package comment + doc comments on all
-# exported APIs). The list is derived, so new packages cannot escape
-# the gate; filtering happens on module import paths (anchored), so a
-# checkout path containing /cmd/ or /examples/ cannot empty the list.
-DOC_PKGS = $(shell $(GO) list -f '{{.ImportPath}} {{.Dir}}' ./... \
-	| grep -v '^repro/cmd/' | grep -v '^repro/examples/' \
-	| awk '{print $$2}')
-
 .PHONY: build test race bench bench-smoke smoke-fleetd smoke-snapshot smoke-falsify fuzz-snapshot fuzz-scenario short vet fmt lint docs ci
 
 ## build: compile every package and command
@@ -34,17 +25,17 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 ## bench-smoke: the fast hot-path benchmarks CI tracks per commit — the
-## streaming STL push, the streaming-vs-legacy CAWT step (the redesign's
-## "streaming no slower than legacy" guard), the per-session-vs-batched
-## rule-evaluation kernel, the per-session-vs-batched patient stepping
-## kernel (the SoA speedup guard; fewer iterations — each op steps a
-## 128-lane bank), and the sink delivery shapes (collector vs run-end
-## merge vs epoch merge; fewer iterations — each op is a whole
-## 100-session fleet). Output lands in bench-smoke.txt for the CI
-## artifact.
+## streaming-vs-legacy STL push (internal/stl), the streaming-vs-legacy
+## CAWT step (internal/monitor; the redesign's "streaming no slower than
+## legacy" guard), the per-session-vs-batched rule-evaluation kernel,
+## the per-session-vs-batched patient stepping kernel (the SoA speedup
+## guard; fewer iterations — each op steps a 128-lane bank), and the
+## sink delivery shapes (run-end merge vs epoch merge; fewer iterations
+## — each op is a whole 100-session fleet). Output lands in
+## bench-smoke.txt for the CI artifact.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSTLOnlinePush|BenchmarkCAWTStep|BenchmarkSCSBatchPush' \
-		-benchtime 1000x -benchmem . > bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
+		-benchtime 1000x -benchmem ./internal/stl ./internal/monitor . > bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchPatientStep' \
 		-benchtime 100x -benchmem . >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedSinkEpochMerge' \
@@ -106,11 +97,9 @@ fmt:
 lint:
 	$(GO) run ./cmd/fleetvet ./...
 
-## docs: documentation gate — vet plus the doc-comment lint. The lint
-## target runs the same doclint rules as one fleetvet pass; this target
-## remains for linting documentation in isolation via cmd/doclint.
-docs: vet
-	$(GO) run ./cmd/doclint $(DOC_PKGS)
+## docs: documentation gate — vet plus the fleetvet lint, whose doclint
+## pass holds every library package to the doc-comment contract.
+docs: vet lint
 
 ## ci: what a gate should run
 ci: fmt vet lint test race

@@ -176,11 +176,11 @@ func RunCampaign(cfg CampaignConfig) ([]*Trace, error) { return experiment.Run(c
 // Fleet engine: streaming concurrent sessions (see internal/fleet and
 // DESIGN.md). RunCampaign is the batch special case; RunFleet exposes
 // the full engine — session replication, continuous serving mode,
-// per-session sensor noise, event streaming, per-shard batched monitor
-// inference, and sharded sink delivery (FleetConfig.ShardedSinks with
-// FleetConfig.SinkEpoch: per-worker buffers merged in canonical
-// parallelism-independent order at epoch barriers, so continuous
-// serving fleets get contention-free sinks with bounded memory).
+// per-session sensor noise, per-shard batched monitor inference, and
+// sink delivery (FleetConfig.Sinks paced by FleetConfig.SinkEpoch:
+// per-worker event buffers merged in canonical parallelism-independent
+// order at epoch barriers, so finite and serving fleets alike get
+// contention-free, deterministic event streams with bounded memory).
 type (
 	// FleetConfig describes a fleet run.
 	FleetConfig = fleet.Config
@@ -195,11 +195,12 @@ type (
 	FleetTelemetryConfig = fleet.TelemetryConfig
 	// BatchMonitor is the batched-inference monitor contract.
 	BatchMonitor = monitor.BatchMonitor
-	// FleetSink persists the fleet's event stream (FleetConfig.Sinks):
-	// Emit receives every event serially — from one collector goroutine,
-	// or in canonical merged order under sharded delivery — and Flush
-	// runs when the fleet stops. See NewFleetLogSink, NewFleetRingSink,
-	// and NewFleetHistSink for the shipped implementations.
+	// FleetSink consumes the fleet's event stream (FleetConfig.Sinks,
+	// the engine's only event output): Emit receives every event
+	// serially, in canonical merged order at each epoch barrier, and
+	// Flush runs when the fleet stops. See NewFleetLogSink,
+	// NewFleetRingSink, and NewFleetHistSink for the shipped
+	// implementations.
 	FleetSink = fleet.Sink
 	// FleetLogSink appends events as JSON lines to a writer.
 	FleetLogSink = fleet.LogSink

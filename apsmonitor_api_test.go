@@ -132,9 +132,9 @@ func TestFacadeSTL(t *testing.T) {
 }
 
 // TestFacadeContinuousShardedSinks drives the continuous-serving shape
-// through the public API: a serving fleet with sharded sink delivery
-// paced by SinkEpoch must run (the finite-run restriction is lifted),
-// persist telemetry while live, and shut down cleanly on deadline.
+// through the public API: a serving fleet with sink delivery paced by
+// SinkEpoch must run, persist telemetry while live, and shut down
+// cleanly on deadline.
 func TestFacadeContinuousShardedSinks(t *testing.T) {
 	hist, err := apsmonitor.NewFleetHistSink(-5, 5, 20)
 	if err != nil {
@@ -147,15 +147,14 @@ func TestFacadeContinuousShardedSinks(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	res, err := apsmonitor.RunFleet(ctx, apsmonitor.FleetConfig{
-		Platform:     apsmonitor.FleetPlatform(apsmonitor.MustPlatform("glucosym")),
-		Patients:     []int{0},
-		Scenarios:    apsmonitor.Programs(apsmonitor.QuickScenarios(300)),
-		Steps:        5,
-		Continuous:   true,
-		Telemetry:    &apsmonitor.FleetTelemetryConfig{},
-		Sinks:        []apsmonitor.FleetSink{hist, ring},
-		ShardedSinks: true,
-		SinkEpoch:    4,
+		Platform:   apsmonitor.FleetPlatform(apsmonitor.MustPlatform("glucosym")),
+		Patients:   []int{0},
+		Scenarios:  apsmonitor.Programs(apsmonitor.QuickScenarios(300)),
+		Steps:      5,
+		Continuous: true,
+		Telemetry:  &apsmonitor.FleetTelemetryConfig{},
+		Sinks:      []apsmonitor.FleetSink{hist, ring},
+		SinkEpoch:  4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,7 +163,7 @@ func TestFacadeContinuousShardedSinks(t *testing.T) {
 		t.Fatalf("no replica restarts (completed %d of %d slots)", res.Completed, res.Sessions)
 	}
 	if ring.Total() == 0 {
-		t.Fatal("sharded continuous delivery reached no sink")
+		t.Fatal("continuous delivery reached no sink")
 	}
 	if len(hist.Patients()) == 0 {
 		t.Fatal("no margins aggregated from the serving fleet")

@@ -19,7 +19,6 @@ package apsmonitor_test
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -34,7 +33,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/sim/glucosym"
 	"repro/internal/sim/uvapadova"
-	"repro/internal/stl"
 	"repro/internal/stllearn"
 	"repro/internal/trace"
 )
@@ -491,136 +489,6 @@ func BenchmarkFleetEngine100Sessions(b *testing.B) {
 	})
 }
 
-// stlPusher is the shared surface of the streaming OnlineMonitor and
-// the legacy trace-backed TraceMonitor.
-type stlPusher interface {
-	Push(sample map[string]float64) (bool, error)
-	Len() int
-	Reset()
-}
-
-// stlBenchFormula mixes unbounded and bounded past operators: the
-// unbounded Historically forces the legacy monitor to rescan the whole
-// trace on every push, while the streaming engine keeps O(1) state
-// recursions and O(window) deques.
-var stlBenchFormula = apsmonitor.MustParseSTL(
-	"(H (BG > 10)) and ((BG > 150) S[0,180] (IOB < 0.5)) and O[0,60] (BG > 180)")
-
-// benchSTLOnlinePush measures the per-push cost of an online STL
-// monitor at session length ~n: the monitor is warmed with n pushes
-// (untimed) and rewarmed whenever the session grows 25% past n, so
-// ns/op is the marginal cost of one control cycle at that length.
-func benchSTLOnlinePush(b *testing.B, m stlPusher, n int) {
-	sample := make(map[string]float64, 2)
-	push := func() {
-		i := m.Len()
-		sample["BG"] = 60 + float64((i*7919)%240)
-		sample["IOB"] = float64((i*104729)%60)/10 - 1
-		if _, err := m.Push(sample); err != nil {
-			b.Fatal(err)
-		}
-	}
-	warm := func() {
-		m.Reset()
-		for m.Len() < n {
-			push()
-		}
-	}
-	warm()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if m.Len() > n+n/4 {
-			b.StopTimer()
-			warm()
-			b.StartTimer()
-		}
-		push()
-	}
-}
-
-// BenchmarkCAWTStep compares the streaming context-aware monitor (one
-// hash-consed scs.StreamSet push per cycle, yielding alarm + margin +
-// rule attribution) against the legacy eager per-rule evaluator (alarm
-// only). The acceptance bar for the verdict-API redesign is streaming
-// no slower than legacy while carrying strictly more information.
-func BenchmarkCAWTStep(b *testing.B) {
-	rules := apsmonitor.TableI()
-	// A deterministic observation stream covering safe and violating
-	// contexts (same sequence for both monitors).
-	rng := rand.New(rand.NewSource(9))
-	obs := make([]monitor.Observation, 512)
-	for i := range obs {
-		obs[i] = monitor.Observation{
-			Step: i, TimeMin: float64(i) * 5, CycleMin: 5,
-			CGM:     40 + 300*rng.Float64(),
-			BGPrime: -6 + 12*rng.Float64(),
-			IOB:     -2 + 10*rng.Float64(), IOBPrime: -0.05 + 0.1*rng.Float64(),
-			Action: trace.Action(1 + rng.Intn(4)),
-		}
-	}
-	b.Run("streaming", func(b *testing.B) {
-		m, err := monitor.NewCAWOT(rules, scs.Params{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		alarms := 0
-		for i := 0; i < b.N; i++ {
-			if m.Step(obs[i%len(obs)]).Alarm {
-				alarms++
-			}
-		}
-		_ = alarms
-	})
-	b.Run("legacy", func(b *testing.B) {
-		m, err := monitor.NewContextAwareLegacy("CAWOT", rules, nil, scs.Params{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		alarms := 0
-		for i := 0; i < b.N; i++ {
-			if m.Step(obs[i%len(obs)]).Alarm {
-				alarms++
-			}
-		}
-		_ = alarms
-	})
-}
-
-// BenchmarkSTLOnlinePush is the before/after comparison of the
-// streaming STL engine against the legacy grow-forever-trace monitor:
-// streaming ns/op stays flat from 1k-push to 100k-push sessions, while
-// the legacy monitor's per-push cost grows linearly with session length
-// (its sizes stop at 8k because even warming it up is quadratic work).
-func BenchmarkSTLOnlinePush(b *testing.B) {
-	streaming := func(b *testing.B) stlPusher {
-		m, err := stl.NewOnlineMonitor(stlBenchFormula, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m
-	}
-	legacy := func(b *testing.B) stlPusher {
-		m, err := stl.NewTraceMonitor(stlBenchFormula, 5)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return m
-	}
-	for _, n := range []int{1_000, 10_000, 100_000} {
-		b.Run(fmt.Sprintf("streaming-%d", n), func(b *testing.B) {
-			benchSTLOnlinePush(b, streaming(b), n)
-		})
-	}
-	for _, n := range []int{1_000, 8_000} {
-		b.Run(fmt.Sprintf("legacy-%d", n), func(b *testing.B) {
-			benchSTLOnlinePush(b, legacy(b), n)
-		})
-	}
-}
-
 // nullSink counts events and discards them — the cheapest possible
 // consumer, isolating delivery cost from serialization cost.
 type nullSink struct{ n int64 }
@@ -629,19 +497,10 @@ func (s *nullSink) Emit(fleet.Event) error { s.n++; return nil }
 func (s *nullSink) Flush() error           { return nil }
 
 // BenchmarkFleetTelemetry measures the marginal cost of streaming STL
-// hazard telemetry on a 100-session fleet against the no-telemetry
-// baseline, across the delivery/evaluation shapes:
-//
-//   - per-session: one scs.StreamSet per session, events over the
-//     channel (the pre-batching shape, kept as the oracle);
-//   - stl-telemetry: the default shard-batched scs.BatchStreamSet, same
-//     channel delivery — isolates the evaluation batching win;
-//   - sharded-sink: batched evaluation plus per-worker sink buffers
-//     (Config.ShardedSinks) instead of any channel — the serving shape,
-//     isolating the delivery win.
-//
-// The steps/s gap between baseline and each variant is the telemetry
-// tax the ROADMAP tracks.
+// hazard telemetry on a 100-session fleet: stl-telemetry (the
+// shard-batched scs.BatchStreamSet) against the no-telemetry baseline,
+// both delivering their event streams into a null sink. The steps/s
+// gap between the two is the telemetry tax the ROADMAP tracks.
 func BenchmarkFleetTelemetry(b *testing.B) {
 	platform := experiment.Glucosym()
 	base := fleet.Config{
@@ -652,21 +511,12 @@ func BenchmarkFleetTelemetry(b *testing.B) {
 		Steps:         50,
 		DiscardTraces: true,
 	}
-	runEvents := func(b *testing.B, cfg fleet.Config) {
+	run := func(b *testing.B, cfg fleet.Config) {
 		var steps int64
 		for i := 0; i < b.N; i++ {
-			events := make(chan fleet.Event, 4096)
-			drained := make(chan struct{})
-			go func() {
-				defer close(drained)
-				for range events {
-				}
-			}()
 			c := cfg
-			c.Events = events
+			c.Sinks = []fleet.Sink{&nullSink{}}
 			res, err := fleet.Run(context.Background(), c)
-			close(events)
-			<-drained
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -674,47 +524,23 @@ func BenchmarkFleetTelemetry(b *testing.B) {
 		}
 		b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
 	}
-	b.Run("baseline", func(b *testing.B) { runEvents(b, base) })
+	b.Run("baseline", func(b *testing.B) { run(b, base) })
 	b.Run("stl-telemetry", func(b *testing.B) {
 		cfg := base
 		cfg.Telemetry = &fleet.TelemetryConfig{}
-		runEvents(b, cfg)
-	})
-	b.Run("per-session", func(b *testing.B) {
-		cfg := base
-		cfg.Telemetry = &fleet.TelemetryConfig{PerSession: true}
-		runEvents(b, cfg)
-	})
-	b.Run("sharded-sink", func(b *testing.B) {
-		var steps int64
-		for i := 0; i < b.N; i++ {
-			cfg := base
-			cfg.Telemetry = &fleet.TelemetryConfig{}
-			cfg.Sinks = []fleet.Sink{&nullSink{}}
-			cfg.ShardedSinks = true
-			res, err := fleet.Run(context.Background(), cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			steps += res.Steps
-		}
-		b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
+		run(b, cfg)
 	})
 }
 
-// BenchmarkShardedSinkEpochMerge prices the sink delivery shapes on a
-// telemetry-heavy 100-session fleet, all into the same null sink:
+// BenchmarkShardedSinkEpochMerge prices the epoch barrier on a
+// telemetry-heavy 100-session fleet, both legs into the same null sink:
 //
-//   - collector: the single collector goroutine (channel per event) —
-//     the streaming default;
-//   - run-end: ShardedSinks with SinkEpoch=0 — per-worker buffers, one
-//     canonical merge at completion (finite runs only, O(run) memory);
-//   - epoch-16: ShardedSinks with SinkEpoch=16 — the same canonical
-//     stream delivered incrementally at epoch barriers, the shape that
-//     serves continuous fleets with O(epoch) memory.
+//   - run-end: a sink epoch longer than the run — per-worker buffers,
+//     one canonical merge at completion (O(run) memory);
+//   - epoch-16: SinkEpoch=16 — the same canonical stream delivered
+//     incrementally at epoch barriers with O(epoch) memory.
 //
-// steps/s gaps between the three are the cost of the channel hop
-// (collector vs run-end) and of the barrier quiesce (run-end vs epoch).
+// The steps/s gap between the two is the cost of the barrier quiesce.
 // BENCH_sinks.json tracks the trajectory.
 func BenchmarkShardedSinkEpochMerge(b *testing.B) {
 	platform := experiment.Glucosym()
@@ -727,12 +553,11 @@ func BenchmarkShardedSinkEpochMerge(b *testing.B) {
 		DiscardTraces: true,
 		Telemetry:     &fleet.TelemetryConfig{},
 	}
-	run := func(b *testing.B, sharded bool, sinkEpoch int) {
+	run := func(b *testing.B, sinkEpoch int) {
 		var steps int64
 		for i := 0; i < b.N; i++ {
 			cfg := base
 			cfg.Sinks = []fleet.Sink{&nullSink{}}
-			cfg.ShardedSinks = sharded
 			cfg.SinkEpoch = sinkEpoch
 			res, err := fleet.Run(context.Background(), cfg)
 			if err != nil {
@@ -742,9 +567,8 @@ func BenchmarkShardedSinkEpochMerge(b *testing.B) {
 		}
 		b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
 	}
-	b.Run("collector", func(b *testing.B) { run(b, false, 0) })
-	b.Run("run-end", func(b *testing.B) { run(b, true, 0) })
-	b.Run("epoch-16", func(b *testing.B) { run(b, true, 16) })
+	b.Run("run-end", func(b *testing.B) { run(b, base.Steps+1) })
+	b.Run("epoch-16", func(b *testing.B) { run(b, 16) })
 }
 
 // BenchmarkSCSBatchPush is the kernel-level view of telemetry batching:

@@ -8,26 +8,22 @@
 //
 // Each worker shard advances its whole live window's physiology through
 // one shard-batched struct-of-arrays integration per control cycle
-// (sim.BatchPatient); -step-per-session selects the scalar
-// one-integrator-per-session path instead, which is bit-identical per
-// session and serves as the differential oracle.
+// (sim.BatchPatient).
 //
 // Telemetry: with -stl every session streams its per-cycle STL
-// robustness margin — by default each worker shard evaluates its whole
-// live window through one shard-batched rule-stream push per cycle
-// (bit-identical to the per-session path, which -stl-per-session
-// selects). With -monitor cawot the streaming context-aware monitor
-// rides in the loop (-monitor cawot-batch evaluates it shard-batched;
-// add -mitigate for Algorithm 1, -scale-margin to scale corrections by
-// violation depth), and -stl-from-monitor emits the monitor's own
-// margins instead of a second rule evaluation. -sink persists the event
-// stream: an append-only JSONL log (rotated and retired per
+// robustness margin — each worker shard evaluates its whole live window
+// through one shard-batched rule-stream push per cycle. With -monitor
+// cawot the streaming context-aware monitor rides in the loop (-monitor
+// cawot-batch evaluates it shard-batched; add -mitigate for Algorithm
+// 1, -scale-margin to scale corrections by violation depth), and
+// -stl-from-monitor emits the monitor's own margins instead of a second
+// rule evaluation. Events reach the console and the -sink outputs in
+// canonical (parallelism-independent) order, merged from per-worker
+// buffers every -sink-epoch lock-step rounds, so delivery stays live
+// with bounded buffers. -sink persists the event stream: an
+// append-only JSONL log (rotated and retired per
 // -sink-rotate-bytes/-sink-rotate-age/-sink-keep), a fixed-size ring
-// snapshot, and per-patient margin histograms, in any combination;
-// -sharded-sinks buffers events per worker and merges them in canonical
-// (parallelism-independent) order — at every -sink-epoch rounds, so
-// delivery stays live with bounded buffers (the default for continuous
-// serving), or once at completion for finite runs with -sink-epoch 0.
+// snapshot, and per-patient margin histograms, in any combination.
 //
 // Checkpointing: with -duration, -snapshot drains the fleet at an
 // epoch-aligned admission gate when the duration elapses and writes
@@ -40,8 +36,7 @@
 //	         -parallel 8 -duration 30s -seed 1 -noise 2.5 \
 //	         -monitor cawot-batch -mitigate -scale-margin -stl-from-monitor \
 //	         -sink log,hist -sink-path events.jsonl \
-//	         -sink-rotate-bytes 10000000 -sink-keep 5 \
-//	         -sharded-sinks -sink-epoch 64
+//	         -sink-rotate-bytes 10000000 -sink-keep 5 -sink-epoch 64
 package main
 
 import (
@@ -70,13 +65,11 @@ func main() {
 		seed         = flag.Int64("seed", 1, "master seed for per-session RNG streams")
 		steps        = flag.Int("steps", 150, "control cycles per session")
 		noise        = flag.Float64("noise", 0, "CGM sensor noise SD in mg/dL (0 = clean sensor; negative = sensor error channel with AR(1) noise explicitly disabled)")
-		stepPerSess  = flag.Bool("step-per-session", false, "advance each session's physiology with its own scalar integrator instead of the shard-batched SoA stepper (bit-identical oracle path)")
 		progress     = flag.Int("progress", 0, "print a progress line every k completed sessions")
 		monitorName  = flag.String("monitor", "", "attach a safety monitor: cawot (per-session streaming context-aware) or cawot-batch (shard-batched, bit-identical)")
 		mitigate     = flag.Bool("mitigate", false, "enable Algorithm 1 mitigation (requires -monitor)")
 		scaleMargin  = flag.Bool("scale-margin", false, "scale mitigation corrections by the verdict's violation depth (requires -mitigate)")
 		stlTelem     = flag.Bool("stl", false, "stream per-cycle STL robustness margins (Table I rules, shard-batched streaming engine)")
-		stlPerSess   = flag.Bool("stl-per-session", false, "evaluate telemetry with one rule set per session instead of the shard-batched engine (requires -stl)")
 		stlFromMon   = flag.Bool("stl-from-monitor", false, "emit the monitor's own streaming margins instead of a separate rule set (requires -monitor; implies -stl)")
 		stlEvery     = flag.Int("stl-every", 1, "emit a robustness event every k cycles per session")
 		sinkList     = flag.String("sink", "", "comma-separated telemetry sinks: log (JSONL append), ring (snapshot buffer), hist (per-patient margin histograms)")
@@ -84,8 +77,7 @@ func main() {
 		sinkRotBytes = flag.Int64("sink-rotate-bytes", 0, "rotate the log sink once the file reaches this many bytes (0 = no size trigger)")
 		sinkRotAge   = flag.Duration("sink-rotate-age", 0, "rotate the log sink once the file is this old (0 = no age trigger)")
 		sinkKeep     = flag.Int("sink-keep", 0, "retain at most this many rotated log files, deleting older ones (0 = keep all)")
-		shardedSinks = flag.Bool("sharded-sinks", false, "buffer sink events per worker and merge in canonical parallelism-independent order")
-		sinkEpoch    = flag.Int("sink-epoch", 0, "with -sharded-sinks: merge and deliver buffers every k lock-step rounds (0 = at completion for finite runs; continuous runs default to 64)")
+		sinkEpoch    = flag.Int("sink-epoch", 0, "merge the per-worker event buffers and deliver them every k lock-step rounds (0 = the fleet default, 64)")
 		ringSize     = flag.Int("ring-size", 1024, "ring sink capacity (events)")
 		alertFloor   = flag.Float64("alert-floor", math.NaN(), "with -sink hist: record an alert whenever a robustness margin falls below this floor (NaN = off)")
 		alertPct     = flag.Float64("alert-pct", math.NaN(), "with -sink hist: record an alert whenever a margin falls below this percentile of the observed distribution, e.g. 0.05 for a p05 floor (NaN = off)")
@@ -141,7 +133,6 @@ func main() {
 		// is distinct from the clean pass-through sensor at 0.
 		cfg.Sensor = &sensor.Config{NoiseSD: *noise}
 	}
-	cfg.PerSessionStepping = *stepPerSess
 	switch *monitorName {
 	case "":
 		if *mitigate || *stlFromMon {
@@ -165,17 +156,8 @@ func main() {
 		}
 		cfg.Mitigation.ScaleByMargin = true
 	}
-	if *stlPerSess && !*stlTelem {
-		fail(fmt.Errorf("-stl-per-session requires -stl"))
-	}
-	if *sinkEpoch != 0 && !*shardedSinks {
-		fail(fmt.Errorf("-sink-epoch requires -sharded-sinks (it paces sharded delivery)"))
-	}
 	if *sinkKeep > 0 && *sinkRotBytes <= 0 && *sinkRotAge <= 0 {
 		fail(fmt.Errorf("-sink-keep requires a rotation trigger (-sink-rotate-bytes or -sink-rotate-age)"))
-	}
-	if *shardedSinks && *sinkList == "" {
-		fail(fmt.Errorf("-sharded-sinks requires -sink (it shards sink delivery)"))
 	}
 	if (*sinkRotBytes > 0 || *sinkRotAge > 0) && !sinkSelected(*sinkList, "log") {
 		fail(fmt.Errorf("-sink-rotate-bytes/-sink-rotate-age apply to the log sink; add -sink log"))
@@ -190,7 +172,6 @@ func main() {
 		cfg.Telemetry = &apsmonitor.FleetTelemetryConfig{
 			Every:       *stlEvery,
 			FromMonitor: *stlFromMon,
-			PerSession:  *stlPerSess,
 		}
 	}
 
@@ -200,7 +181,6 @@ func main() {
 		ringSink *apsmonitor.FleetRingSink
 		histSink *apsmonitor.FleetHistSink
 	)
-	cfg.ShardedSinks = *shardedSinks
 	cfg.SinkEpoch = *sinkEpoch
 	if *sinkList != "" {
 		for _, name := range strings.Split(*sinkList, ",") {
@@ -258,8 +238,8 @@ func main() {
 	// Checkpointing rides the admission-gate protocol: -snapshot drains
 	// the fleet at an epoch-aligned gate into a sealed file, -restore
 	// resumes one. Both therefore attach an admission controller and
-	// require continuous mode, and with sharded sinks the gate period is
-	// pinned to the sink epoch so every gate is drain-aligned.
+	// require continuous mode, and the gate period is pinned to the sink
+	// epoch so every gate is drain-aligned.
 	var adm *apsmonitor.FleetAdmissions
 	var restored *apsmonitor.FleetSnapshot
 	if *snapshotPath != "" || *restorePath != "" {
@@ -268,12 +248,9 @@ func main() {
 		}
 		adm = apsmonitor.NewFleetAdmissions()
 		cfg.Admissions = adm
-		if *shardedSinks {
-			epoch := *sinkEpoch
-			if epoch == 0 {
-				epoch = 64 // the continuous-mode default the fleet would pick
-			}
-			cfg.AdmitEvery = epoch
+		cfg.AdmitEvery = *sinkEpoch
+		if cfg.AdmitEvery == 0 {
+			cfg.AdmitEvery = 64 // the fleet's default sink epoch
 		}
 		if *restorePath != "" {
 			data, err := os.ReadFile(*restorePath)
@@ -339,51 +316,11 @@ func main() {
 		}()
 	}
 
-	events := make(chan apsmonitor.FleetEvent, 256)
-	cfg.Events = events
-	var telem struct {
-		events     int64
-		violations int64
-		minMargin  float64
-		minRule    int
-	}
-	telem.minMargin = math.Inf(1)
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for ev := range events {
-			switch ev.Kind {
-			case apsmonitor.FleetSessionStart, apsmonitor.FleetSessionDone, apsmonitor.FleetSessionEvict:
-				// Lifecycle events are summarized from FleetResult after
-				// the run; streaming them would drown the progress log.
-				// (Evictions only occur on admission-controlled fleets —
-				// fleetd's territory — never in this CLI.)
-			case apsmonitor.FleetProgress:
-				fmt.Println(ev)
-			case apsmonitor.FleetAlarm, apsmonitor.FleetHazard:
-				if *verbose {
-					fmt.Println(ev)
-				}
-			case apsmonitor.FleetRobustness:
-				telem.events++
-				if ev.Margin < 0 {
-					telem.violations++
-					if *verbose {
-						fmt.Println(ev)
-					}
-				}
-				if ev.Margin < telem.minMargin {
-					telem.minMargin = ev.Margin
-					telem.minRule = ev.MarginRule
-				}
-			}
-		}
-	}()
+	telem := &consoleSink{verbose: *verbose, minMargin: math.Inf(1)}
+	cfg.Sinks = append(cfg.Sinks, telem)
 
 	start := time.Now()
 	res, err := apsmonitor.RunFleet(ctx, cfg)
-	close(events)
-	<-drained
 	if err != nil {
 		fail(err)
 	}
@@ -472,6 +409,50 @@ func main() {
 		}
 	}
 }
+
+// consoleSink prints the progress log (with -v also alarms, hazards, and
+// rule violations) as events are delivered, and summarizes the
+// robustness stream for the final report.
+type consoleSink struct {
+	verbose    bool
+	events     int64
+	violations int64
+	minMargin  float64
+	minRule    int
+}
+
+// Emit implements apsmonitor.FleetSink.
+func (c *consoleSink) Emit(ev apsmonitor.FleetEvent) error {
+	switch ev.Kind {
+	case apsmonitor.FleetSessionStart, apsmonitor.FleetSessionDone, apsmonitor.FleetSessionEvict:
+		// Lifecycle events are summarized from FleetResult after the run;
+		// printing them would drown the progress log. (Evictions only
+		// occur on admission-controlled fleets — fleetd's territory —
+		// never in this CLI.)
+	case apsmonitor.FleetProgress:
+		fmt.Println(ev)
+	case apsmonitor.FleetAlarm, apsmonitor.FleetHazard:
+		if c.verbose {
+			fmt.Println(ev)
+		}
+	case apsmonitor.FleetRobustness:
+		c.events++
+		if ev.Margin < 0 {
+			c.violations++
+			if c.verbose {
+				fmt.Println(ev)
+			}
+		}
+		if ev.Margin < c.minMargin {
+			c.minMargin = ev.Margin
+			c.minRule = ev.MarginRule
+		}
+	}
+	return nil
+}
+
+// Flush implements apsmonitor.FleetSink.
+func (c *consoleSink) Flush() error { return nil }
 
 // sinkSelected reports whether the comma-separated -sink list names the
 // given sink.

@@ -1,8 +1,8 @@
 // Command fleetvet is the repo's single lint entry point: it runs the
 // project-invariant static-analysis suite of internal/analysis — the
-// determinism, noalloc, and exhaustive passes plus the documentation
-// lint formerly run as cmd/doclint — over Go package patterns and
-// prints findings in clickable file:line:col format.
+// determinism, noalloc, and exhaustive passes plus the doclint
+// documentation pass — over Go package patterns and prints findings in
+// clickable file:line:col format.
 //
 // Usage:
 //

@@ -16,10 +16,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description printed by fleetvet's usage text.
 	Doc string
-	// NeedsTypes reports whether Run requires Pass.TypesInfo; the
-	// doclint pass is purely syntactic and runs without a type-checked
-	// package (cmd/doclint uses that to keep its parse-only contract).
-	NeedsTypes bool
 	// Run inspects one package and reports findings via Pass.Reportf.
 	Run func(*Pass) error
 }
@@ -33,16 +29,14 @@ type Pass struct {
 	Fset *token.FileSet
 	// Files are the package's non-test source files.
 	Files []*ast.File
-	// Pkg is the type-checked package; nil iff the driver skipped type
-	// checking for a pass with NeedsTypes == false.
+	// Pkg is the type-checked package.
 	Pkg *types.Package
-	// TypesInfo holds type and object resolution for Files; nil iff Pkg
-	// is nil.
+	// TypesInfo holds type and object resolution for Files.
 	TypesInfo *types.Info
 	// Dir is the package directory, used by path-keyed messages.
 	Dir string
 	// PkgName is the package name (doclint skips "main" packages, the
-	// commands and examples, matching the historical doclint scope).
+	// commands and examples).
 	PkgName string
 
 	report func(Diagnostic)
@@ -84,30 +78,6 @@ func Suite() []*Analyzer {
 		NewExhaustive(),
 		NewDocLint(),
 	}
-}
-
-// RunSyntactic runs one syntax-only pass (NeedsTypes == false) over an
-// already-parsed file set, without type checking. cmd/doclint uses this
-// to keep its historical parse-only contract while delegating the rules
-// to the shared doclint pass.
-func RunSyntactic(a *Analyzer, fset *token.FileSet, files []*ast.File, dir, pkgName string) ([]Diagnostic, error) {
-	if a.NeedsTypes {
-		return nil, fmt.Errorf("analysis: pass %s needs type information", a.Name)
-	}
-	var diags []Diagnostic
-	pass := &Pass{
-		Analyzer: a,
-		Fset:     fset,
-		Files:    files,
-		Dir:      dir,
-		PkgName:  pkgName,
-		report:   func(d Diagnostic) { diags = append(diags, d) },
-	}
-	if err := a.Run(pass); err != nil {
-		return nil, err
-	}
-	SortDiagnostics(diags)
-	return diags, nil
 }
 
 // directivePrefix introduces every fleetvet comment directive.

@@ -37,9 +37,8 @@ var seededRandConstructors = map[string]bool{
 // statement line.
 func NewDeterminism() *Analyzer {
 	a := &Analyzer{
-		Name:       "determinism",
-		Doc:        "flag map-order, wall-clock, and global-rand nondeterminism in marked packages",
-		NeedsTypes: true,
+		Name: "determinism",
+		Doc:  "flag map-order, wall-clock, and global-rand nondeterminism in marked packages",
 	}
 	a.Run = func(pass *Pass) error {
 		marked := packageMarked(pass.Fset, pass.Files, "deterministic")

@@ -4,7 +4,7 @@
 // tests enforce at run time — determinism of the fault-injection
 // engine, allocation-freedom of the streaming hot paths, and
 // exhaustiveness of switches over the fleet's enumerations — plus the
-// documentation contract previously checked by cmd/doclint alone.
+// documentation contract (doclint).
 //
 // The suite is self-contained on the Go standard library: packages are
 // loaded with `go list -export -deps -json` and type-checked with the

@@ -4,19 +4,15 @@ import (
 	"go/ast"
 )
 
-// NewDocLint returns the documentation-contract pass, the former
-// cmd/doclint folded into the multichecker: every library package must
-// carry a package comment, and every exported top-level declaration
-// (functions, methods on exported receivers, types, constants,
-// variables) must carry a doc comment. Commands and examples (package
-// main) are exempt, matching the historical `make docs` scope. The
-// pass is purely syntactic (NeedsTypes == false), so cmd/doclint can
-// keep its parse-only contract while delegating here.
+// NewDocLint returns the documentation-contract pass: every library
+// package must carry a package comment, and every exported top-level
+// declaration (functions, methods on exported receivers, types,
+// constants, variables) must carry a doc comment. Commands and
+// examples (package main) are exempt. The pass is purely syntactic.
 func NewDocLint() *Analyzer {
 	a := &Analyzer{
-		Name:       "doclint",
-		Doc:        "flag missing package comments and undocumented exported APIs",
-		NeedsTypes: false,
+		Name: "doclint",
+		Doc:  "flag missing package comments and undocumented exported APIs",
 	}
 	a.Run = func(pass *Pass) error {
 		if pass.PkgName == "main" || len(pass.Files) == 0 {

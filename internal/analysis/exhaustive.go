@@ -43,9 +43,8 @@ func (e *enumInfo) key() string { return e.pkgPath + "." + e.name }
 func NewExhaustive() *Analyzer {
 	registry := make(map[string]*enumInfo)
 	a := &Analyzer{
-		Name:       "exhaustive",
-		Doc:        "flag switches over //fleetvet:exhaustive enums that miss enumerators",
-		NeedsTypes: true,
+		Name: "exhaustive",
+		Doc:  "flag switches over //fleetvet:exhaustive enums that miss enumerators",
 	}
 	a.Run = func(pass *Pass) error {
 		registerEnums(pass, registry)

@@ -28,9 +28,8 @@ var allocPkgs = map[string]bool{
 // with a reason, scoped to one statement line.
 func NewNoAlloc() *Analyzer {
 	a := &Analyzer{
-		Name:       "noalloc",
-		Doc:        "flag allocation-prone constructs inside //fleetvet:noalloc functions",
-		NeedsTypes: true,
+		Name: "noalloc",
+		Doc:  "flag allocation-prone constructs inside //fleetvet:noalloc functions",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, f := range pass.Files {

@@ -231,22 +231,36 @@ func TestSuiteEndToEnd(t *testing.T) {
 		t.Error("RenderTableVIII malformed")
 	}
 
-	// Mitigation rerun on a small scenario set.
+	// Mitigation rerun on a small scenario set. Every session's MLP
+	// monitor shares the suite's one trained model, so the MLP row at
+	// Parallel 2 runs concurrent inference on it (make race checks that)
+	// and must equal the single-shard row exactly.
 	scen := ScenarioSubset(60)
 	baseline, err := Run(CampaignConfig{Platform: plat, Patients: []int{0}, Scenarios: scen})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := suite.EvaluateMitigation("CAWT", baseline, CampaignConfig{
-		Patients: []int{0}, Scenarios: scen,
-	})
-	if err != nil {
-		t.Fatal(err)
+	var mit []MitigationResult
+	for _, name := range []string{"CAWT", "MLP"} {
+		var rows []MitigationResult
+		for _, parallel := range []int{1, 2} {
+			res, err := suite.EvaluateMitigation(name, baseline, CampaignConfig{
+				Patients: []int{0}, Scenarios: scen, Parallel: parallel,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Monitor != name {
+				t.Errorf("monitor %q, want %q", res.Monitor, name)
+			}
+			rows = append(rows, res)
+		}
+		if rows[0] != rows[1] {
+			t.Errorf("%s mitigation differs across Parallel: %+v at 1 vs %+v at 2", name, rows[0], rows[1])
+		}
+		mit = append(mit, rows[0])
 	}
-	if res.Monitor != "CAWT" {
-		t.Errorf("monitor %q", res.Monitor)
-	}
-	if out := RenderMitigation([]MitigationResult{res}); !strings.Contains(out, "recovery") {
+	if out := RenderMitigation(mit); !strings.Contains(out, "recovery") {
 		t.Error("RenderMitigation malformed")
 	}
 }

@@ -30,10 +30,11 @@ import (
 // lives, not its content: a session's evolution remains a function of
 // (seed, slot, patient, scenario, replica). Consequently, for a fixed
 // admission schedule (operations pinned to rounds with AdmitAt /
-// EvictGroupAt), the sharded-sink stream of every tenant group is
+// EvictGroupAt), the sink stream of every tenant group is
 // byte-identical at any parallelism level
 // (TestFleetAdmissionStreamDeterministicAcrossParallelism, the
-// control-plane twin of TestShardedSinksDeterministicAcrossParallelism).
+// control-plane twin of the static-fleet sink determinism test in
+// sink_test.go).
 // Operations queued with round 0 (Admit/Evict/EvictGroup) apply at the
 // next gate — the serving mode, where "which round exactly" is
 // scheduling-dependent but each applied schedule still replays
@@ -58,8 +59,8 @@ type AdmitSpec struct {
 	// PatientIdx is the cohort index of the admitted patient.
 	PatientIdx int
 	// ScenIdx indexes the fleet's declared scenario table
-	// (Config.Scenarios or Config.LegacyScenarios) — admitted sessions
-	// choose from it. Ignored when Program is set.
+	// (Config.Scenarios) — admitted sessions choose from it. Ignored when
+	// Program is set.
 	ScenIdx int
 	// Program, when non-nil, admits an inline scenario program instead
 	// of a table index: the program is validated and compile-checked at
@@ -194,8 +195,8 @@ func (a *Admissions) bind(cfg *Config) error {
 			if ss.PatientIdx < 0 || ss.PatientIdx >= cfg.Platform.NumPatients {
 				return fmt.Errorf("fleet: restore snapshot slot %d: patient index %d outside cohort [0, %d)", ss.Slot, ss.PatientIdx, cfg.Platform.NumPatients)
 			}
-			if ss.Program == "" && (ss.ScenIdx < 0 || ss.ScenIdx >= cfg.numScenarios()) {
-				return fmt.Errorf("fleet: restore snapshot slot %d: scenario index %d outside the declared table [0, %d)", ss.Slot, ss.ScenIdx, cfg.numScenarios())
+			if ss.Program == "" && (ss.ScenIdx < 0 || ss.ScenIdx >= len(cfg.Scenarios)) {
+				return fmt.Errorf("fleet: restore snapshot slot %d: scenario index %d outside the declared table [0, %d)", ss.Slot, ss.ScenIdx, len(cfg.Scenarios))
 			}
 			sp, err := restoredSpec(ss)
 			if err != nil {
@@ -637,13 +638,13 @@ func (g *admissionGate) applyOps(ops []admissionOp) {
 }
 
 // drainAlignmentError rejects a terminal drain at a gate round that
-// would strand buffered sink events: with sharded epoch sinks attached,
-// a drain must land on a round that is a multiple of SinkEpoch, where
+// would strand buffered sink events: with sinks attached, a drain must
+// land on a round that is a multiple of SinkEpoch, where
 // the per-shard buffers are empty and the completion cursors agree (the
 // alignment invariant in this file's package comment).
 func (g *admissionGate) drainAlignmentError() error {
 	cfg := g.cfg
-	if len(cfg.Sinks) > 0 && cfg.ShardedSinks && cfg.SinkEpoch > 0 && g.round%cfg.SinkEpoch != 0 {
+	if len(cfg.Sinks) > 0 && g.round%cfg.SinkEpoch != 0 {
 		return fmt.Errorf(
 			"%w: gate round %d is not aligned to SinkEpoch %d; schedule DrainAt on a common multiple of AdmitEvery and SinkEpoch",
 			ErrDrainMisaligned, g.round, cfg.SinkEpoch)
@@ -694,8 +695,8 @@ func (g *admissionGate) validateSpec(sp AdmitSpec) (string, *SessionSnapshot) {
 			if _, err := prog.Compile(g.cfg.Steps, g.cfg.CycleMin); err != nil {
 				return fmt.Sprintf("snapshot program: %v", err), nil
 			}
-		} else if snap.ScenIdx < 0 || snap.ScenIdx >= g.cfg.numScenarios() {
-			return fmt.Sprintf("snapshot scenario index %d outside the declared table [0, %d)", snap.ScenIdx, g.cfg.numScenarios()), nil
+		} else if snap.ScenIdx < 0 || snap.ScenIdx >= len(g.cfg.Scenarios) {
+			return fmt.Sprintf("snapshot scenario index %d outside the declared table [0, %d)", snap.ScenIdx, len(g.cfg.Scenarios)), nil
 		}
 		return "", snap
 	}
@@ -708,8 +709,8 @@ func (g *admissionGate) validateSpec(sp AdmitSpec) (string, *SessionSnapshot) {
 		if _, err := sp.Program.Compile(g.cfg.Steps, g.cfg.CycleMin); err != nil {
 			return fmt.Sprintf("inline program: %v", err), nil
 		}
-	} else if sp.ScenIdx < 0 || sp.ScenIdx >= g.cfg.numScenarios() {
-		return fmt.Sprintf("scenario index %d outside the declared table [0, %d)", sp.ScenIdx, g.cfg.numScenarios()), nil
+	} else if sp.ScenIdx < 0 || sp.ScenIdx >= len(g.cfg.Scenarios) {
+		return fmt.Sprintf("scenario index %d outside the declared table [0, %d)", sp.ScenIdx, len(g.cfg.Scenarios)), nil
 	}
 	if sp.NewMonitor != nil && g.cfg.NewBatchMonitor != nil {
 		return "per-session monitor override conflicts with Config.NewBatchMonitor", nil

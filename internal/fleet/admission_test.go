@@ -33,7 +33,6 @@ func admissionFleetConfig() Config {
 		Continuous:    true,
 		MaxSessions:   8,
 		AdmitEvery:    4,
-		ShardedSinks:  true,
 		SinkEpoch:     4,
 		ProgressEvery: 3,
 	}
@@ -151,8 +150,6 @@ func TestFleetAdmissionCapacityAndSpecRejects(t *testing.T) {
 	cfg.NewMonitor = nil
 	cfg.MaxSessions = 3 // 2 static slots + 1 free
 	cfg.AdmitEvery = 2
-	cfg.ShardedSinks = false
-	cfg.SinkEpoch = 0
 	cfg.ProgressEvery = 0
 	cfg.Admissions = adm
 
@@ -195,7 +192,7 @@ func TestFleetAdmissionCapacityAndSpecRejects(t *testing.T) {
 // admission wakes it, group eviction empties it again (the fleet parks
 // at the gate instead of spinning), a second admission wakes it once
 // more, and cancellation shuts it down cleanly. Evictions must surface
-// as EventSessionEvict on the live event stream.
+// as EventSessionEvict on the live sink stream.
 func TestFleetAdmissionGrowShrinkIdle(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -207,21 +204,19 @@ func TestFleetAdmissionGrowShrinkIdle(t *testing.T) {
 	cfg.Sessions = 0 // start empty
 	cfg.MaxSessions = 4
 	cfg.AdmitEvery = 2
-	cfg.ShardedSinks = false
-	cfg.SinkEpoch = 0
+	cfg.SinkEpoch = 2 // divides AdmitEvery: a gate's events arrive before the next gate
 	cfg.ProgressEvery = 0
 	cfg.Admissions = adm
 
-	events := make(chan Event, 4096)
-	cfg.Events = events
 	evicted := make(chan Event, 16)
-	go func() {
-		for ev := range events {
-			if ev.Kind == EventSessionEvict {
-				evicted <- ev
+	cfg.Sinks = []Sink{funcSink(func(ev Event) {
+		if ev.Kind == EventSessionEvict {
+			select {
+			case evicted <- ev:
+			default:
 			}
 		}
-	}()
+	})}
 
 	done := make(chan error, 1)
 	go func() {
@@ -259,7 +254,6 @@ func TestFleetAdmissionGrowShrinkIdle(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	close(events)
 }
 
 // TestFleetAdmissionMonitorOverride admits a session carrying its own
@@ -277,32 +271,27 @@ func TestFleetAdmissionMonitorOverride(t *testing.T) {
 	cfg.Sessions = 0
 	cfg.MaxSessions = 2
 	cfg.AdmitEvery = 2
-	cfg.ShardedSinks = false
-	cfg.SinkEpoch = 0
+	cfg.SinkEpoch = 2 // divides AdmitEvery: a gate's events arrive before the next gate
 	cfg.ProgressEvery = 0
 	cfg.Admissions = adm
 
-	events := make(chan Event, 4096)
-	cfg.Events = events
 	alarms := make(chan Event, 256)
 	starts := make(chan Event, 256)
-	go func() {
-		for ev := range events {
-			switch ev.Kind {
-			case EventAlarm:
-				select {
-				case alarms <- ev:
-				default:
-				}
-			case EventSessionStart:
-				select {
-				case starts <- ev:
-				default:
-				}
-			case EventHazard, EventSessionDone, EventSessionEvict, EventProgress, EventRobustness:
+	cfg.Sinks = []Sink{funcSink(func(ev Event) {
+		switch ev.Kind {
+		case EventAlarm:
+			select {
+			case alarms <- ev:
+			default:
 			}
+		case EventSessionStart:
+			select {
+			case starts <- ev:
+			default:
+			}
+		case EventHazard, EventSessionDone, EventSessionEvict, EventProgress, EventRobustness:
 		}
-	}()
+	})}
 
 	// The monitored session carries a monitor that alarms every cycle, so
 	// alarm attribution is deterministic: any alarm from "plain" means the
@@ -339,7 +328,6 @@ func TestFleetAdmissionMonitorOverride(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	close(events)
 
 	sawAlarm := false
 	for {
@@ -408,19 +396,18 @@ func TestFleetConfigValidate(t *testing.T) {
 			c.NewBatchMonitor = func() (monitor.BatchMonitor, error) { return nil, nil }
 		}, "mutually exclusive"},
 		{"negative sink epoch", func(c *Config) {
-			c.ShardedSinks = true
 			c.Sinks = []Sink{ring}
 			c.SinkEpoch = -1
 		}, "negative SinkEpoch"},
-		{"epoch without sharding", func(c *Config) {
+		{"epoch with sinks", func(c *Config) {
 			c.Sinks = []Sink{ring}
 			c.SinkEpoch = 8
-		}, "requires ShardedSinks"},
+		}, ""},
 		{"continuous without scenarios", func(c *Config) {
 			c.Continuous = true
 			c.Scenarios = nil
 		}, "explicit Scenarios"},
-		{"telemetry without outputs", func(c *Config) { c.Telemetry = &TelemetryConfig{} }, "Events or Sinks"},
+		{"telemetry without outputs", func(c *Config) { c.Telemetry = &TelemetryConfig{} }, "requires Sinks"},
 		{"frommonitor without monitor", func(c *Config) {
 			c.Telemetry = &TelemetryConfig{FromMonitor: true}
 			c.Sinks = []Sink{ring}
@@ -474,8 +461,6 @@ func TestFleetAdmissionsRebindRejected(t *testing.T) {
 	cfg.Telemetry = nil
 	cfg.NewMonitor = nil
 	cfg.Sensor = nil
-	cfg.ShardedSinks = false
-	cfg.SinkEpoch = 0
 	cfg.ProgressEvery = 0
 	cfg.Admissions = adm
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

@@ -9,11 +9,11 @@
 //
 // Sessions are dealt round-robin to Parallel worker shards; each shard
 // owns its sessions exclusively and steps its live window in lock-step
-// rounds. Workers share only atomic counters and the event channel, so
-// the engine is race-free by construction. Each session is driven by a
-// closedloop.Stepper — the single implementation of the simulation
-// loop — with a per-session deterministic RNG and a pooled trace
-// buffer.
+// rounds. Workers share only atomic counters and the epoch and
+// admission barriers, so the engine is race-free by construction. Each
+// session is driven by a closedloop.Stepper — the single implementation
+// of the simulation loop — with a per-session deterministic RNG and a
+// pooled trace buffer.
 //
 // # Invariants
 //
@@ -24,52 +24,50 @@
 // in the loop (TestFleetDeterministicAcrossParallelism).
 //
 // Batched ≡ per-session, bit-identically: the lock-step rounds let a
-// shard evaluate all its sessions' monitor decisions in one call
-// (Config.NewBatchMonitor) and all its sessions' hazard telemetry in
-// one struct-of-arrays rule-stream push (Config.Telemetry's default;
-// TelemetryConfig.PerSession keeps the per-session oracle reachable).
-// Both batched paths produce exactly the verdicts and margins the
-// per-session paths produce — not statistically, bit-for-bit
-// (TestFleetBatchedMonitorMatchesPerSession,
-// TestFleetBatchedTelemetryMatchesPerSession) — so batching is purely a
-// throughput decision.
+// shard advance all its sessions' physiology in one struct-of-arrays
+// RK4 step (Platform.NewBatchPatient), evaluate all their monitor
+// decisions in one call (Config.NewBatchMonitor), and push all their
+// hazard telemetry through one struct-of-arrays rule stream
+// (Config.Telemetry's default). Each batched path produces exactly what
+// its per-session reference produces — not statistically, bit-for-bit:
+// the scalar stepping a Platform without NewBatchPatient runs
+// (TestFleetBatchedSteppingMatchesPerSession), a per-session monitor
+// (TestFleetBatchedMonitorMatchesPerSession), and a retained trace
+// replayed through a fresh scs.StreamSet
+// (TestFleetBatchedTelemetryMatchesPerSession) — so batching is purely
+// a throughput decision.
 //
 // One evaluation per cycle: with TelemetryConfig.FromMonitor, telemetry
 // reads the monitor's own streaming verdict (per-session or per-lane),
 // so alarm, Algorithm 1 mitigation, and telemetry never evaluate the
 // rules twice for the same cycle.
 //
-// Event values are deterministic, event order is not: events from
-// different shards interleave by scheduling. The deterministic
-// artifacts of a run are its traces and per-(session, replica, step)
-// event values — and, with Config.ShardedSinks, the sink streams too:
-// per-worker buffers merge in canonical session-coordinate order,
-// making sink output byte-identical across parallelism levels
-// (TestShardedSinksDeterministicAcrossParallelism). With
-// Config.SinkEpoch the merge happens incrementally at epoch barriers
-// every SinkEpoch lock-step rounds: finite runs stream the stable
+// Event order is canonical everywhere: events leave the engine only
+// through Config.Sinks, and per-worker buffers merge in canonical
+// session-coordinate order, so sink output is byte-identical across
+// parallelism levels (the sink determinism tests in sink_test.go).
+// The merge happens incrementally at epoch barriers every
+// Config.SinkEpoch lock-step rounds: finite runs stream the stable
 // prefix of the canonical order (concatenated epoch merges are
 // byte-identical to the run-end merge at any (Parallel, SinkEpoch) —
-// TestShardedSinkEpochMergeMatchesRunEnd), and continuous runs drain
-// every closed epoch whole with memory bounded by one epoch window
-// (TestShardedSinksContinuousBounded). See shard_sink.go.
+// TestShardedSinkEpochMergeMatchesRunEnd) and hold back only events of
+// sessions still in flight, and continuous runs drain every closed
+// epoch whole with memory bounded by one epoch window (the continuous
+// soak test in shard_sink_test.go). See shard_sink.go.
 //
-// Cancellation loses only the in-flight tail, identically in both
-// delivery modes: channel-based delivery (the collector goroutine and
-// the Events channel) abandons sends once the context is cancelled, and
-// sharded delivery skips the open — un-barriered — epoch of a cancelled
-// run, delivering only epochs that closed before shutdown (plus any
-// canonical-order holdback from closed epochs). Neither mode replays
-// the cancelled tail as if the run had completed
-// (TestShardedSinkCancelSkipsOpenEpoch); a durable record of the final
-// instants before shutdown requires a clean (finite) completion.
+// Cancellation loses only the in-flight tail: delivery skips the open
+// — un-barriered — epoch of a cancelled run, delivering only epochs
+// that closed before shutdown (plus any canonical-order holdback from
+// closed epochs), and never replays the cancelled tail as if the run
+// had completed (TestShardedSinkCancelSkipsOpenEpoch); a durable record
+// of the final instants before shutdown requires a clean (finite)
+// completion.
 //
-// Telemetry is never silently dropped while a run is live: the
-// collector goroutine backpressures workers through a bounded channel
-// (a slow sink slows the fleet rather than losing events), a failing
-// sink is detached and its error surfaces from Run after simulation
-// completes, and LogSink rotation retires whole files without ever
-// splitting or dropping a record.
+// Telemetry is never silently dropped while a run is live: sinks are
+// fed inside the epoch barrier (a slow sink slows the fleet rather than
+// losing events), a failing sink is detached and its error surfaces
+// from Run after simulation completes, and LogSink rotation retires
+// whole files without ever splitting or dropping a record.
 //
 // # Runtime admission
 //
@@ -80,7 +78,7 @@
 // admissions, slot or group evictions — apply identically for every
 // shard before the barrier releases. Gates key on the round clock, not
 // wall time, so the fleet-shape history joins the seed as a
-// deterministic input: for a fixed admission schedule the sharded-sink
+// deterministic input: for a fixed admission schedule the sink
 // stream is byte-identical at any Parallel
 // (TestFleetAdmissionStreamDeterministicAcrossParallelism). Slots are
 // never reused, acceptance depends only on the fleet-wide live count
@@ -96,7 +94,7 @@
 // Because a session's evolution is a pure function of its coordinates
 // and the round clock, a live fleet can be serialized and resumed
 // bit-exactly. Admissions.Drain stops the fleet at an admission gate
-// that is also a sink-epoch boundary — where the sharded sinks'
+// that is also a sink-epoch boundary — where the per-worker sink
 // buffers are provably empty — and captures every live session's
 // component state (patient, sensor, controller, fault, mitigation,
 // streaming STL nodes, monitor, RNG position) into a sealed

@@ -17,14 +17,16 @@ const (
 	// EventSessionStart marks a session (or continuous-mode replica)
 	// beginning its first cycle.
 	EventSessionStart EventKind = iota
-	// EventAlarm streams a session's first monitor alarm, live.
+	// EventAlarm marks a session's first monitor alarm; Step is the
+	// cycle that raised it.
 	EventAlarm
 	// EventHazard marks a completed session whose trace was labeled
 	// hazardous (ground truth is only known after labeling).
 	EventHazard
 	// EventSessionDone marks a session running to completion.
 	EventSessionDone
-	// EventProgress is emitted every Config.ProgressEvery completions.
+	// EventProgress marks every Config.ProgressEvery-th completion; it
+	// is synthesized at delivery, along the canonical order.
 	EventProgress
 	// EventRobustness streams a session's per-cycle STL robustness
 	// margin — the minimum quantitative margin across the telemetry rule
@@ -67,9 +69,10 @@ func (k EventKind) String() string {
 	}
 }
 
-// Event is one entry of the fleet's progress/hazard stream. Events from
-// different shards interleave nondeterministically; the deterministic
-// artifact of a run is its traces, not its event order.
+// Event is one entry of the fleet's progress/hazard stream, delivered
+// to Config.Sinks in canonical order: sorted by (Session, Replica,
+// Step, kind), a pure function of the session coordinates, so the
+// stream is as deterministic as the traces.
 type Event struct {
 	Kind       EventKind
 	Session    int // session slot index
@@ -83,8 +86,8 @@ type Event struct {
 	// EventSessionDone.
 	Step   int
 	Hazard trace.HazardType
-	// Completed carries the global completion count on EventSessionDone
-	// and EventProgress.
+	// Completed carries the completion count on EventSessionDone and
+	// EventProgress, stamped along the canonical delivery order.
 	Completed int64
 	// Robustness carries the minimum STL robustness across the telemetry
 	// rule bodies on EventRobustness; Rule is the ID of the rule

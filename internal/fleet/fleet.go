@@ -23,17 +23,17 @@ import (
 // TelemetryConfig attaches streaming STL hazard telemetry to every
 // session: each control cycle yields an EventRobustness carrying the
 // minimum STL robustness across the rule set plus the signed rule
-// margin and its attribution, delivered over Config.Events and/or
-// Config.Sinks.
+// margin and its attribution, delivered through Config.Sinks.
 //
 // By default every worker shard evaluates its whole live window through
 // one shard-batched scs.BatchStreamSet — a single struct-of-arrays push
-// per cycle, bit-identical per lane to a dedicated per-session
-// scs.StreamSet (which PerSession selects explicitly). With FromMonitor
-// the verdicts instead come from the session monitor's own single
-// streaming evaluation, so a fleet serving margin-carrying monitors
-// (the streaming CAWT/CAWOT, per-session or shard-batched) pays for
-// exactly one rule evaluation per cycle.
+// per cycle, bit-identical per lane to replaying the session's trace
+// through a dedicated scs.StreamSet (the reference the differential
+// tests compare against). With FromMonitor the verdicts instead come
+// from the session monitor's own single streaming evaluation, so a
+// fleet serving margin-carrying monitors (the streaming CAWT/CAWOT,
+// per-session or shard-batched) pays for exactly one rule evaluation
+// per cycle.
 type TelemetryConfig struct {
 	// Rules is the Safety Context Specification to stream; nil selects
 	// the paper's Table I. Ignored with FromMonitor.
@@ -54,12 +54,6 @@ type TelemetryConfig struct {
 	// StreamVerdict, e.g. monitor.ContextAware) or NewBatchMonitor
 	// building lane-margin monitors (monitor.BatchContextAware).
 	FromMonitor bool
-	// PerSession evaluates telemetry with one scs.StreamSet per session
-	// instead of the shard-batched engine. The two paths are
-	// bit-identical (the differential tests compare them); this is the
-	// escape hatch that keeps the per-session oracle reachable. Ignored
-	// with FromMonitor.
-	PerSession bool
 }
 
 // marginMonitor is the capability FromMonitor telemetry needs: access
@@ -102,8 +96,9 @@ type Platform struct {
 	// lanes patients and enables shard-batched physiology/sensor stepping:
 	// each worker advances its whole live window's ODE state through one
 	// batched RK4 call per round, bit-identical per lane to the scalar
-	// NewPatient path (which Config.PerSessionStepping selects
-	// explicitly).
+	// NewPatient path — the path a Platform without NewBatchPatient
+	// runs, and the reference the stepping differential tests compare
+	// against.
 	NewBatchPatient func(lanes int) (sim.BatchPatient, error)
 	// NewController builds the platform's controller for a patient with
 	// the given basal rate.
@@ -115,16 +110,10 @@ type Config struct {
 	Platform Platform
 	// Patients selects cohort indices; nil means the whole cohort.
 	Patients []int
-	// Scenarios is the fleet's scenario-program table; nil (with
-	// LegacyScenarios also empty) means the full 882-per-patient campaign
-	// compiled through the program IR. Every program is validated and
-	// compiled once, before any session starts.
+	// Scenarios is the fleet's scenario-program table; nil means the full
+	// 882-per-patient campaign compiled through the program IR. Every
+	// program is validated and compiled once, before any session starts.
 	Scenarios []fault.Program
-	// LegacyScenarios selects the fault matrix through the original
-	// single-fault enum path instead of compiled programs. Mutually
-	// exclusive with Scenarios; this is the oracle the compiled-legacy
-	// golden differential compares against.
-	LegacyScenarios []fault.Scenario
 	// Sessions is the number of concurrent session slots. Zero means one
 	// per patient x scenario pair; larger values wrap around the matrix
 	// with fresh RNG replicas.
@@ -148,13 +137,6 @@ type Config struct {
 	// Sensor optionally attaches a CGM error model per session, driven
 	// by the session RNG. Nil reads the clean CGM.
 	Sensor *sensor.Config
-	// PerSessionStepping disables shard-batched physiology/sensor
-	// stepping on platforms that provide NewBatchPatient, building each
-	// session its own scalar patient (and sensor closure) instead. The
-	// two paths are bit-identical per session (the differential tests
-	// compare them); this is the escape hatch that keeps the per-session
-	// oracle reachable, mirroring TelemetryConfig.PerSession.
-	PerSessionStepping bool
 	// NewMonitor optionally builds a per-session safety monitor.
 	NewMonitor func(patientIdx int) (monitor.Monitor, error)
 	// NewBatchMonitor optionally builds one batched monitor per shard;
@@ -202,36 +184,26 @@ type Config struct {
 	// snapshot.go). Requires Admissions; Sessions must stay zero.
 	Restore *FleetSnapshot
 	// Telemetry optionally streams per-cycle STL robustness margins for
-	// every session as EventRobustness events. Requires Events or Sinks.
+	// every session as EventRobustness events. Requires Sinks.
 	Telemetry *TelemetryConfig
-	// Events optionally streams lifecycle events. The caller must drain
-	// the channel; sends are abandoned when the context is cancelled.
-	Events chan<- Event
-	// Sinks optionally persist the event stream: every event is delivered
-	// to each sink in order by one collector goroutine (see Sink for the
-	// backpressure and error semantics). Sinks and Events may be combined;
-	// sinks are flushed when Run returns.
+	// Sinks optionally receive the event stream, the fleet's only event
+	// output. Workers append events to private per-shard buffers — no
+	// channel, no cross-shard contention — and the buffers merge into the
+	// sinks in canonical order (see Sink and shard_sink.go), so the
+	// delivered stream is a pure function of the session coordinates:
+	// byte-identical at any parallelism level, like traces. Sinks are
+	// flushed when Run returns.
 	Sinks []Sink
-	// ShardedSinks replaces the collector goroutine with per-worker
-	// event buffers merged into the sinks in canonical order (see
-	// shard_sink.go): workers append events locally — no channel, no
-	// cross-shard contention — and the merged delivery order is a pure
-	// function of the session coordinates, so sink output is
-	// byte-identical at any parallelism level, like traces. With
-	// SinkEpoch == 0 the merge happens once, when the run completes
-	// (finite runs only); with SinkEpoch > 0 the buffers drain at epoch
-	// barriers, so delivery is live and memory is bounded by one epoch
-	// window. Events still stream live either way.
-	ShardedSinks bool
-	// SinkEpoch (with ShardedSinks) drains the per-worker buffers at an
-	// epoch barrier every SinkEpoch completed lock-step rounds: all
-	// shards quiesce, the closed epoch merges in canonical order, and
-	// the deliverable prefix streams to the sinks immediately, with
+	// SinkEpoch drains the per-shard sink buffers at an epoch barrier
+	// every SinkEpoch completed lock-step rounds (default 64): all shards
+	// quiesce, the closed epoch merges in canonical order, and the
+	// deliverable prefix streams to the sinks immediately, with
 	// completion counts and progress marks re-stamped incrementally
-	// across epochs. For finite runs the concatenation of epoch merges
-	// is byte-identical to the single run-end merge at any (Parallel,
-	// SinkEpoch). Zero defers delivery to run end (finite runs;
-	// continuous fleets require epochs and default to 64).
+	// across epochs. Delivery is live for finite and continuous runs
+	// alike, and buffers hold at most one epoch window plus, in finite
+	// runs, the events of sessions still in flight. For finite runs the
+	// concatenation of epoch merges is byte-identical to a single run-end
+	// merge (an epoch longer than the run) at any (Parallel, SinkEpoch).
 	SinkEpoch int
 	// sinkEpochHook, when set (tests only), observes each closed epoch:
 	// the epoch index, how many events were buffered at the barrier, and
@@ -244,14 +216,6 @@ type Config struct {
 	// plans caches the compiled form of Scenarios, one *fault.Plan per
 	// program, built by withDefaults once Steps/CycleMin are known.
 	plans []*fault.Plan
-}
-
-// numScenarios is the size of whichever scenario table is in force.
-func (c *Config) numScenarios() int {
-	if len(c.LegacyScenarios) > 0 {
-		return len(c.LegacyScenarios)
-	}
-	return len(c.Scenarios)
 }
 
 // Validate surfaces contradictory configurations as errors without
@@ -284,9 +248,6 @@ func (c Config) Validate() error {
 	if c.NewMonitor != nil && c.NewBatchMonitor != nil {
 		return fmt.Errorf("fleet: NewMonitor and NewBatchMonitor are mutually exclusive")
 	}
-	if len(c.Scenarios) > 0 && len(c.LegacyScenarios) > 0 {
-		return fmt.Errorf("fleet: Scenarios and LegacyScenarios are mutually exclusive")
-	}
 	// Duplicate entries in either axis of the patient x scenario matrix
 	// would run indistinguishable sessions on distinct slots — almost
 	// always a config bug (a tenant admitting the same pair twice), and
@@ -308,28 +269,18 @@ func (c Config) Validate() error {
 		}
 		progSeen[p.Key()] = i
 	}
-	scSeen := make(map[fault.Scenario]int, len(c.LegacyScenarios))
-	for i, sc := range c.LegacyScenarios {
-		if j, dup := scSeen[sc]; dup {
-			return fmt.Errorf("fleet: duplicate scenario %s at LegacyScenarios[%d] and [%d]", sc.Fault.Name(), j, i)
-		}
-		scSeen[sc] = i
-	}
 	if c.SinkEpoch < 0 {
 		return fmt.Errorf("fleet: negative SinkEpoch %d", c.SinkEpoch)
 	}
-	if c.SinkEpoch > 0 && !c.ShardedSinks {
-		return fmt.Errorf("fleet: SinkEpoch requires ShardedSinks")
-	}
-	if c.Continuous && c.numScenarios() == 0 {
+	if c.Continuous && len(c.Scenarios) == 0 {
 		// A serving fleet runs its scenario table forever; defaulting to
 		// the full 882-scenario campaign is never what a continuous
 		// deployment meant — declare the table explicitly.
 		return fmt.Errorf("fleet: Continuous requires an explicit Scenarios table")
 	}
 	if c.Telemetry != nil {
-		if c.Events == nil && len(c.Sinks) == 0 {
-			return fmt.Errorf("fleet: Telemetry requires Events or Sinks")
+		if len(c.Sinks) == 0 {
+			return fmt.Errorf("fleet: Telemetry requires Sinks")
 		}
 		if c.Telemetry.FromMonitor && c.NewMonitor == nil && c.NewBatchMonitor == nil {
 			return fmt.Errorf("fleet: Telemetry.FromMonitor requires NewMonitor or NewBatchMonitor")
@@ -376,9 +327,7 @@ func (c Config) withDefaults() (Config, error) {
 	if err := c.Validate(); err != nil {
 		return c, err
 	}
-	if c.ShardedSinks && c.Continuous && c.SinkEpoch == 0 {
-		// Run-end-only merge never happens on a serving fleet; epoch
-		// barriers keep delivery live and the buffers bounded.
+	if c.SinkEpoch == 0 {
 		c.SinkEpoch = 64
 	}
 	if len(c.Patients) == 0 {
@@ -387,14 +336,14 @@ func (c Config) withDefaults() (Config, error) {
 			c.Patients[i] = i
 		}
 	}
-	if c.numScenarios() == 0 {
+	if len(c.Scenarios) == 0 {
 		c.Scenarios = fault.CampaignPrograms(nil)
 	}
 	if c.Sessions <= 0 && c.Admissions == nil {
 		// An admission-controlled fleet starts with exactly the declared
 		// static slots (possibly none); only batch runs default to the
 		// full matrix.
-		c.Sessions = len(c.Patients) * c.numScenarios()
+		c.Sessions = len(c.Patients) * len(c.Scenarios)
 	}
 	if c.Steps == 0 {
 		c.Steps = 150
@@ -436,15 +385,13 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	// Compile the program table once, now that the loop horizon is known;
 	// every session indexing Scenarios shares these plans.
-	if len(c.LegacyScenarios) == 0 {
-		c.plans = make([]*fault.Plan, len(c.Scenarios))
-		for i := range c.Scenarios {
-			pl, err := c.Scenarios[i].Compile(c.Steps, c.CycleMin)
-			if err != nil {
-				return c, fmt.Errorf("fleet: Scenarios[%d] (%s): %w", i, c.Scenarios[i].Name, err)
-			}
-			c.plans[i] = pl
+	c.plans = make([]*fault.Plan, len(c.Scenarios))
+	for i := range c.Scenarios {
+		pl, err := c.Scenarios[i].Compile(c.Steps, c.CycleMin)
+		if err != nil {
+			return c, fmt.Errorf("fleet: Scenarios[%d] (%s): %w", i, c.Scenarios[i].Name, err)
 		}
+		c.plans[i] = pl
 	}
 	return c, nil
 }
@@ -471,7 +418,7 @@ type spec struct {
 }
 
 func (c *Config) specFor(slot, replica int) spec {
-	n := c.numScenarios()
+	n := len(c.Scenarios)
 	matrix := len(c.Patients) * n
 	rem := slot % matrix
 	return spec{
@@ -505,9 +452,10 @@ type Result struct {
 // continuous mode) and returns the aggregate result. Cancelling the
 // context stops a finite run with the context's error; for a continuous
 // fleet cancellation is the normal shutdown path and returns nil.
-// Registered sinks are drained and flushed before Run returns; the
-// first Emit error per sink (which detaches that sink) and any flush
-// errors surface as the returned error once simulation has completed.
+// Registered sinks receive every closed epoch and are flushed before Run
+// returns; the first Emit error per sink (which detaches that sink) and
+// any flush errors surface as the returned error once simulation has
+// completed.
 func Run(ctx context.Context, cfg Config) (Result, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -531,32 +479,12 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 		eng.gate = newAdmissionGate(ctx.Done(), &eng.cfg)
 	}
 
-	// Sink delivery: by default one collector goroutine owns it — Emit
-	// never races with itself, and a slow sink backpressures the workers
-	// through the bounded channel instead of dropping telemetry. With
-	// ShardedSinks each worker buffers its own events instead, and the
-	// buffers merge into the sinks in canonical order — at every
-	// SinkEpoch barrier, and once more when the workers exit.
-	var collectorDone chan struct{}
+	// Sink delivery: each worker buffers its own events, and the buffers
+	// merge into the sinks in canonical order — at every SinkEpoch
+	// barrier, and once more when the workers exit.
 	sinkErrs := make([]error, len(cfg.Sinks))
 	if len(cfg.Sinks) > 0 {
-		if cfg.ShardedSinks {
-			eng.sinks = newShardedDelivery(&eng.cfg, sinkErrs)
-		} else {
-			eng.sinkCh = make(chan Event, 256)
-			collectorDone = make(chan struct{})
-			go func() {
-				defer close(collectorDone)
-				for ev := range eng.sinkCh {
-					for i, s := range cfg.Sinks {
-						if sinkErrs[i] != nil {
-							continue // detached after first error
-						}
-						sinkErrs[i] = s.Emit(ev)
-					}
-				}
-			}()
-		}
+		eng.sinks = newShardedDelivery(&eng.cfg, sinkErrs)
 	}
 
 	var wg sync.WaitGroup
@@ -569,10 +497,6 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 	}
 	wg.Wait()
 
-	if eng.sinkCh != nil {
-		close(eng.sinkCh)
-		<-collectorDone
-	}
 	if eng.sinks != nil {
 		eng.sinks.finish()
 	}
@@ -601,16 +525,16 @@ func Run(ctx context.Context, cfg Config) (Result, error) {
 }
 
 // engine is the shared state of one fleet run. Workers touch disjoint
-// trace slots and communicate only through the atomic counters and the
-// event channel, so the whole run is data-race free by construction.
+// trace slots and sink buffers and communicate only through the atomic
+// counters and the epoch and admission barriers, so the whole run is
+// data-race free by construction.
 type engine struct {
 	ctx    context.Context
 	cfg    Config
 	pool   *bufferPool
 	traces []*trace.Trace
 	errs   []error
-	sinkCh chan Event
-	sinks  *shardedDelivery // per-worker sink buffers + epoch barrier (ShardedSinks)
+	sinks  *shardedDelivery // per-worker sink buffers + epoch barrier (Config.Sinks)
 	gate   *admissionGate   // runtime admission/eviction barrier (Config.Admissions)
 
 	steps     atomic.Int64
@@ -619,26 +543,11 @@ type engine struct {
 	alarmed   atomic.Int64
 }
 
-// emit streams an event from one worker shard to the Events channel and
-// the sink layer (the collector channel, or the shard's own buffer when
-// sinks are sharded) unless the run is shutting down.
+// emit appends an event from one worker shard to that shard's sink
+// buffer; the canonical merge delivers it (shard_sink.go). Without
+// sinks there is nothing to emit to.
 func (e *engine) emit(shard int, ev Event) {
-	if e.cfg.Events != nil {
-		select {
-		case e.cfg.Events <- ev:
-		case <-e.ctx.Done():
-		}
-	}
-	if e.sinkCh != nil {
-		select {
-		case e.sinkCh <- ev:
-		case <-e.ctx.Done():
-		}
-	}
-	if e.sinks != nil && ev.Kind != EventProgress {
-		// Progress events are a live-streaming affordance whose payload
-		// (the global completion count) is scheduling-dependent; the
-		// canonical merge re-synthesizes them deterministically.
+	if e.sinks != nil {
 		e.sinks.buffer(shard, ev)
 	}
 }
@@ -685,11 +594,11 @@ func (e *engine) runShard(shard int) {
 	// Shard-batched physiology: the whole live window's ODE state lives
 	// in one struct-of-arrays bank advanced by a single batched RK4 call
 	// per round, with a matching per-lane sensor bank when a CGM error
-	// model is attached. Bit-identical per lane to the per-session path
-	// (Config.PerSessionStepping).
+	// model is attached. Bit-identical per lane to the scalar path a
+	// platform without NewBatchPatient runs.
 	var batchPat sim.BatchPatient
 	var batchSensor *sensor.BatchModel
-	if cfg.Platform.NewBatchPatient != nil && !cfg.PerSessionStepping {
+	if cfg.Platform.NewBatchPatient != nil {
 		var err error
 		if batchPat, err = cfg.Platform.NewBatchPatient(capLanes); err != nil {
 			e.errs[shard] = fmt.Errorf("fleet: shard %d batch patient: %w", shard, err)
@@ -725,13 +634,13 @@ func (e *engine) runShard(shard int) {
 
 	// Shard-batched telemetry: the whole live window's rule streams
 	// advance in one struct-of-arrays push per cycle, bit-identical per
-	// lane to the per-session StreamSet path (TelemetryConfig.PerSession).
+	// lane to a per-session scs.StreamSet replaying the session's trace.
 	var batchTelem *scs.BatchStreamSet
 	var telemSamples []trace.Sample
 	var telemStates []scs.State
 	var telemLanes []int
 	var telemVerdicts []scs.StreamVerdict
-	if t := cfg.Telemetry; t != nil && !t.FromMonitor && !t.PerSession {
+	if t := cfg.Telemetry; t != nil && !t.FromMonitor {
 		var err error
 		batchTelem, err = scs.NewBatchStreamSet(t.Rules, t.Thresholds, t.Params, cfg.CycleMin, capLanes)
 		if err != nil {
@@ -757,8 +666,8 @@ func (e *engine) runShard(shard int) {
 		return -1
 	}
 	next := 0 // next queued slot
-	start := func(sp spec, lane int, telem *scs.StreamSet) (*Session, error) {
-		s, err := e.newSession(sp, lane, telem, batchPat, batchSensor)
+	start := func(sp spec, lane int) (*Session, error) {
+		s, err := e.newSession(sp, lane, batchPat, batchSensor)
 		if err != nil {
 			return nil, err
 		}
@@ -801,7 +710,7 @@ func (e *engine) runShard(shard int) {
 				e.errs[shard] = fmt.Errorf("fleet: restore slot %d: %w", ss.Slot, err)
 				return
 			}
-			s, err := start(sp, lane, nil)
+			s, err := start(sp, lane)
 			if err != nil {
 				e.errs[shard] = err
 				return
@@ -810,7 +719,7 @@ func (e *engine) runShard(shard int) {
 		}
 	}
 	for lane := 0; lane < window; lane++ {
-		s, err := start(cfg.specFor(slots[next], 0), lane, nil)
+		s, err := start(cfg.specFor(slots[next], 0), lane)
 		if err != nil {
 			e.errs[shard] = err
 			return
@@ -888,7 +797,7 @@ func (e *engine) runShard(shard int) {
 				if batchTelem != nil {
 					batchTelem.ResetLane(lane)
 				}
-				s, err := start(sp, lane, nil)
+				s, err := start(sp, lane)
 				if err != nil {
 					if sp.restore != nil {
 						// A bad session snapshot rejects that admission, not
@@ -1041,10 +950,7 @@ func (e *engine) runShard(shard int) {
 			if batchTelem != nil {
 				batchTelem.ResetLane(s.lane)
 			}
-			// The retired session's telemetry streams reset and carry
-			// over, so continuous-mode replica churn does not rebuild
-			// rule sets.
-			ns, err := start(*refill, s.lane, s.telemetry)
+			ns, err := start(*refill, s.lane)
 			if err != nil {
 				e.errs[shard] = err
 				return
@@ -1052,7 +958,7 @@ func (e *engine) runShard(shard int) {
 			live[i] = ns
 		}
 
-		if e.sinks != nil && cfg.SinkEpoch > 0 {
+		if e.sinks != nil {
 			rounds++
 			if rounds == cfg.SinkEpoch {
 				rounds = 0
@@ -1081,15 +987,14 @@ func (e *engine) runShard(shard int) {
 	cleanExit = e.ctx.Err() == nil
 }
 
-// noteStep streams the session's first monitor alarm as a live event
-// and, when telemetry is attached, emits the cycle's robustness margin
-// — from the shard-batched push (bv), the session's own streaming STL
-// rule set, or (FromMonitor) the monitor's single evaluation, so alarm
+// noteStep emits the session's first monitor alarm and, when telemetry
+// is attached, the cycle's robustness margin — from the shard-batched
+// push (bv) or (FromMonitor) the monitor's single evaluation, so alarm
 // and telemetry never evaluate the rules twice. A non-nil sample is the
 // cycle's already-copied last sample (the batched path shares the copy
 // it made for the rule push); nil makes noteStep fetch it.
 func (e *engine) noteStep(shard int, s *Session, preSample *trace.Sample, bv *scs.StreamVerdict) error {
-	hasTelemetry := bv != nil || s.telemetry != nil || s.margin != nil
+	hasTelemetry := bv != nil || s.margin != nil
 	if !hasTelemetry && s.alarmed {
 		return nil // nothing left to observe: skip the sample copy
 	}
@@ -1112,20 +1017,14 @@ func (e *engine) noteStep(shard int, s *Session, preSample *trace.Sample, bv *sc
 		return nil
 	}
 	var v scs.StreamVerdict
-	switch {
-	case bv != nil:
+	if bv != nil {
 		v = *bv
-	case s.margin != nil:
+	} else {
 		sv, ok := s.margin.StreamVerdict()
 		if !ok {
 			return fmt.Errorf("fleet: session %d: monitor produced no streaming verdict", s.Index)
 		}
 		v = sv
-	default:
-		var err error
-		if v, err = s.telemetry.Push(scs.StateFromSample(sample)); err != nil {
-			return fmt.Errorf("fleet: session %d telemetry: %w", s.Index, err)
-		}
 	}
 	if every := e.cfg.Telemetry.Every; every == 1 || (sample.Step+1)%every == 0 {
 		e.emit(shard, Event{
@@ -1139,7 +1038,9 @@ func (e *engine) noteStep(shard int, s *Session, preSample *trace.Sample, bv *sc
 }
 
 // finalize labels a completed session, folds it into the counters,
-// streams its terminal events, and either retains or recycles the trace.
+// emits its terminal events, and either retains or recycles the trace.
+// Completion counts and progress marks are stamped at delivery, in
+// canonical order (shard_sink.go).
 func (e *engine) finalize(shard int, s *Session) {
 	tr := s.Finish()
 	if s.alarmed {
@@ -1153,14 +1054,11 @@ func (e *engine) finalize(shard int, s *Session) {
 			Replica: s.Replica, Group: s.group, Step: tr.FirstHazardStep(), Hazard: hazard,
 		})
 	}
-	done := e.completed.Add(1)
+	e.completed.Add(1)
 	e.emit(shard, Event{
 		Kind: EventSessionDone, Session: s.Index, PatientIdx: s.PatientIdx,
-		Replica: s.Replica, Group: s.group, Step: tr.Len(), Hazard: hazard, Completed: done,
+		Replica: s.Replica, Group: s.group, Step: tr.Len(), Hazard: hazard,
 	})
-	if pe := e.cfg.ProgressEvery; pe > 0 && done%int64(pe) == 0 {
-		e.emit(shard, Event{Kind: EventProgress, Completed: done})
-	}
 	if e.traces != nil {
 		e.traces[s.Index] = tr
 	} else {
@@ -1168,38 +1066,29 @@ func (e *engine) finalize(shard int, s *Session) {
 	}
 }
 
-// newSession builds the patient, controller, monitor, sensor, telemetry,
-// and stepper for one session slot. A telemetry stream set handed in
-// from a retired session is reset and reused. With a batched patient
-// bank the session's physiology is its lane of the bank (configured
-// here) and its sensor joins the shard's batched sensor sweep; the
-// session RNG seeds the lane's noise stream exactly as the scalar path
-// would, so the two paths draw identical noise.
-func (e *engine) newSession(sp spec, lane int, telem *scs.StreamSet, batchPat sim.BatchPatient, batchSensor *sensor.BatchModel) (*Session, error) {
+// newSession builds the patient, controller, monitor, sensor, and
+// stepper for one session slot. With a batched patient bank the
+// session's physiology is its lane of the bank (configured here) and
+// its sensor joins the shard's batched sensor sweep; the session RNG
+// seeds the lane's noise stream exactly as the scalar path would, so
+// the two paths draw identical noise.
+func (e *engine) newSession(sp spec, lane int, batchPat sim.BatchPatient, batchSensor *sensor.BatchModel) (*Session, error) {
 	cfg := &e.cfg
 
 	// Resolve the session's scenario: an inline program (admitted with
-	// AdmitSpec.Program, compiled here against the fleet horizon), a
-	// compiled table entry (the default), or a legacy enum scenario (the
-	// differential oracle, stepped through the original Fault path).
+	// AdmitSpec.Program, compiled here against the fleet horizon) or a
+	// compiled table entry.
 	var prog fault.Program
 	var plan *fault.Plan
-	var legacy *fault.Scenario
-	switch {
-	case sp.program != nil:
+	if sp.program != nil {
 		prog = *sp.program
 		pl, err := prog.Compile(cfg.Steps, cfg.CycleMin)
 		if err != nil {
 			return nil, fmt.Errorf("fleet: session %d (patient %d): %w", sp.index, sp.patientIdx, err)
 		}
 		plan = pl
-	case len(cfg.LegacyScenarios) > 0:
-		sc := cfg.LegacyScenarios[sp.scenIdx]
-		legacy = &sc
-		prog = sc.Program()
-	default:
-		prog = cfg.Scenarios[sp.scenIdx]
-		plan = cfg.plans[sp.scenIdx]
+	} else {
+		prog, plan = cfg.Scenarios[sp.scenIdx], cfg.plans[sp.scenIdx]
 	}
 	wrap := func(err error) error {
 		return fmt.Errorf("fleet: session %d (patient %d, %s): %w",
@@ -1269,47 +1158,25 @@ func (e *engine) newSession(sp spec, lane int, telem *scs.StreamSet, batchPat si
 		Controller: ctrl,
 		Monitor:    mon,
 		Mitigation: mitigation,
-	}
-	if legacy != nil {
-		loopCfg.InitialBG = legacy.InitialBG
-		if legacy.Fault.Duration > 0 {
-			f := legacy.Fault
-			loopCfg.Fault = &f
-		}
-	} else {
-		loopCfg.Plan = plan // InitialBG resolves from the plan
+		Plan:       plan, // InitialBG resolves from the plan
 	}
 	st, err := closedloop.NewStepper(loopCfg, opts)
 	if err != nil {
 		return nil, wrap(err)
 	}
 	var margin marginMonitor
-	if t := cfg.Telemetry; t != nil {
-		switch {
-		case t.FromMonitor:
-			// One-evaluation invariant: telemetry reads the monitor's own
-			// streaming verdicts instead of attaching a second rule set.
-			// With a batched monitor the shard assigns the lane adapter
-			// after construction.
-			if nm != nil {
-				mm, ok := mon.(marginMonitor)
-				if !ok {
-					return nil, wrap(fmt.Errorf(
-						"fleet: Telemetry.FromMonitor requires a margin-carrying monitor, got %T", mon))
-				}
-				margin = mm
-			}
-		case !t.PerSession:
-			// Default: the shard evaluates telemetry batched across its
-			// whole live window; nothing to attach per session.
-		case telem != nil:
-			telem.Reset()
-		default:
-			telem, err = scs.NewStreamSet(t.Rules, t.Thresholds, t.Params, cfg.CycleMin)
-			if err != nil {
-				return nil, wrap(err)
-			}
+	if t := cfg.Telemetry; t != nil && t.FromMonitor && nm != nil {
+		// One-evaluation invariant: telemetry reads the monitor's own
+		// streaming verdicts instead of attaching a second rule set. With
+		// a batched monitor the shard assigns the lane adapter after
+		// construction; default telemetry is batched across the shard's
+		// whole live window, with nothing to attach per session.
+		mm, ok := mon.(marginMonitor)
+		if !ok {
+			return nil, wrap(fmt.Errorf(
+				"fleet: Telemetry.FromMonitor requires a margin-carrying monitor, got %T", mon))
 		}
+		margin = mm
 	}
 	if sp.restore != nil {
 		// Fast-forward the fresh stream to the captured draw position: no
@@ -1325,8 +1192,7 @@ func (e *engine) newSession(sp spec, lane int, telem *scs.StreamSet, batchPat si
 		Program: prog, scenIdx: sp.scenIdx, program: sp.program, group: sp.group,
 		newMonitor: sp.newMonitor, mitigate: sp.mitigate,
 		lane: lane, rng: rng, seed: seed, src: src,
-		mon: mon, sensorModel: sensorModel, st: st,
-		telemetry: telem, margin: margin,
+		mon: mon, sensorModel: sensorModel, st: st, margin: margin,
 	}, nil
 }
 

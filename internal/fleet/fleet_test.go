@@ -66,6 +66,28 @@ func tracesCSV(t *testing.T, traces []*trace.Trace) []byte {
 	return buf.Bytes()
 }
 
+// funcSink hands every delivered event to a callback. The engine calls
+// it serially, and Run returns only after the last delivery, so state
+// the callback builds is safe to read once Run has returned.
+type funcSink func(Event)
+
+func (f funcSink) Emit(ev Event) error { f(ev); return nil }
+func (f funcSink) Flush() error        { return nil }
+
+// runEvents runs cfg to completion with a recording sink attached next
+// to any configured sinks and returns the delivered stream.
+func runEvents(t *testing.T, cfg Config) ([]Event, Result) {
+	t.Helper()
+	var events []Event
+	record := funcSink(func(ev Event) { events = append(events, ev) })
+	cfg.Sinks = append(append([]Sink(nil), cfg.Sinks...), record)
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events, res
+}
+
 // TestSessionMatchesClosedLoopRun pins the fleet session to the one-shot
 // simulator: a single session must reproduce closedloop.Run exactly.
 func TestSessionMatchesClosedLoopRun(t *testing.T) {
@@ -155,18 +177,8 @@ func TestFleetDeterministicAcrossParallelism(t *testing.T) {
 // TestFleetThousandSessions drives ≥1000 concurrent sessions to
 // completion; under -race this is the engine's race coverage.
 func TestFleetThousandSessions(t *testing.T) {
-	events := make(chan Event, 64)
-	counts := make(map[EventKind]int)
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for ev := range events {
-			counts[ev.Kind]++
-		}
-	}()
-
 	const sessions = 1000
-	res, err := Run(context.Background(), Config{
+	events, res := runEvents(t, Config{
 		Platform:  glucosymPlatform(),
 		Patients:  []int{0, 1, 2, 3, 4},
 		Scenarios: thinScenarios(20), // 45 scenarios: 225-slot matrix, wrapped
@@ -178,12 +190,11 @@ func TestFleetThousandSessions(t *testing.T) {
 		MaxLivePerShard: 250,
 		Seed:            7,
 		Sensor:          &sensor.Config{NoiseSD: 2},
-		Events:          events, ProgressEvery: 250,
+		ProgressEvery:   250,
 	})
-	close(events)
-	<-drained
-	if err != nil {
-		t.Fatal(err)
+	counts := make(map[EventKind]int)
+	for _, ev := range events {
+		counts[ev.Kind]++
 	}
 	if res.Sessions != sessions || res.Completed != sessions {
 		t.Fatalf("sessions %d completed %d, want %d", res.Sessions, res.Completed, sessions)
@@ -317,38 +328,32 @@ type robKey struct {
 	session, replica, step int
 }
 
-// robVal is the emitted margin and arg-min rule.
+// robVal is every robustness field an EventRobustness carries.
 type robVal struct {
-	rob  float64
-	rule int
+	rob, margin float64
+	rule, mrule int
+	hazard      trace.HazardType
 }
 
 // collectRobustness runs a fleet with streaming STL telemetry attached
-// and returns every EventRobustness keyed by (session, replica, step).
+// and returns every EventRobustness keyed by (session, replica, step),
+// failing on duplicates.
 func collectRobustness(t *testing.T, cfg Config) (map[robKey]robVal, Result) {
 	t.Helper()
-	events := make(chan Event, 256)
-	cfg.Events = events
+	events, res := runEvents(t, cfg)
 	got := make(map[robKey]robVal)
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for ev := range events {
-			if ev.Kind != EventRobustness {
-				continue
-			}
-			k := robKey{ev.Session, ev.Replica, ev.Step}
-			if _, dup := got[k]; dup {
-				t.Errorf("duplicate robustness event for %+v", k)
-			}
-			got[k] = robVal{ev.Robustness, ev.Rule}
+	for _, ev := range events {
+		if ev.Kind != EventRobustness {
+			continue
 		}
-	}()
-	res, err := Run(context.Background(), cfg)
-	close(events)
-	<-drained
-	if err != nil {
-		t.Fatal(err)
+		k := robKey{ev.Session, ev.Replica, ev.Step}
+		if _, dup := got[k]; dup {
+			t.Errorf("duplicate robustness event for %+v", k)
+		}
+		got[k] = robVal{
+			rob: ev.Robustness, margin: ev.Margin,
+			rule: ev.Rule, mrule: ev.MarginRule, hazard: ev.Hazard,
+		}
 	}
 	return got, res
 }
@@ -472,19 +477,14 @@ func TestFleetTelemetryDeterministicAcrossParallelism(t *testing.T) {
 func TestFleetTelemetryContinuous(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	events := make(chan Event, 256)
 	var robCount int
 	replicas := make(map[int]bool)
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for ev := range events {
-			if ev.Kind == EventRobustness {
-				robCount++
-				replicas[ev.Replica] = true
-			}
+	count := funcSink(func(ev Event) {
+		if ev.Kind == EventRobustness {
+			robCount++
+			replicas[ev.Replica] = true
 		}
-	}()
+	})
 	res, err := Run(ctx, Config{
 		Platform:   glucosymPlatform(),
 		Patients:   []int{0},
@@ -493,10 +493,8 @@ func TestFleetTelemetryContinuous(t *testing.T) {
 		Parallel:   2,
 		Continuous: true,
 		Telemetry:  &TelemetryConfig{},
-		Events:     events,
+		Sinks:      []Sink{count},
 	})
-	close(events)
-	<-drained
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,46 +533,36 @@ func TestFleetValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	epochNoShard := Config{
-		Platform:  glucosymPlatform(),
-		SinkEpoch: 8,
-		Sinks:     []Sink{ring},
-	}
-	if _, err := Run(context.Background(), epochNoShard); err == nil {
-		t.Error("SinkEpoch without ShardedSinks should fail")
-	}
 	negEpoch := Config{
-		Platform:     glucosymPlatform(),
-		ShardedSinks: true,
-		SinkEpoch:    -1,
-		Sinks:        []Sink{ring},
+		Platform:  glucosymPlatform(),
+		SinkEpoch: -1,
+		Sinks:     []Sink{ring},
 	}
 	if _, err := Run(context.Background(), negEpoch); err == nil {
 		t.Error("negative SinkEpoch should fail")
 	}
-	// ShardedSinks + Continuous is no longer rejected: epoch barriers
-	// bound the buffers, so serving fleets get contention-free sinks
-	// (TestShardedSinksContinuousBounded exercises the run itself).
-	shardedContinuous := Config{
-		Platform:     glucosymPlatform(),
-		Patients:     []int{0},
-		Scenarios:    thinScenarios(300),
-		Steps:        5,
-		Continuous:   true,
-		ShardedSinks: true,
-		Sinks:        []Sink{ring},
+	// Sinks on a continuous fleet run with epoch delivery (the default
+	// SinkEpoch bounds the buffers; TestShardedSinksContinuousBounded
+	// exercises the run itself).
+	continuousSinks := Config{
+		Platform:   glucosymPlatform(),
+		Patients:   []int{0},
+		Scenarios:  thinScenarios(300),
+		Steps:      5,
+		Continuous: true,
+		Sinks:      []Sink{ring},
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	if _, err := Run(ctx, shardedContinuous); err != nil {
-		t.Errorf("ShardedSinks + Continuous should run with epoch delivery: %v", err)
+	if _, err := Run(ctx, continuousSinks); err != nil {
+		t.Errorf("sinks on a continuous fleet should run with epoch delivery: %v", err)
 	}
-	noEvents := Config{
+	noSinks := Config{
 		Platform:  glucosymPlatform(),
 		Telemetry: &TelemetryConfig{},
 	}
-	if _, err := Run(context.Background(), noEvents); err == nil {
-		t.Error("Telemetry without Events should fail")
+	if _, err := Run(context.Background(), noSinks); err == nil {
+		t.Error("Telemetry without Sinks should fail")
 	}
 }
 
@@ -597,12 +585,14 @@ func allKindScenarios(perKind int) []fault.Program {
 	return fault.Programs(out)
 }
 
-// TestFleetBatchedTelemetryMatchesPerSession is the tentpole
-// differential: the shard-batched telemetry engine (the default) must
-// emit exactly the same robustness events — margin, arg-min rule,
-// hazard, for every session and step — as the per-session StreamSet
-// path, across every fault kind, with sensor noise, at multiple
-// parallelism levels; and the traces must be byte-identical too
+// TestFleetBatchedTelemetryMatchesPerSession is the batched-telemetry
+// differential: the shard-batched telemetry engine must emit exactly
+// the robustness events — margin, arg-min rule, margin rule, hazard,
+// for every session and emitted step — that replaying each session's
+// retained trace through its own fresh scs.StreamSet produces, across
+// every fault kind, with sensor noise, under margin-scaled mitigation,
+// with an Every stride, at multiple parallelism levels. Traces must
+// also be byte-identical to the same fleet without telemetry
 // (telemetry never perturbs simulation).
 func TestFleetBatchedTelemetryMatchesPerSession(t *testing.T) {
 	base := Config{
@@ -612,72 +602,81 @@ func TestFleetBatchedTelemetryMatchesPerSession(t *testing.T) {
 		Steps:     40,
 		Seed:      13,
 		Sensor:    &sensor.Config{NoiseSD: 2},
-		Telemetry: &TelemetryConfig{},
 	}
-	type robFull struct {
-		rob, margin float64
-		rule, mrule int
-		hazard      trace.HazardType
-	}
-	collect := func(cfg Config) (map[robKey]robFull, []byte) {
-		events := make(chan Event, 256)
-		cfg.Events = events
-		got := make(map[robKey]robFull)
-		drained := make(chan struct{})
-		go func() {
-			defer close(drained)
-			for ev := range events {
-				if ev.Kind != EventRobustness {
-					continue
+	// replay is the per-session reference: one StreamSet per retained
+	// trace, emitting on the same Every stride the engine honours.
+	replay := func(traces []*trace.Trace, every int) map[robKey]robVal {
+		want := make(map[robKey]robVal)
+		for sess, tr := range traces {
+			ss, err := scs.NewStreamSet(scs.TableI(), nil, scs.Params{}, tr.CycleMin)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range tr.Samples {
+				smp := &tr.Samples[i]
+				v, err := ss.Push(scs.StateFromSample(smp))
+				if err != nil {
+					t.Fatal(err)
 				}
-				got[robKey{ev.Session, ev.Replica, ev.Step}] = robFull{
-					rob: ev.Robustness, margin: ev.Margin,
-					rule: ev.Rule, mrule: ev.MarginRule, hazard: ev.Hazard,
+				if (smp.Step+1)%every == 0 {
+					want[robKey{sess, 0, smp.Step}] = robVal{
+						rob: v.MinRobust, margin: v.Margin,
+						rule: v.WorstRule, mrule: v.Rule, hazard: v.Hazard,
+					}
 				}
 			}
-		}()
-		res, err := Run(context.Background(), cfg)
-		close(events)
-		<-drained
-		if err != nil {
-			t.Fatal(err)
 		}
-		return got, tracesCSV(t, res.Traces)
+		return want
 	}
 
-	for _, parallel := range []int{1, runtime.NumCPU()} {
-		batched := base
-		batched.Parallel = parallel
-		perSession := base
-		perSession.Parallel = parallel
-		perSession.Telemetry = &TelemetryConfig{PerSession: true}
+	for _, mitigate := range []bool{false, true} {
+		cfg := base
+		every := 1
+		if mitigate {
+			cfg.NewMonitor = func(int) (monitor.Monitor, error) {
+				return monitor.NewCAWOT(scs.TableI(), scs.Params{})
+			}
+			cfg.Mitigate = true
+			cfg.Mitigation = closedloop.MitigationConfig{ScaleByMargin: true}
+			every = 3
+		}
+		label := "mitigate=" + map[bool]string{false: "off", true: "on"}[mitigate]
+		for _, parallel := range []int{1, runtime.NumCPU()} {
+			cfg.Parallel = parallel
+			cfg.Telemetry = &TelemetryConfig{Every: every}
+			got, res := collectRobustness(t, cfg)
+			want := replay(res.Traces, every)
+			if len(got) == 0 || len(got) != len(want) {
+				t.Fatalf("%s Parallel=%d: event counts differ: batched %d vs per-session replay %d",
+					label, parallel, len(got), len(want))
+			}
+			hazards, violations := 0, 0
+			for k, v := range got {
+				if wv, ok := want[k]; !ok || wv != v {
+					t.Fatalf("%s Parallel=%d event %+v differs: batched %+v vs per-session replay %+v",
+						label, parallel, k, v, wv)
+				}
+				if v.margin < 0 {
+					violations++
+				}
+				if v.hazard != trace.HazardNone {
+					hazards++
+				}
+			}
+			if violations == 0 || hazards == 0 {
+				t.Fatalf("%s Parallel=%d: %d violations, %d hazards across an all-kind fault campaign — comparison is vacuous",
+					label, parallel, violations, hazards)
+			}
 
-		gotB, tracesB := collect(batched)
-		gotP, tracesP := collect(perSession)
-		if len(gotB) == 0 || len(gotB) != len(gotP) {
-			t.Fatalf("Parallel=%d: event counts differ: batched %d vs per-session %d",
-				parallel, len(gotB), len(gotP))
-		}
-		hazards, violations := 0, 0
-		for k, v := range gotB {
-			pv, ok := gotP[k]
-			if !ok || pv != v {
-				t.Fatalf("Parallel=%d event %+v differs: batched %+v vs per-session %+v",
-					parallel, k, v, pv)
+			plain := cfg
+			plain.Telemetry = nil
+			resPlain, err := Run(context.Background(), plain)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if v.margin < 0 {
-				violations++
+			if !bytes.Equal(tracesCSV(t, res.Traces), tracesCSV(t, resPlain.Traces)) {
+				t.Fatalf("%s Parallel=%d: telemetry perturbed the traces", label, parallel)
 			}
-			if v.hazard != trace.HazardNone {
-				hazards++
-			}
-		}
-		if violations == 0 || hazards == 0 {
-			t.Fatalf("Parallel=%d: %d violations, %d hazards across an all-kind fault campaign — comparison is vacuous",
-				parallel, violations, hazards)
-		}
-		if !bytes.Equal(tracesB, tracesP) {
-			t.Fatalf("Parallel=%d: traces differ between batched and per-session telemetry", parallel)
 		}
 	}
 }
@@ -733,12 +732,12 @@ func TestFleetFromMonitorBatchedCAWT(t *testing.T) {
 	}
 }
 
-// TestFleetBatchedSteppingMatchesPerSession is this revision's tentpole
+// TestFleetBatchedSteppingMatchesPerSession is the batched-stepping
 // differential: the shard-batched struct-of-arrays patient/sensor
 // stepping (the default on platforms providing NewBatchPatient) must
 // produce byte-identical traces, identical robustness telemetry, and
-// identical counters to the per-session scalar oracle
-// (Config.PerSessionStepping) — across every fault kind, with sensor
+// identical counters to the scalar reference — the same platform with
+// NewBatchPatient removed — across every fault kind, with sensor
 // noise, with margin-scaled mitigation on and off, at multiple
 // parallelism levels.
 func TestFleetBatchedSteppingMatchesPerSession(t *testing.T) {
@@ -750,32 +749,6 @@ func TestFleetBatchedSteppingMatchesPerSession(t *testing.T) {
 		Seed:      31,
 		Sensor:    &sensor.Config{NoiseSD: 2.5},
 		Telemetry: &TelemetryConfig{},
-	}
-	type robM struct {
-		rob, margin float64
-		rule        int
-	}
-	collect := func(cfg Config) (map[robKey]robM, Result) {
-		events := make(chan Event, 256)
-		cfg.Events = events
-		got := make(map[robKey]robM)
-		drained := make(chan struct{})
-		go func() {
-			defer close(drained)
-			for ev := range events {
-				if ev.Kind != EventRobustness {
-					continue
-				}
-				got[robKey{ev.Session, ev.Replica, ev.Step}] = robM{ev.Robustness, ev.Margin, ev.Rule}
-			}
-		}()
-		res, err := Run(context.Background(), cfg)
-		close(events)
-		<-drained
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got, res
 	}
 	for _, mitigate := range []bool{false, true} {
 		cfg := base
@@ -789,12 +762,11 @@ func TestFleetBatchedSteppingMatchesPerSession(t *testing.T) {
 		for _, parallel := range []int{1, runtime.NumCPU()} {
 			batched := cfg
 			batched.Parallel = parallel
-			oracle := cfg
-			oracle.Parallel = parallel
-			oracle.PerSessionStepping = true
+			oracle := batched
+			oracle.Platform.NewBatchPatient = nil
 
-			gotB, resB := collect(batched)
-			gotP, resP := collect(oracle)
+			gotB, resB := collectRobustness(t, batched)
+			gotP, resP := collectRobustness(t, oracle)
 			tracesB := tracesCSV(t, resB.Traces)
 			tracesP := tracesCSV(t, resP.Traces)
 
@@ -834,8 +806,9 @@ func TestFleetBatchedSteppingMatchesPerSession(t *testing.T) {
 }
 
 // TestFleetBatchedSteppingUVA runs the second platform's batch backend
-// through the same oracle comparison (single parallelism level; the
-// scheduling-independence legs above already cover parallelism).
+// through the same scalar-reference comparison (single parallelism
+// level; the scheduling-independence legs above already cover
+// parallelism).
 func TestFleetBatchedSteppingUVA(t *testing.T) {
 	base := Config{
 		Platform: Platform{
@@ -858,7 +831,7 @@ func TestFleetBatchedSteppingUVA(t *testing.T) {
 		Sensor:    &sensor.Config{NoiseSD: 2},
 	}
 	oracle := base
-	oracle.PerSessionStepping = true
+	oracle.Platform.NewBatchPatient = nil
 	resB, err := Run(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)

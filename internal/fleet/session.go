@@ -6,7 +6,6 @@ import (
 	"repro/internal/closedloop"
 	"repro/internal/fault"
 	"repro/internal/monitor"
-	"repro/internal/scs"
 	"repro/internal/sensor"
 	"repro/internal/trace"
 )
@@ -20,8 +19,7 @@ type Session struct {
 	// Index is the session's slot in Result.Traces.
 	Index int
 	// PatientIdx is the cohort index; Program the scenario program the
-	// session runs (legacy enum scenarios appear in their bridged
-	// program form — display metadata, not the execution path).
+	// session runs.
 	PatientIdx int
 	Program    fault.Program
 	// Replica numbers restarts of this slot in continuous mode; each
@@ -49,8 +47,7 @@ type Session struct {
 	sensorModel *sensor.Model
 	st          *closedloop.Stepper
 	alarmed     bool
-	telemetry   *scs.StreamSet // streaming STL rule set (Config.Telemetry)
-	margin      marginMonitor  // monitor-sourced telemetry (FromMonitor)
+	margin      marginMonitor // monitor-sourced telemetry (FromMonitor)
 }
 
 // LastVerdict returns the monitor verdict of the most recently

@@ -6,29 +6,25 @@ import (
 	"sync"
 )
 
-// Sharded sink delivery. The single collector goroutine that normally
-// owns Sink.Emit serializes every worker through one channel — fine for
-// a handful of shards, a bottleneck on the road to million-session
-// fleets. With Config.ShardedSinks each worker appends its events to a
-// private buffer instead (no channel, no cross-shard contention), and
-// the buffers merge into the sinks in *canonical order*: sorted by
+// Sink delivery, the engine's only event path. Each worker appends its
+// events to a private buffer (no channel, no cross-shard contention),
+// and the buffers merge into the sinks in *canonical order*: sorted by
 // (Session, Replica, Step, kind rank), with completion counters
-// re-stamped and progress events re-synthesized along the merged order.
+// re-stamped and progress events synthesized along the merged order.
 // Every component of that key is a pure function of the session's
-// coordinates — never of goroutine scheduling — so sharded sink output
-// is byte-identical at any parallelism level, the same determinism
-// contract the traces carry
-// (TestShardedSinksDeterministicAcrossParallelism).
+// coordinates — never of goroutine scheduling — so sink output is
+// byte-identical at any parallelism level, the same determinism
+// contract the traces carry (the sink determinism tests in
+// sink_test.go and shard_sink_test.go).
 //
 // # Epoch barriers
 //
-// Delivery is no longer deferred to run end: with Config.SinkEpoch > 0
-// every worker shard reaches a generation barrier each SinkEpoch
-// completed lock-step rounds. All shards quiesce, the last arriver
-// merges the per-worker buffers for the closed epoch into the pending
-// pool, and the deliverable part streams into the sinks immediately
-// while the other shards wait — so per-worker buffering composes with
-// live delivery and bounded memory:
+// Every worker shard reaches a generation barrier each
+// Config.SinkEpoch completed lock-step rounds. All shards quiesce, the
+// last arriver merges the per-worker buffers for the closed epoch into
+// the pending pool, and the deliverable part streams into the sinks
+// immediately while the other shards wait — so per-worker buffering
+// composes with live delivery and bounded memory:
 //
 //   - Finite runs deliver the *stable prefix* of the canonical order:
 //     every pending event whose Session precedes the fleet frontier
@@ -36,8 +32,8 @@ import (
 //     session below the frontier is fully finalized, so its events can
 //     never be preceded by a future event, and the concatenation of
 //     epoch deliveries is exactly the run-end canonical merge, chunked
-//     — byte-identical at any (Parallel, SinkEpoch), including
-//     SinkEpoch == 0, the run-end-only special case
+//     — byte-identical at any (Parallel, SinkEpoch), including an
+//     epoch longer than the run, the run-end-only special case
 //     (TestShardedSinkEpochMergeMatchesRunEnd).
 //
 //   - Continuous runs drain every closed epoch whole: all slots are
@@ -46,19 +42,17 @@ import (
 //     session coordinates (round = Replica*Steps + Step), and each
 //     chunk — sorted canonically within itself — is deterministic
 //     across parallelism. Buffered memory is bounded by one epoch
-//     window per shard instead of the whole run
-//     (TestShardedSinksContinuousBounded).
+//     window per shard instead of the whole run (the continuous soak
+//     test in shard_sink_test.go).
 //
 // # Cancellation
 //
 // A shard that exits without completing its run (context cancelled, or
 // a session build error) abandons its open-epoch buffer, and the
 // not-yet-closed epoch is never delivered: cancelled fleets lose the
-// un-barriered tail under sharded delivery exactly as channel-based
-// delivery abandons in-flight events on ctx.Done (see Sink and
-// fleet/doc.go for the contract). Events already held back from closed
-// epochs (the finite-mode stable-prefix residue) still deliver when the
-// run returns.
+// un-barriered tail (see Sink and fleet/doc.go for the contract).
+// Events already held back from closed epochs (the finite-mode
+// stable-prefix residue) still deliver when the run returns.
 
 // kindRank orders a session's events within one step for the canonical
 // merge: an alarm precedes the robustness sample of the same cycle
@@ -85,9 +79,9 @@ func kindRank(k EventKind) int {
 		// stream and after a completion (a slot cannot do both).
 		return 5
 	case EventProgress:
-		// Progress marks are never buffered (emit excludes them); they are
-		// re-synthesized during delivery. The rank exists only so the
-		// exhaustiveness guard covers the whole enum.
+		// Progress marks are never buffered (workers do not emit them);
+		// they are synthesized during delivery. The rank exists only so
+		// the exhaustiveness guard covers the whole enum.
 		return 6
 	default:
 		return -1
@@ -108,7 +102,7 @@ func canonicalLess(a, b *Event) bool {
 	return kindRank(a.Kind) < kindRank(b.Kind)
 }
 
-// shardedDelivery owns sharded sink delivery for one run: the
+// shardedDelivery owns sink delivery for one run: the
 // per-worker event buffers, the epoch barrier the worker shards
 // rendezvous on, the pending pool of merged-but-not-yet-deliverable
 // events, and the re-stamping cursors carried across epochs. All fields
@@ -271,9 +265,10 @@ func (d *shardedDelivery) closeEpoch() {
 }
 
 // finish delivers everything still pending once every worker has
-// exited: the full run-end merge when SinkEpoch is zero, the residue of
-// the last stable prefix otherwise. Open-epoch buffers of shards that
-// left without flushing were already dropped.
+// exited: the residue of the last stable prefix plus the final open
+// epoch of shards that completed (the whole run when the epoch is
+// longer than the run). Open-epoch buffers of shards that left without
+// flushing were already dropped.
 func (d *shardedDelivery) finish() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -287,9 +282,9 @@ func (d *shardedDelivery) finish() {
 
 // deliverPrefix replays pending[:cut] into every sink, re-stamping
 // EventSessionDone completion counts along the carried cursor and
-// synthesizing EventProgress marks, then retains the rest. Sink error
-// semantics match the collector: the first Emit error detaches a sink
-// for the rest of the run and is reported through sinkErrs.
+// synthesizing EventProgress marks, then retains the rest. The first
+// Emit error detaches a sink for the rest of the run and is reported
+// through sinkErrs.
 func (d *shardedDelivery) deliverPrefix(cut int) {
 	deliver := func(ev Event) {
 		for i, s := range d.cfg.Sinks {

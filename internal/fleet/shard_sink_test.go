@@ -54,10 +54,13 @@ func epochFleetConfig() Config {
 			return monitor.NewCAWOT(scs.TableI(), scs.Params{})
 		},
 		Telemetry:     &TelemetryConfig{FromMonitor: true},
-		ShardedSinks:  true,
 		ProgressEvery: 7,
 	}
 }
+
+// runEndEpoch is a sink epoch longer than any run in these tests: its
+// only merge happens when the workers exit — the run-end merge.
+const runEndEpoch = 1 << 20
 
 // TestShardedSinkEpochMergeMatchesRunEnd is the tentpole differential:
 // for a finite run, the concatenation of epoch merges must be
@@ -92,7 +95,7 @@ func TestShardedSinkEpochMergeMatchesRunEnd(t *testing.T) {
 		return buf.Bytes(), liveDelivered
 	}
 
-	golden, _ := run(variant{parallel: 1}) // SinkEpoch=0: the run-end merge
+	golden, _ := run(variant{parallel: 1, sinkEpoch: runEndEpoch})
 	if len(golden) == 0 {
 		t.Fatal("run-end merge delivered nothing")
 	}
@@ -119,13 +122,12 @@ func TestShardedSinkEpochMergeMatchesRunEnd(t *testing.T) {
 }
 
 // TestShardedSinksContinuousBounded is the serving-mode soak: a
-// continuous fleet with sharded sinks must (1) run at all — the old
-// "ShardedSinks requires a finite run" rejection is lifted — (2) drain
+// continuous fleet with sinks must (1) run, (2) drain
 // its buffers completely at every epoch barrier, keeping buffered
 // memory bounded by one epoch window across ≥3 epochs (the StateSamples
 // style of boundedness guard), (3) deliver only closed epochs, so a
-// cancelled fleet loses exactly the un-barriered tail that channel
-// delivery would also abandon, and (4) produce a byte-identical stream
+// cancelled fleet loses exactly the un-barriered tail, and (4) produce
+// a byte-identical stream
 // at every parallelism level, because event-to-epoch assignment is a
 // pure function of the session coordinates in continuous mode.
 func TestShardedSinksContinuousBounded(t *testing.T) {
@@ -141,18 +143,17 @@ func TestShardedSinksContinuousBounded(t *testing.T) {
 		var buf bytes.Buffer
 		var obs []epochObs
 		cfg := Config{
-			Platform:     glucosymPlatform(),
-			Patients:     []int{0},
-			Scenarios:    thinScenarios(300), // 3 scenarios: 3 slots
-			Steps:        steps,
-			Seed:         11,
-			Parallel:     parallel,
-			Continuous:   true,
-			Sensor:       &sensor.Config{NoiseSD: 2},
-			Telemetry:    &TelemetryConfig{},
-			Sinks:        []Sink{NewLogSink(&buf)},
-			ShardedSinks: true,
-			SinkEpoch:    sinkEpoch,
+			Platform:   glucosymPlatform(),
+			Patients:   []int{0},
+			Scenarios:  thinScenarios(300), // 3 scenarios: 3 slots
+			Steps:      steps,
+			Seed:       11,
+			Parallel:   parallel,
+			Continuous: true,
+			Sensor:     &sensor.Config{NoiseSD: 2},
+			Telemetry:  &TelemetryConfig{},
+			Sinks:      []Sink{NewLogSink(&buf)},
+			SinkEpoch:  sinkEpoch,
 		}
 		cfg.sinkEpochHook = func(epoch, buffered, delivered int) {
 			// Runs under the barrier lock: appends are ordered and safe.
@@ -237,7 +238,7 @@ func TestShardedSinksContinuousBounded(t *testing.T) {
 		}
 	}
 	if lines == 0 {
-		t.Fatal("continuous sharded sinks delivered nothing")
+		t.Fatal("continuous sinks delivered nothing")
 	}
 	if len(replicas) < 2 {
 		t.Fatalf("delivered events span %d replica generations, want >= 2", len(replicas))
@@ -245,26 +246,46 @@ func TestShardedSinksContinuousBounded(t *testing.T) {
 }
 
 // TestShardedSinkCancelSkipsOpenEpoch pins the cancellation contract
-// from the sink side: sharded delivery must not replay the open
-// (un-barriered) epoch of a cancelled run. With SinkEpoch=0 the whole
-// run is one open epoch, so a run cancelled before any barrier delivers
-// nothing — the same events channel-based delivery abandons in flight —
-// instead of the old behavior of persisting the full buffered stream as
-// if the run had completed.
+// from the sink side: delivery must not replay the open (un-barriered)
+// epoch of a cancelled run. A run cancelled before its first barrier
+// delivers nothing, instead of persisting the buffered stream as if the
+// run had completed.
 func TestShardedSinkCancelSkipsOpenEpoch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, sharded := range []bool{true, false} {
-		sink := NewLogSink(&bytes.Buffer{})
-		cfg := sinkFleetConfig()
-		cfg.Sinks = []Sink{sink}
-		cfg.ShardedSinks = sharded
-		if _, err := Run(ctx, cfg); err == nil {
-			t.Fatalf("sharded=%v: cancelled finite run should fail", sharded)
-		}
-		if sharded && sink.Written() != 0 {
-			t.Fatalf("sharded delivery persisted %d events from a run cancelled before any epoch closed", sink.Written())
-		}
+	sink := NewLogSink(&bytes.Buffer{})
+	cfg := sinkFleetConfig()
+	cfg.Sinks = []Sink{sink}
+	if _, err := Run(ctx, cfg); err == nil {
+		t.Fatal("cancelled finite run should fail")
+	}
+	if sink.Written() != 0 {
+		t.Fatalf("delivery persisted %d events from a run cancelled before any epoch closed", sink.Written())
+	}
+}
+
+// TestFiniteRunDefaultsToEpochDelivery: with SinkEpoch unset, a finite
+// fleet closes epochs of the default length while it runs and delivers
+// at those barriers, instead of buffering the whole run until Run
+// returns — finite runs get the bounded memory continuous runs have.
+func TestFiniteRunDefaultsToEpochDelivery(t *testing.T) {
+	cfg := epochFleetConfig()
+	cfg.Parallel = 1
+	cfg.MaxLivePerShard = 2 // queue slots so the frontier advances in waves
+	cfg.Sinks = []Sink{NewLogSink(&bytes.Buffer{})}
+	epochs, delivered := 0, 0
+	cfg.sinkEpochHook = func(_, _, d int) { epochs++; delivered += d }
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	// 20 sessions in waves of 2, 30 steps each: 300 lock-step rounds.
+	sessions := len(cfg.Patients) * len(cfg.Scenarios)
+	rounds := sessions / cfg.MaxLivePerShard * cfg.Steps
+	if want := rounds / 64; epochs != want {
+		t.Fatalf("%d epochs closed over %d rounds, want %d at the default SinkEpoch of 64", epochs, rounds, want)
+	}
+	if delivered == 0 {
+		t.Fatal("no events delivered at epoch barriers — the finite run buffered everything until run end")
 	}
 }
 
@@ -364,7 +385,6 @@ func TestShardedSinksContinuousProgressMonotone(t *testing.T) {
 		Continuous:    true,
 		Telemetry:     &TelemetryConfig{},
 		Sinks:         []Sink{NewLogSink(&buf)},
-		ShardedSinks:  true,
 		SinkEpoch:     4,
 		ProgressEvery: 2,
 	}

@@ -17,28 +17,26 @@ import (
 	"repro/internal/trace"
 )
 
-// Sink consumes the fleet's event stream so hazard telemetry survives
-// the run. Sinks replace ad-hoc draining of the bare Config.Events
-// channel: the engine funnels every event through one collector
-// goroutine that calls Emit on each registered sink in order, so Emit
-// implementations never race with themselves (reading a sink's
-// accumulated state concurrently with a running fleet is the caller's
-// own synchronization problem; the shipped sinks lock internally).
+// Sink consumes the fleet's event stream — the engine's only event
+// output — so hazard telemetry survives the run. Events reach each
+// registered sink in canonical order at epoch barriers and at run end
+// (shard_sink.go), while every worker is quiesced, so Emit
+// implementations never race with themselves
+// (reading a sink's accumulated state concurrently with a running
+// fleet is the caller's own synchronization problem; the shipped sinks
+// lock internally).
 //
-// Backpressure and cancellation: the collector applies the same
-// semantics as the Events channel — a slow sink eventually blocks
-// simulation workers rather than dropping events while the run is
-// live, and once the context is cancelled (the normal shutdown of a
-// continuous fleet) in-flight events are abandoned, so a durable sink
-// may miss the final instants before shutdown, exactly as a channel
-// consumer would. Sharded delivery (Config.ShardedSinks) keeps the
-// same contract: a cancelled run's open — un-barriered — sink epoch is
-// skipped, so only epochs closed before shutdown are persisted (see
-// fleet/doc.go). A sink whose Emit returns an error is detached
-// for the rest of the run and the first error per sink is reported by
-// Run after the simulation completes; telemetry failure does not abort
-// a serving fleet. Flush is called once for every sink (even detached
-// ones) when the run ends.
+// Backpressure and cancellation: delivery runs inside the barrier, so
+// a slow sink slows the fleet rather than dropping events while the
+// run is live. Once the context is cancelled (the normal shutdown of a
+// continuous fleet) the open — un-barriered — epoch is skipped, so
+// only epochs closed before shutdown are persisted and a durable sink
+// may miss the final instants before shutdown (see fleet/doc.go). A
+// sink whose Emit returns an error is detached for the rest of the run
+// and the first error per sink is reported by Run after the simulation
+// completes; telemetry failure does not abort a serving fleet. Flush
+// is called once for every sink (even detached ones) when the run
+// ends.
 type Sink interface {
 	Emit(Event) error
 	Flush() error

@@ -250,8 +250,8 @@ func TestSinkErrorDetachesWithoutAbortingRun(t *testing.T) {
 	}
 }
 
-// TestTelemetryRequiresEventsOrSinks: sinks now satisfy the telemetry
-// delivery requirement the Events channel used to own alone.
+// TestTelemetryRequiresEventsOrSinks: telemetry needs a consumer, and
+// sinks are the fleet's only event output.
 func TestTelemetryRequiresEventsOrSinks(t *testing.T) {
 	cfg := sinkFleetConfig()
 	cfg.Sinks = nil
@@ -323,27 +323,17 @@ func TestTelemetryFromMonitor(t *testing.T) {
 	bad.NewMonitor = func(int) (monitor.Monitor, error) {
 		return monitor.NewGuideline(monitor.GuidelineConfig{})
 	}
-	badEvents := make(chan Event, 16)
-	bad.Events = badEvents
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range badEvents {
-		}
-	}()
-	_, err := Run(context.Background(), bad)
-	close(badEvents)
-	<-done
-	if err == nil {
+	ring, err := NewRingSink(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.Sinks = []Sink{ring}
+	if _, err := Run(context.Background(), bad); err == nil {
 		t.Fatal("FromMonitor with a margin-less monitor should fail")
 	}
 	// And FromMonitor without NewMonitor is a config error.
 	noMon := cfg
 	noMon.NewMonitor = nil
-	ring, err := NewRingSink(8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	noMon.Sinks = []Sink{ring}
 	if _, err := Run(context.Background(), noMon); err == nil {
 		t.Fatal("FromMonitor without NewMonitor should fail")
@@ -624,7 +614,6 @@ func TestShardedSinksDeterministicAcrossParallelism(t *testing.T) {
 			},
 			Telemetry:     &TelemetryConfig{FromMonitor: true},
 			Sinks:         []Sink{sink},
-			ShardedSinks:  true,
 			ProgressEvery: 7,
 		}
 		res, err := Run(context.Background(), cfg)
@@ -681,55 +670,10 @@ func TestShardedSinksDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestShardedSinkMatchesCollectorContent: sharded delivery must carry
-// exactly the same event multiset as the collector goroutine — only the
-// order (and the scheduling-dependent completion payloads) differ.
-func TestShardedSinkMatchesCollectorContent(t *testing.T) {
-	run := func(sharded bool) map[string]int {
-		var buf bytes.Buffer
-		sink := NewLogSink(&buf)
-		cfg := sinkFleetConfig()
-		cfg.Sinks = []Sink{sink}
-		cfg.ShardedSinks = sharded
-		if _, err := Run(context.Background(), cfg); err != nil {
-			t.Fatal(err)
-		}
-		counts := make(map[string]int)
-		sc := bufio.NewScanner(&buf)
-		for sc.Scan() {
-			var rec map[string]any
-			if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-				t.Fatal(err)
-			}
-			// The completion counter is scheduling-dependent in collector
-			// mode and re-stamped in sharded mode; compare everything else.
-			delete(rec, "completed")
-			key, err := json.Marshal(rec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			counts[string(key)]++
-		}
-		return counts
-	}
-	collector := run(false)
-	sharded := run(true)
-	if len(collector) == 0 {
-		t.Fatal("no events collected")
-	}
-	if len(sharded) != len(collector) {
-		t.Fatalf("distinct events differ: sharded %d vs collector %d", len(sharded), len(collector))
-	}
-	for k, n := range collector {
-		if sharded[k] != n {
-			t.Fatalf("event %s: sharded %d vs collector %d", k, sharded[k], n)
-		}
-	}
-}
-
-// TestShardedSinkErrorDetaches: a failing sink under sharded delivery
-// detaches at its first error, healthy sinks receive the full stream,
-// and the error surfaces from Run without aborting the fleet.
+// TestShardedSinkErrorDetaches: a sink failing at an epoch barrier
+// mid-run stays detached across every later barrier, healthy sinks
+// keep receiving the full stream, and the error surfaces from Run
+// without aborting the fleet.
 func TestShardedSinkErrorDetaches(t *testing.T) {
 	bad := &failingSink{n: 10}
 	good, err := NewRingSink(16)
@@ -738,7 +682,14 @@ func TestShardedSinkErrorDetaches(t *testing.T) {
 	}
 	cfg := sinkFleetConfig()
 	cfg.Sinks = []Sink{bad, good}
-	cfg.ShardedSinks = true
+	cfg.SinkEpoch = 1
+	cfg.MaxLivePerShard = 2 // queue slots so barriers deliver throughout the run
+	epochs := 0
+	cfg.sinkEpochHook = func(_, _, delivered int) {
+		if delivered > 0 {
+			epochs++
+		}
+	}
 	res, err := Run(context.Background(), cfg)
 	if err == nil {
 		t.Fatal("sink error did not surface from Run")
@@ -751,6 +702,9 @@ func TestShardedSinkErrorDetaches(t *testing.T) {
 	}
 	if good.Total() <= int64(bad.seen) {
 		t.Fatalf("healthy sink stalled at %d events", good.Total())
+	}
+	if epochs < 2 {
+		t.Fatalf("%d delivering epochs — the detach was not exercised across barriers", epochs)
 	}
 }
 

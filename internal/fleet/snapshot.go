@@ -14,7 +14,7 @@
 // A terminal drain must land on a gate round that is a multiple of
 // SinkEpoch: at such a round the per-shard sink buffers are empty (the
 // epoch barrier at the end of the previous round drained everything in
-// continuous mode) and the sharded-delivery completion cursor equals
+// continuous mode) and the sink-delivery completion cursor equals
 // the engine's completion count. Restoring the snapshot then continues
 // the sink stream exactly where the drained run cut it: the
 // concatenation of the two runs' epoch-merged sink bytes is identical
@@ -168,8 +168,8 @@ func decodeSessionSnapshot(dec *snapshot.Decoder) *SessionSnapshot {
 // and every captured session sorted by slot.
 type FleetSnapshot struct {
 	// Completed is the fleet's completion count at the drain gate; a
-	// restoring fleet seeds both its completion counter and the sharded
-	// sinks' re-stamp cursor from it.
+	// restoring fleet seeds both its completion counter and the sinks'
+	// re-stamp cursor from it.
 	Completed int64
 	// NextSlot is where the restoring fleet's slot numbering continues.
 	NextSlot int
@@ -277,7 +277,7 @@ func (a *Admissions) Drain() <-chan DrainResult { return a.DrainAt(0) }
 // stay queued, unapplied) and exits cleanly; the assembled
 // FleetSnapshot arrives on the returned channel and Run returns without
 // error. The gate round must be a multiple of Config.SinkEpoch when
-// sharded sinks are attached — a misaligned drain resolves the channel
+// sinks are attached — a misaligned drain resolves the channel
 // with an error and the fleet keeps running.
 func (a *Admissions) DrainAt(round int) <-chan DrainResult {
 	return a.requestSnapshot(round, "", true)
@@ -372,13 +372,9 @@ func (e *engine) snapshotSession(s *Session, bm monitor.BatchMonitor, batchTelem
 		sn.SnapshotState(enc)
 	}
 
-	hasTelem := batchTelem != nil || s.telemetry != nil
-	enc.Bool(hasTelem)
-	switch {
-	case batchTelem != nil:
+	enc.Bool(batchTelem != nil)
+	if batchTelem != nil {
 		batchTelem.SnapshotLane(s.lane, enc)
-	case s.telemetry != nil:
-		s.telemetry.SnapshotState(enc)
 	}
 
 	progText := ""
@@ -466,18 +462,11 @@ func (e *engine) restoreSessionState(s *Session, ss *SessionSnapshot, bm monitor
 	if err := dec.Err(); err != nil {
 		return wrap(err)
 	}
-	hasTelem := batchTelem != nil || s.telemetry != nil
-	if hadTelem != hasTelem {
+	if hasTelem := batchTelem != nil; hadTelem != hasTelem {
 		return wrap(fmt.Errorf("telemetry presence mismatch: snapshot %v, config %v", hadTelem, hasTelem))
 	}
 	if hadTelem {
-		var err error
-		if batchTelem != nil {
-			err = batchTelem.RestoreLane(s.lane, dec)
-		} else {
-			err = s.telemetry.RestoreState(dec)
-		}
-		if err != nil {
+		if err := batchTelem.RestoreLane(s.lane, dec); err != nil {
 			return wrap(fmt.Errorf("telemetry: %w", err))
 		}
 	}

@@ -54,12 +54,11 @@ func snapshotFleetConfig(noise bool) Config {
 		NewBatchMonitor: func() (monitor.BatchMonitor, error) {
 			return monitor.NewBatchCAWOT(scs.TableI(), scs.Params{})
 		},
-		Telemetry:    &TelemetryConfig{Every: 2}, // shard-batched STL lanes
-		Continuous:   true,
-		MaxSessions:  10,
-		AdmitEvery:   4,
-		ShardedSinks: true,
-		SinkEpoch:    4,
+		Telemetry:   &TelemetryConfig{Every: 2}, // shard-batched STL lanes
+		Continuous:  true,
+		MaxSessions: 10,
+		AdmitEvery:  4,
+		SinkEpoch:   4,
 	}
 	if noise {
 		cfg.Sensor = &sensor.Config{NoiseSD: 2}
@@ -310,19 +309,17 @@ func TestFleetSnapshotGroupMigration(t *testing.T) {
 	cfg2.Sessions = 0
 	cfg2.Admissions = adm2
 
-	events := make(chan Event, 4096)
-	cfg2.Events = events
+	// SinkEpoch (4) divides AdmitEvery (4): a gate's events arrive before
+	// the next gate.
 	starts := make(chan Event, 64)
-	go func() {
-		for ev := range events {
-			if ev.Kind == EventSessionStart {
-				select {
-				case starts <- ev:
-				default:
-				}
+	cfg2.Sinks = []Sink{funcSink(func(ev Event) {
+		if ev.Kind == EventSessionStart {
+			select {
+			case starts <- ev:
+			default:
 			}
 		}
-	}()
+	})}
 	done2 := make(chan error, 1)
 	go func() {
 		_, err := Run(ctx2, cfg2)
@@ -359,7 +356,6 @@ func TestFleetSnapshotGroupMigration(t *testing.T) {
 	if err := <-done2; err != nil {
 		t.Fatal(err)
 	}
-	close(events)
 }
 
 // TestFleetSnapshotDrainMisaligned pins the alignment invariant: a

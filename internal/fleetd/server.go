@@ -160,14 +160,13 @@ func (s *Server) fleetConfig() fleet.Config {
 		NewMonitor: func(int) (monitor.Monitor, error) {
 			return monitor.NewCAWOT(scs.TableI(), scs.Params{})
 		},
-		Telemetry:    &fleet.TelemetryConfig{FromMonitor: true},
-		Continuous:   true,
-		Admissions:   s.adm,
-		MaxSessions:  s.cfg.MaxSessions,
-		AdmitEvery:   s.cfg.AdmitEvery,
-		ShardedSinks: true,
-		SinkEpoch:    s.cfg.SinkEpoch,
-		Sinks:        sinks,
+		Telemetry:   &fleet.TelemetryConfig{FromMonitor: true},
+		Continuous:  true,
+		Admissions:  s.adm,
+		MaxSessions: s.cfg.MaxSessions,
+		AdmitEvery:  s.cfg.AdmitEvery,
+		SinkEpoch:   s.cfg.SinkEpoch,
+		Sinks:       sinks,
 	}
 }
 

@@ -130,14 +130,13 @@ func (l *denseLayer) step(batch float64) {
 	}
 }
 
-// MLP is the multi-layer perceptron baseline monitor model.
+// MLP is the multi-layer perceptron baseline monitor model. Inference
+// keeps its scratch per call, so one trained model may serve many
+// goroutines concurrently (every fleet session's MLMonitor shares it).
 type MLP struct {
 	cfg    MLPConfig
 	layers []*denseLayer
 	std    *Standardizer
-
-	// scratch buffers for inference
-	acts [][]float64
 }
 
 var _ Classifier = (*MLP)(nil)
@@ -163,11 +162,6 @@ func FitMLP(X [][]float64, y []int, cfg MLPConfig, rng *rand.Rand) (*MLP, error)
 	for i := 0; i+1 < len(dims); i++ {
 		m.layers = append(m.layers, newDenseLayer(dims[i], dims[i+1], cfg.LearningRate, rng))
 	}
-	m.acts = make([][]float64, len(m.layers)+1)
-	for i := range m.acts {
-		m.acts[i] = make([]float64, dims[i])
-	}
-
 	trainIdx, valIdx := TrainTestSplit(len(Xs), cfg.ValFraction, rng)
 
 	// Per-sample training buffers.
@@ -181,6 +175,7 @@ func FitMLP(X [][]float64, y []int, cfg MLPConfig, rng *rand.Rand) (*MLP, error)
 		masks[i] = make([]float64, dims[i])
 	}
 	probs := make([]float64, cfg.Classes)
+	inferBuf := make([]float64, m.inferLen())
 
 	bestValLoss := math.Inf(1)
 	bestWeights := m.snapshot()
@@ -229,7 +224,7 @@ func FitMLP(X [][]float64, y []int, cfg MLPConfig, rng *rand.Rand) (*MLP, error)
 			}
 		}
 		// Early stopping on held-out loss.
-		valLoss := m.meanLoss(Xs, y, valIdx, probs)
+		valLoss := m.meanLoss(Xs, y, valIdx, probs, inferBuf)
 		if valLoss < bestValLoss-1e-6 {
 			bestValLoss = valLoss
 			bestWeights = m.snapshot()
@@ -271,33 +266,48 @@ func (m *MLP) forwardTrain(x []float64, acts, masks [][]float64, rng *rand.Rand)
 	}
 }
 
-func (m *MLP) meanLoss(X [][]float64, y []int, idx []int, probs []float64) float64 {
+func (m *MLP) meanLoss(X [][]float64, y []int, idx []int, probs, buf []float64) float64 {
 	if len(idx) == 0 {
 		return 0
 	}
 	var sum float64
 	for _, i := range idx {
-		m.forwardInfer(X[i])
-		softmax(m.acts[len(m.layers)], probs)
+		softmax(m.forwardInfer(X[i], buf), probs)
 		sum += crossEntropy(probs, y[i])
 	}
 	return sum / float64(len(idx))
 }
 
-// forwardInfer runs a deterministic pass (no dropout) on standardized x.
-func (m *MLP) forwardInfer(x []float64) {
-	copy(m.acts[0], x)
+// inferLen is the scratch length forwardInfer needs: every layer's
+// output activations, back to back.
+func (m *MLP) inferLen() int {
+	n := 0
+	for _, l := range m.layers {
+		n += l.out
+	}
+	return n
+}
+
+// forwardInfer runs a deterministic pass (no dropout) on standardized x
+// and returns the logits. buf (at least inferLen long) holds the
+// activations, so concurrent callers with their own buffers never share
+// state.
+func (m *MLP) forwardInfer(x, buf []float64) []float64 {
 	nL := len(m.layers)
 	for li, l := range m.layers {
-		l.forward(m.acts[li], m.acts[li+1])
+		out := buf[:l.out]
+		buf = buf[l.out:]
+		l.forward(x, out)
 		if li != nL-1 {
-			for i := range m.acts[li+1] {
-				if m.acts[li+1][i] < 0 {
-					m.acts[li+1][i] = 0
+			for i := range out {
+				if out[i] < 0 {
+					out[i] = 0
 				}
 			}
 		}
+		x = out
 	}
+	return x
 }
 
 func (m *MLP) snapshot() [][]float64 {
@@ -321,9 +331,18 @@ func (m *MLP) restore(weights [][]float64) {
 
 // PredictProba implements Classifier.
 func (m *MLP) PredictProba(x []float64) []float64 {
-	m.forwardInfer(m.std.Transform(x))
+	// Per-call scratch: on the stack when the activations fit (the
+	// default binary [64, 32] net needs 98), so inference allocates
+	// nothing beyond its input and output; larger nets take a heap
+	// buffer.
+	var stack [256]float64
+	buf := stack[:]
+	if n := m.inferLen(); n > len(stack) {
+		buf = make([]float64, n)
+	}
+	logits := m.forwardInfer(m.std.Transform(x), buf)
 	out := make([]float64, m.cfg.Classes)
-	softmax(m.acts[len(m.layers)], out)
+	softmax(logits, out)
 	return out
 }
 

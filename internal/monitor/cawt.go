@@ -25,8 +25,8 @@ const DefaultCycleMin = 5
 // hash-consed streaming STL group in which shared subformulas evaluate
 // once per cycle — and the alarm, the signed robustness margin, and the
 // arg-min rule attribution of every verdict all come from that single
-// evaluation (no second per-cycle pass; the one-evaluation invariant the
-// differential tests pin against ContextAwareLegacy).
+// evaluation (no second per-cycle pass; the differential tests pin the
+// verdicts against an eager per-rule reference evaluator).
 type ContextAware struct {
 	name       string
 	rules      []scs.Rule

@@ -2,7 +2,9 @@ package monitor
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
+	"testing"
 
 	"repro/internal/scs"
 	"repro/internal/trace"
@@ -10,13 +12,11 @@ import (
 
 // ContextAwareLegacy is the pre-streaming context-aware monitor: it
 // re-evaluates every Table I rule eagerly per step via Rule.Violated.
-//
-// Deprecated: ContextAware now evaluates the same rules through one
-// incremental scs.StreamSet, with bit-identical alarms and hazards (the
-// randomized differential tests enforce this) plus margins and rule
-// attribution the eager path cannot provide. ContextAwareLegacy exists
-// only as the differential-testing oracle and the BenchmarkCAWTStep
-// baseline; do not wire it into new code.
+// ContextAware evaluates the same rules through one incremental
+// scs.StreamSet, with bit-identical alarms and hazards plus margins and
+// rule attribution the eager path cannot provide. The eager evaluator
+// is test code: the reference for the randomized differential tests
+// (cawt_diff_test.go) and the BenchmarkCAWTStep baseline.
 type ContextAwareLegacy struct {
 	name       string
 	rules      []scs.Rule
@@ -99,3 +99,53 @@ func (m *ContextAwareLegacy) FiredRules() []int {
 
 // Thresholds returns the monitor's threshold table.
 func (m *ContextAwareLegacy) Thresholds() scs.Thresholds { return m.thresholds }
+
+// BenchmarkCAWTStep compares the streaming context-aware monitor (one
+// hash-consed scs.StreamSet push per cycle, yielding alarm + margin +
+// rule attribution) against the legacy eager per-rule evaluator (alarm
+// only). The acceptance bar for the verdict-API redesign is streaming
+// no slower than legacy while carrying strictly more information.
+func BenchmarkCAWTStep(b *testing.B) {
+	rules := scs.TableI()
+	// A deterministic observation stream covering safe and violating
+	// contexts (same sequence for both monitors).
+	rng := rand.New(rand.NewSource(9))
+	obs := make([]Observation, 512)
+	for i := range obs {
+		obs[i] = Observation{
+			Step: i, TimeMin: float64(i) * 5, CycleMin: 5,
+			CGM:     40 + 300*rng.Float64(),
+			BGPrime: -6 + 12*rng.Float64(),
+			IOB:     -2 + 10*rng.Float64(), IOBPrime: -0.05 + 0.1*rng.Float64(),
+			Action: trace.Action(1 + rng.Intn(4)),
+		}
+	}
+	b.Run("streaming", func(b *testing.B) {
+		m, err := NewCAWOT(rules, scs.Params{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		alarms := 0
+		for i := 0; i < b.N; i++ {
+			if m.Step(obs[i%len(obs)]).Alarm {
+				alarms++
+			}
+		}
+		_ = alarms
+	})
+	b.Run("legacy", func(b *testing.B) {
+		m, err := NewContextAwareLegacy("CAWOT", rules, nil, scs.Params{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		alarms := 0
+		for i := 0; i < b.N; i++ {
+			if m.Step(obs[i%len(obs)]).Alarm {
+				alarms++
+			}
+		}
+		_ = alarms
+	})
+}

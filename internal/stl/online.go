@@ -1,7 +1,5 @@
 package stl
 
-import "fmt"
-
 // PastOnly reports whether the formula can be evaluated online at the
 // newest sample without future knowledge, i.e. it contains no
 // future-time temporal operators (G, F, U).
@@ -105,81 +103,6 @@ func (m *OnlineMonitor) StateSamples() int { return m.stream.StateSamples() }
 // Reset clears all operator state.
 func (m *OnlineMonitor) Reset() {
 	m.stream.Reset()
-	m.violations = 0
-	m.evaluated = 0
-}
-
-// TraceMonitor is the pre-streaming online monitor: it appends every
-// sample to a grow-forever trace and re-evaluates the formula over it
-// on each Push, which is O(n) per step and unbounded memory for
-// unbounded-window formulas.
-//
-// Deprecated: use OnlineMonitor, which now runs on the incremental
-// streaming engine with O(1) amortized pushes and O(window) state.
-// TraceMonitor is retained as the baseline for the before/after
-// benchmarks in bench_test.go and will be removed once they have a
-// recorded history.
-type TraceMonitor struct {
-	formula Formula
-	tr      *Trace
-
-	violations int
-	evaluated  int
-}
-
-// NewTraceMonitor builds the legacy trace-backed monitor.
-func NewTraceMonitor(f Formula, dtMin float64) (*TraceMonitor, error) {
-	if f == nil {
-		return nil, fmt.Errorf("stl: nil formula")
-	}
-	if !PastOnly(f) {
-		return nil, fmt.Errorf("stl: formula %q needs future knowledge; cannot monitor online", f)
-	}
-	tr, err := NewTrace(dtMin)
-	if err != nil {
-		return nil, err
-	}
-	return &TraceMonitor{formula: f, tr: tr}, nil
-}
-
-// Push appends one sample and returns satisfaction at the new sample.
-func (m *TraceMonitor) Push(sample map[string]float64) (bool, error) {
-	m.tr.Append(sample)
-	sat, err := m.formula.Sat(m.tr, m.tr.Len()-1)
-	if err != nil {
-		return false, err
-	}
-	m.evaluated++
-	if !sat {
-		m.violations++
-	}
-	return sat, nil
-}
-
-// Robustness returns the quantitative margin at the newest sample.
-func (m *TraceMonitor) Robustness() (float64, error) {
-	if m.tr.Len() == 0 {
-		return 0, fmt.Errorf("stl: no samples pushed")
-	}
-	return m.formula.Robustness(m.tr, m.tr.Len()-1)
-}
-
-// Violations returns the running violation/evaluation counters.
-func (m *TraceMonitor) Violations() (violations, evaluated int) {
-	return m.violations, m.evaluated
-}
-
-// Len returns the number of samples seen.
-func (m *TraceMonitor) Len() int { return m.tr.Len() }
-
-// Reset clears the accumulated trace.
-func (m *TraceMonitor) Reset() {
-	tr, err := NewTrace(m.tr.Dt())
-	if err != nil {
-		// Dt was validated at construction; this cannot happen.
-		panic(err)
-	}
-	m.tr = tr
 	m.violations = 0
 	m.evaluated = 0
 }
