@@ -29,13 +29,17 @@ bench:
 ## CAWT step (internal/monitor; the redesign's "streaming no slower than
 ## legacy" guard), the per-session-vs-batched rule-evaluation kernel,
 ## the per-session-vs-batched patient stepping kernel (the SoA speedup
-## guard; fewer iterations — each op steps a 128-lane bank), and the
+## guard; fewer iterations — each op steps a 128-lane bank), the
+## closed-loop kernels (one OpenAPS cycle of IOB tracker work on a full
+## dose history, and Eq. 5 labeling of one 150-cycle trace), and the
 ## sink delivery shapes (run-end merge vs epoch merge; fewer iterations
 ## — each op is a whole 100-session fleet). Output lands in
 ## bench-smoke.txt for the CI artifact.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSTLOnlinePush|BenchmarkCAWTStep|BenchmarkSCSBatchPush' \
 		-benchtime 1000x -benchmem ./internal/stl ./internal/monitor . > bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
+	$(GO) test -run '^$$' -bench 'BenchmarkIOBTracker|BenchmarkLabel' \
+		-benchtime 1000x -benchmem ./internal/control ./internal/risk >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchPatientStep' \
 		-benchtime 100x -benchmem . >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedSinkEpochMerge' \

@@ -145,11 +145,35 @@ type dose struct {
 // activity relative to the patient's scheduled basal rate, the same
 // "net IOB" convention OpenAPS uses. Doses older than the curve's DIA
 // are pruned.
+//
+// The tracker memoizes curve terms by dose age: memo[k] holds the
+// IOBFraction and Activity last computed for the dose k positions back
+// from the newest, each keyed by the exact float64 age it was computed
+// at. On a fixed control cycle a slot's age repeats every cycle, so each
+// transcendental runs once per distinct age instead of once per dose per
+// call; any other age (irregular cycles, NaN) misses and recomputes.
+// Because the curve is a pure function of the age, a hit returns the
+// bits a fresh evaluation would, and the memo is not snapshot state.
 type IOBTracker struct {
 	curve InsulinCurve
 	basal float64 // scheduled basal, U/h
 	doses []dose
 	now   float64
+	memo  []curveTerm
+}
+
+// curveTerm is one memo slot: a curve value and the age it belongs to,
+// for each of the two curve functions. NaN ages mark empty slots.
+type curveTerm struct {
+	iobAge, iob float64
+	actAge, act float64
+}
+
+// sameAge reports whether a slot keyed by stored holds the term for
+// age: the identical float64, bit for bit (so -0 and +0 differ), and
+// never NaN.
+func sameAge(stored, age float64) bool {
+	return stored == age && math.Float64bits(stored) == math.Float64bits(age)
 }
 
 // NewIOBTracker returns a tracker using the given activity curve and
@@ -183,20 +207,46 @@ func (t *IOBTracker) prune() {
 // mean insulin above the scheduled basal is still active; negative values
 // mean the patient has been under-dosed relative to basal.
 func (t *IOBTracker) IOB() float64 {
+	memo := t.slots()
 	var sum float64
-	for _, d := range t.doses {
-		sum += d.units * t.curve.IOBFraction(t.now-d.timeMin)
+	for i, d := range t.doses {
+		m := &memo[len(memo)-1-i]
+		if age := t.now - d.timeMin; !sameAge(m.iobAge, age) {
+			m.iobAge, m.iob = age, t.curve.IOBFraction(age)
+		}
+		sum += d.units * m.iob
 	}
 	return sum
 }
 
 // Activity returns the current net insulin activity in U/min.
 func (t *IOBTracker) Activity() float64 {
+	memo := t.slots()
 	var sum float64
-	for _, d := range t.doses {
-		sum += d.units * t.curve.Activity(t.now-d.timeMin)
+	for i, d := range t.doses {
+		m := &memo[len(memo)-1-i]
+		if age := t.now - d.timeMin; !sameAge(m.actAge, age) {
+			m.actAge, m.act = age, t.curve.Activity(age)
+		}
+		sum += d.units * m.act
 	}
 	return sum
+}
+
+// slots returns one memo slot per retained dose. When the history
+// outgrows the memo, the memo grows to the dose slice's capacity (so it
+// reallocates no more often than the history does), keeping its slots
+// and marking the new ones empty.
+func (t *IOBTracker) slots() []curveTerm {
+	n := len(t.doses)
+	if len(t.memo) < n {
+		grown := make([]curveTerm, cap(t.doses))
+		for i := copy(grown, t.memo); i < len(grown); i++ {
+			grown[i] = curveTerm{iobAge: math.NaN(), actAge: math.NaN()}
+		}
+		t.memo = grown
+	}
+	return t.memo[:n]
 }
 
 // Now returns the tracker clock in minutes.

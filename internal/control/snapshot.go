@@ -7,6 +7,7 @@ package control
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/snapshot"
 )
@@ -28,12 +29,18 @@ func (t *IOBTracker) SnapshotState(enc *snapshot.Encoder) {
 	}
 }
 
-// RestoreState implements snapshot.Snapshotter.
+// RestoreState implements snapshot.Snapshotter. It rejects a
+// non-finite clock, dose time or dose units: with a NaN clock every
+// later dose would be pruned on arrival and IOB would read 0 for the
+// rest of the session.
 func (t *IOBTracker) RestoreState(dec *snapshot.Decoder) error {
 	now := dec.Float64()
 	n := dec.Count(16)
 	if err := dec.Err(); err != nil {
 		return err
+	}
+	if !finite(now) {
+		return fmt.Errorf("control: restored iob clock is %v", now)
 	}
 	doses := make([]dose, n)
 	for i := range doses {
@@ -42,10 +49,21 @@ func (t *IOBTracker) RestoreState(dec *snapshot.Decoder) error {
 	if err := dec.Err(); err != nil {
 		return err
 	}
+	for i, d := range doses {
+		if !finite(d.timeMin) {
+			return fmt.Errorf("control: restored iob dose %d time is %v", i, d.timeMin)
+		}
+		if !finite(d.units) {
+			return fmt.Errorf("control: restored iob dose %d units is %v", i, d.units)
+		}
+	}
 	t.now = now
 	t.doses = doses
 	return nil
 }
+
+// finite reports whether v is neither NaN nor ±Inf.
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // SnapshotState implements snapshot.Snapshotter: the IOB tracker plus
 // every named internal variable and the carried-over rate memory.

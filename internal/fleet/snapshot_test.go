@@ -3,8 +3,10 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -256,12 +258,11 @@ func TestFleetSnapshotEncodingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFleetSnapshotGroupMigration captures one tenant's sessions from a
-// live fleet without stopping it, then admits them into a second fleet
-// via AdmitSpec.Restore: the migrated sessions resume on fresh slots
-// with no duplicate start events, and a corrupted snapshot is rejected
-// at the gate with a reason — never fatally.
-func TestFleetSnapshotGroupMigration(t *testing.T) {
+// captureGroupSession runs the golden-differential fleet with one
+// admitted "mig" session and captures it, without stopping the fleet,
+// through a group snapshot at round 8.
+func captureGroupSession(t *testing.T) *SessionSnapshot {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	adm := NewAdmissions()
@@ -292,7 +293,16 @@ func TestFleetSnapshotGroupMigration(t *testing.T) {
 	if len(dr.Snapshot.Sessions) != 1 || dr.Snapshot.Sessions[0].Group != "mig" {
 		t.Fatalf("group snapshot: %+v", dr.Snapshot.Sessions)
 	}
-	sealed := dr.Snapshot.Sessions[0].Encode()
+	return &dr.Snapshot.Sessions[0]
+}
+
+// TestFleetSnapshotGroupMigration captures one tenant's sessions from a
+// live fleet without stopping it, then admits them into a second fleet
+// via AdmitSpec.Restore: the migrated sessions resume on fresh slots
+// with no duplicate start events, and a corrupted snapshot is rejected
+// at the gate with a reason — never fatally.
+func TestFleetSnapshotGroupMigration(t *testing.T) {
+	sealed := captureGroupSession(t).Encode()
 
 	// Second fleet: admit the captured session plus a corrupt copy.
 	ctx2, cancel2 := context.WithCancel(context.Background())
@@ -354,6 +364,80 @@ func TestFleetSnapshotGroupMigration(t *testing.T) {
 	})
 	cancel2()
 	if err := <-done2; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFleetAdmitRestoreRejectsNonFiniteIOB: a restore admission whose
+// controller IOB clock is NaN must be rejected with a reason naming the
+// clock, and the fleet must keep serving. Accepted, the session would
+// prune every dose on arrival, so IOB would read 0 and OpenAPS's MaxIOB
+// clamp would never engage.
+func TestFleetAdmitRestoreRejectsNonFiniteIOB(t *testing.T) {
+	ss := captureGroupSession(t)
+	// The stepper's bytes open with its step cursor; the monitor's and
+	// then the controller's IOB tracker each encode the clock (5 min per
+	// step), the dose count and the first dose's midpoint time, 2.5.
+	step := snapshot.NewDecoder(ss.State).Int()
+	if step < 1 || step > 60 {
+		t.Fatalf("captured step %d, want a partial dose history", step)
+	}
+	enc := snapshot.NewEncoder()
+	enc.Float64(5 * float64(step))
+	enc.Int(step)
+	enc.Float64(2.5)
+	tracker := enc.Payload()
+	if n := bytes.Count(ss.State, tracker); n != 2 {
+		t.Fatalf("found %d IOB tracker headers in the session state, want 2", n)
+	}
+	poisoned := *ss
+	poisoned.State = append([]byte(nil), ss.State...)
+	at := bytes.LastIndex(poisoned.State, tracker)
+	binary.LittleEndian.PutUint64(poisoned.State[at:], math.Float64bits(math.NaN()))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	adm := NewAdmissions()
+	adm.AdmitAt(0,
+		AdmitSpec{Group: "poisoned", Restore: poisoned.Encode()},
+		AdmitSpec{Group: "fresh", PatientIdx: 0, ScenIdx: 1},
+	)
+	cfg := snapshotFleetConfig(true)
+	cfg.Telemetry = nil
+	cfg.Sessions = 0
+	cfg.Admissions = adm
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(ctx, cfg)
+		done <- err
+	}()
+	waitFor(t, "the poisoned restore to resolve", func() bool {
+		n, _ := adm.Rejected()
+		return n > 0
+	})
+	n, rejects := adm.Rejected()
+	if n != 1 || !strings.Contains(rejects[0].Reason, "iob clock") {
+		t.Fatalf("poisoned restore: %d rejections %+v, want 1 naming the iob clock", n, rejects)
+	}
+	adm.AdmitAt(0, AdmitSpec{Group: "later", PatientIdx: 2, ScenIdx: 0})
+	liveGroups := func() map[string]bool {
+		groups := map[string]bool{}
+		for _, ls := range adm.Live() {
+			groups[ls.Group] = true
+		}
+		return groups
+	}
+	waitFor(t, "a later admission to go live", func() bool { return liveGroups()["later"] })
+	if groups := liveGroups(); groups["poisoned"] || !groups["fresh"] {
+		t.Fatalf("live groups %v, want fresh and later without poisoned", groups)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("fleet stopped after the rejected restore: %v", err)
+	default:
+	}
+	cancel()
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 }

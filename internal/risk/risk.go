@@ -111,11 +111,30 @@ func (l Labeler) fill() Labeler {
 	return l
 }
 
+// signedIndices is Indices over precomputed Signed values: the same
+// sums in the same order, divided the same way, so it returns Indices'
+// bits for the BG window the values came from.
+func signedIndices(signed []float64) (lbgi, hbgi float64) {
+	for _, s := range signed {
+		if s < 0 {
+			lbgi += -s
+		} else {
+			hbgi += s
+		}
+	}
+	n := float64(len(signed))
+	return lbgi / n, hbgi / n
+}
+
 // Label assigns hazard labels to every sample of the trace, following
 // Section IV-C2: a window of BG readings is marked hazardous when LBGI or
 // HBGI crosses its high-risk threshold while increasing relative to the
 // previous window. All samples of a flagged window receive the hazard
 // label (H1 for LBGI, H2 for HBGI; H1 wins if both fire).
+//
+// Each sample's risk is computed once and every window re-sums its own
+// values, exactly as Indices would. A sliding add/subtract sum would
+// round differently and could flip the increasing-risk comparisons.
 func (l Labeler) Label(tr *trace.Trace) {
 	l = l.fill()
 	n := tr.Len()
@@ -125,7 +144,10 @@ func (l Labeler) Label(tr *trace.Trace) {
 	for i := range tr.Samples {
 		tr.Samples[i].Hazard = trace.HazardNone
 	}
-	bgs := tr.BGSeries()
+	signed := tr.BGSeries()
+	for i, bg := range signed {
+		signed[i] = Signed(bg)
+	}
 	w := l.Window
 	if w > n {
 		w = n
@@ -133,7 +155,7 @@ func (l Labeler) Label(tr *trace.Trace) {
 	prevL, prevH := math.Inf(1), math.Inf(1)
 	for end := w; end <= n; end++ {
 		lo := end - w
-		lbgi, hbgi := Indices(bgs[lo:end])
+		lbgi, hbgi := signedIndices(signed[lo:end])
 		var h trace.HazardType
 		switch {
 		case lbgi > l.LBGIThreshold && lbgi >= prevL:

@@ -2,6 +2,7 @@ package risk
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -247,5 +248,130 @@ func TestIndicesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// referenceLabel is the per-window labeler Label must reproduce: every
+// window recomputes Indices from its raw BG readings.
+func referenceLabel(l Labeler, tr *trace.Trace) {
+	l = l.fill()
+	n := tr.Len()
+	if n == 0 {
+		return
+	}
+	for i := range tr.Samples {
+		tr.Samples[i].Hazard = trace.HazardNone
+	}
+	bgs := tr.BGSeries()
+	w := l.Window
+	if w > n {
+		w = n
+	}
+	prevL, prevH := math.Inf(1), math.Inf(1)
+	for end := w; end <= n; end++ {
+		lo := end - w
+		lbgi, hbgi := Indices(bgs[lo:end])
+		var h trace.HazardType
+		switch {
+		case lbgi > l.LBGIThreshold && lbgi >= prevL:
+			h = trace.HazardH1
+		case hbgi > l.HBGIThreshold && hbgi >= prevH:
+			h = trace.HazardH2
+		}
+		if end == w {
+			switch {
+			case lbgi > l.LBGIThreshold:
+				h = trace.HazardH1
+			case hbgi > l.HBGIThreshold:
+				h = trace.HazardH2
+			}
+		}
+		if h != trace.HazardNone {
+			for i := lo; i < end; i++ {
+				if tr.Samples[i].Hazard == trace.HazardNone {
+					tr.Samples[i].Hazard = h
+				}
+			}
+		}
+		prevL, prevH = lbgi, hbgi
+	}
+}
+
+// randomBG draws a BG reading: mostly a random walk across the hypo and
+// hyper ranges, sometimes a hostile value (≤ 0, NaN, ±Inf).
+func randomBG(rng *rand.Rand, prev float64) float64 {
+	switch rng.Intn(40) {
+	case 0:
+		return math.NaN()
+	case 1:
+		return math.Inf(1)
+	case 2:
+		return math.Inf(-1)
+	case 3:
+		return -10 * rng.Float64() // ≤ 0, zero included
+	}
+	if math.IsNaN(prev) || math.IsInf(prev, 0) || prev <= 0 || rng.Intn(10) == 0 {
+		return 20 + 480*rng.Float64()
+	}
+	bg := prev + 25*rng.NormFloat64()
+	return math.Max(15, math.Min(600, bg))
+}
+
+// TestLabelMatchesPerWindowReference: Label, which computes each
+// sample's risk once, must label every sample exactly as the per-window
+// Indices reference does — on random traces at and around the window
+// length, with hostile BG readings, under default and non-default
+// windows and thresholds.
+func TestLabelMatchesPerWindowReference(t *testing.T) {
+	labelers := []Labeler{
+		{},
+		{Window: 6},
+		{Window: 1},
+		{Window: 24, LBGIThreshold: 2.5, HBGIThreshold: 4},
+		{LBGIThreshold: 0.5, HBGIThreshold: 15},
+	}
+	rng := rand.New(rand.NewSource(1))
+	hazardous := 0
+	for _, n := range []int{0, 1, 11, 12, 13, 150} {
+		for rep := 0; rep < 40; rep++ {
+			bgs := make([]float64, n)
+			prev := 20 + 480*rng.Float64()
+			for i := range bgs {
+				bgs[i] = randomBG(rng, prev)
+				prev = bgs[i]
+			}
+			for _, l := range labelers {
+				got, want := mkTrace(bgs), mkTrace(bgs)
+				l.Label(got)
+				referenceLabel(l, want)
+				for i := range want.Samples {
+					if got.Samples[i].Hazard != want.Samples[i].Hazard {
+						t.Fatalf("n=%d %+v sample %d (BG %v): label %v, reference %v",
+							n, l, i, bgs[i], got.Samples[i].Hazard, want.Samples[i].Hazard)
+					}
+				}
+				if want.Hazardous() {
+					hazardous++
+				}
+			}
+		}
+	}
+	if hazardous == 0 {
+		t.Fatal("no reference trace was hazardous — comparison is vacuous")
+	}
+}
+
+// BenchmarkLabel labels one 150-cycle trace, the length of a campaign
+// session, that swings across both risk branches.
+func BenchmarkLabel(b *testing.B) {
+	bgs := make([]float64, 150)
+	for i := range bgs {
+		bgs[i] = 180 + 140*math.Sin(float64(i)/12)
+	}
+	tr := mkTrace(bgs)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Labeler{}.Label(tr)
 	}
 }
