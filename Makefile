@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke smoke-fleetd smoke-snapshot smoke-falsify fuzz-snapshot fuzz-scenario short vet fmt lint docs ci
+.PHONY: build test race bench bench-smoke smoke-fleetd smoke-snapshot smoke-falsify fuzz-snapshot fuzz-scenario fuzz-events short vet fmt lint docs ci
 
 ## build: compile every package and command
 build:
@@ -31,7 +31,10 @@ bench:
 ## the per-session-vs-batched patient stepping kernel (the SoA speedup
 ## guard; fewer iterations — each op steps a 128-lane bank), the
 ## closed-loop kernels (one OpenAPS cycle of IOB tracker work on a full
-## dose history, and Eq. 5 labeling of one 150-cycle trace), and the
+## dose history, and Eq. 5 labeling of one 150-cycle trace), the
+## telemetry wire kernels (the allocation-free JSON appender vs the
+## encoding/json oracle it replaced, and one fleetd fan-out Emit into a
+## subscriber queue its drainer swaps out), and the
 ## sink delivery shapes (run-end merge vs epoch merge; fewer iterations
 ## — each op is a whole 100-session fleet). Output lands in
 ## bench-smoke.txt for the CI artifact.
@@ -40,6 +43,8 @@ bench-smoke:
 		-benchtime 1000x -benchmem ./internal/stl ./internal/monitor . > bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkIOBTracker|BenchmarkLabel' \
 		-benchtime 1000x -benchmem ./internal/control ./internal/risk >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
+	$(GO) test -run '^$$' -bench 'BenchmarkAppendJSON|BenchmarkFanoutEmit' \
+		-benchtime 100000x -benchmem ./internal/fleet ./internal/fleetd >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchPatientStep' \
 		-benchtime 100x -benchmem . >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedSinkEpochMerge' \
@@ -77,6 +82,13 @@ fuzz-snapshot:
 fuzz-scenario:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProgram$$' -fuzztime $(FUZZTIME) ./internal/fault
 	$(GO) test -run '^$$' -fuzz '^FuzzProgramJSON$$' -fuzztime $(FUZZTIME) ./internal/fault
+
+## fuzz-events: short fuzz pass over the event wire encoder — the
+## hand-written JSON appender (fleet.AppendJSON) must write exactly the
+## bytes encoding/json writes for arbitrary events, and fail exactly
+## where it fails (non-finite robustness fields).
+fuzz-events:
+	$(GO) test -run '^$$' -fuzz '^FuzzAppendJSON$$' -fuzztime $(FUZZTIME) ./internal/fleet
 
 ## smoke-falsify: end-to-end falsifier smoke — search the built-in
 ## meal+occlusion space with a small fixed-seed budget and write the

@@ -42,55 +42,124 @@ type Sink interface {
 	Flush() error
 }
 
-// jsonEvent is the JSONL wire form of an Event: the kind as its string
-// name, zero-valued optional fields elided.
-type jsonEvent struct {
-	Kind       string  `json:"kind"`
-	Session    int     `json:"session"`
-	PatientIdx int     `json:"patient"`
-	Group      string  `json:"group,omitempty"`
-	Replica    int     `json:"replica,omitempty"`
-	Step       int     `json:"step,omitempty"`
-	Hazard     string  `json:"hazard,omitempty"`
-	Completed  int64   `json:"completed,omitempty"`
-	Robustness float64 `json:"robustness,omitempty"`
-	Margin     float64 `json:"margin,omitempty"`
-	Rule       int     `json:"rule,omitempty"`
-	MarginRule int     `json:"margin_rule,omitempty"`
-}
-
-func toJSONEvent(ev Event) jsonEvent {
-	je := jsonEvent{
-		Kind:       ev.Kind.String(),
-		Session:    ev.Session,
-		PatientIdx: ev.PatientIdx,
-		Group:      ev.Group,
-		Replica:    ev.Replica,
-		Step:       ev.Step,
-		Completed:  ev.Completed,
-	}
-	if ev.Hazard != trace.HazardNone {
-		je.Hazard = ev.Hazard.String()
-	}
-	if ev.Kind == EventRobustness {
-		je.Robustness = ev.Robustness
-		je.Margin = ev.Margin
-		je.Rule = ev.Rule
-		je.MarginRule = ev.MarginRule
-	}
-	return je
-}
-
 // EncodeJSON renders one event as its JSONL wire line — the exact bytes
 // a LogSink would write, trailing newline included — so stream fan-outs
 // (fleetd's per-tenant telemetry) stay byte-identical to a log file of
-// the same events.
+// the same events. It allocates the line; hot paths append into a
+// reused buffer with AppendJSON instead.
 func EncodeJSON(ev Event) ([]byte, error) {
-	b, err := json.Marshal(toJSONEvent(ev))
+	b, err := AppendJSON(make([]byte, 0, 192), ev)
 	if err != nil {
 		return nil, err
 	}
 	return append(b, '\n'), nil
+}
+
+// AppendJSON appends the JSON object of one event — no trailing
+// newline — to dst and returns the extended buffer. The bytes are
+// exactly what encoding/json's Marshal writes for the wire struct: keys
+// in the order kind, session, patient, group, replica, step, hazard,
+// completed, robustness, margin, rule, margin_rule, with every key
+// after patient left out at its zero value (the hazard at
+// trace.HazardNone) and the four robustness fields written only on
+// EventRobustness. Floats use Marshal's format: shortest 'f' form,
+// switching to 'e' below 1e-6 and from 1e21 up, with a one-digit
+// negative exponent unpadded (e-9, not e-09). Strings outside plain
+// printable ASCII, or holding one of " \ < > &, are escaped by Marshal
+// itself. A non-finite Robustness or Margin has no JSON form: like
+// Marshal, AppendJSON returns an error, and dst comes back unchanged.
+// Appending into a buffer with room allocates nothing.
+func AppendJSON(dst []byte, ev Event) ([]byte, error) {
+	rob := ev.Kind == EventRobustness
+	if rob {
+		if err := checkFinite("robustness", ev.Robustness); err != nil {
+			return dst, err
+		}
+		if err := checkFinite("margin", ev.Margin); err != nil {
+			return dst, err
+		}
+	}
+	dst = append(dst, `{"kind":`...)
+	dst = appendJSONString(dst, ev.Kind.String())
+	dst = append(dst, `,"session":`...)
+	dst = strconv.AppendInt(dst, int64(ev.Session), 10)
+	dst = append(dst, `,"patient":`...)
+	dst = strconv.AppendInt(dst, int64(ev.PatientIdx), 10)
+	if ev.Group != "" {
+		dst = append(dst, `,"group":`...)
+		dst = appendJSONString(dst, ev.Group)
+	}
+	dst = appendJSONInt(dst, `,"replica":`, int64(ev.Replica))
+	dst = appendJSONInt(dst, `,"step":`, int64(ev.Step))
+	if ev.Hazard != trace.HazardNone {
+		dst = append(dst, `,"hazard":`...)
+		dst = appendJSONString(dst, ev.Hazard.String())
+	}
+	dst = appendJSONInt(dst, `,"completed":`, ev.Completed)
+	if rob {
+		dst = appendJSONFloat(dst, `,"robustness":`, ev.Robustness)
+		dst = appendJSONFloat(dst, `,"margin":`, ev.Margin)
+		dst = appendJSONInt(dst, `,"rule":`, int64(ev.Rule))
+		dst = appendJSONInt(dst, `,"margin_rule":`, int64(ev.MarginRule))
+	}
+	return append(dst, '}'), nil
+}
+
+// checkFinite rejects the float values JSON cannot carry.
+func checkFinite(field string, f float64) error {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return fmt.Errorf("fleet: event %s %v has no JSON form", field, f)
+	}
+	return nil
+}
+
+// appendJSONInt appends an omitempty integer field: key and value, or
+// nothing at zero.
+func appendJSONInt(dst []byte, key string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), v, 10)
+}
+
+// appendJSONFloat appends an omitempty finite float field the way
+// encoding/json formats float64 (ES6 number-to-string): nothing at ±0,
+// 'e' form outside [1e-6, 1e21), and a padded e-0N exponent cut to e-N.
+func appendJSONFloat(dst []byte, key string, f float64) []byte {
+	if f == 0 {
+		return dst
+	}
+	dst = append(dst, key...)
+	format := byte('f')
+	if abs := math.Abs(f); abs < 1e-6 || abs >= 1e21 {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		n := len(dst)
+		if n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst
+}
+
+// appendJSONString appends s as a JSON string. Plain printable ASCII
+// without " \ < > & needs no escaping and is copied as is; anything else
+// is escaped by json.Marshal itself, so control bytes, invalid UTF-8,
+// U+2028/U+2029 and the HTML-sensitive characters come out exactly as
+// Marshal writes them.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 // RotationPolicy bounds a file-backed log sink so continuous serving
@@ -125,7 +194,7 @@ func (p RotationPolicy) enabled() bool { return p.MaxBytes > 0 || p.MaxAge > 0 }
 type LogSink struct {
 	mu      sync.Mutex
 	w       *bufio.Writer
-	enc     *json.Encoder
+	line    []byte // reused AppendJSON buffer
 	written int64
 
 	closed bool
@@ -145,9 +214,7 @@ type LogSink struct {
 // JSONL sink. The caller owns closing the underlying writer after Run
 // returns.
 func NewLogSink(w io.Writer) *LogSink {
-	s := &LogSink{w: bufio.NewWriter(w)}
-	s.enc = json.NewEncoder(&countingWriter{w: s.w, n: &s.size})
-	return s
+	return &LogSink{w: bufio.NewWriter(w)}
 }
 
 // NewRotatingLogSink opens (or resumes appending to) a JSONL file that
@@ -186,21 +253,7 @@ func NewRotatingLogSink(path string, pol RotationPolicy) (*LogSink, error) {
 	} else {
 		s.nextIdx = 1
 	}
-	s.enc = json.NewEncoder(&countingWriter{w: s.w, n: &s.size})
 	return s, nil
-}
-
-// countingWriter tracks the logical size of the active file, including
-// bytes still sitting in the bufio layer.
-type countingWriter struct {
-	w io.Writer
-	n *int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	*c.n += int64(n)
-	return n, err
 }
 
 // rotationDue reports whether the active file must rotate before the
@@ -314,7 +367,16 @@ func (s *LogSink) Emit(ev Event) error {
 			return fmt.Errorf("fleet: log sink rotate: %w", err)
 		}
 	}
-	if err := s.enc.Encode(toJSONEvent(ev)); err != nil {
+	line, err := AppendJSON(s.line[:0], ev)
+	if err != nil {
+		return fmt.Errorf("fleet: log sink: %w", err)
+	}
+	s.line = append(line, '\n')
+	n, err := s.w.Write(s.line)
+	// size is the logical size of the active file, bytes still sitting
+	// in the bufio layer included.
+	s.size += int64(n)
+	if err != nil {
 		return fmt.Errorf("fleet: log sink: %w", err)
 	}
 	s.written++

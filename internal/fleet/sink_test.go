@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -17,6 +20,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/scs"
 	"repro/internal/sensor"
+	"repro/internal/trace"
 )
 
 // sinkFleetConfig is a small campaign with telemetry, shared by the
@@ -30,6 +34,244 @@ func sinkFleetConfig() Config {
 		Seed:      3,
 		Telemetry: &TelemetryConfig{},
 	}
+}
+
+// jsonEvent is the JSONL wire struct as encoding/json sees it: the kind
+// as its string name, zero-valued optional fields elided. It is the
+// oracle AppendJSON must match byte for byte.
+type jsonEvent struct {
+	Kind       string  `json:"kind"`
+	Session    int     `json:"session"`
+	PatientIdx int     `json:"patient"`
+	Group      string  `json:"group,omitempty"`
+	Replica    int     `json:"replica,omitempty"`
+	Step       int     `json:"step,omitempty"`
+	Hazard     string  `json:"hazard,omitempty"`
+	Completed  int64   `json:"completed,omitempty"`
+	Robustness float64 `json:"robustness,omitempty"`
+	Margin     float64 `json:"margin,omitempty"`
+	Rule       int     `json:"rule,omitempty"`
+	MarginRule int     `json:"margin_rule,omitempty"`
+}
+
+func toJSONEvent(ev Event) jsonEvent {
+	je := jsonEvent{
+		Kind:       ev.Kind.String(),
+		Session:    ev.Session,
+		PatientIdx: ev.PatientIdx,
+		Group:      ev.Group,
+		Replica:    ev.Replica,
+		Step:       ev.Step,
+		Completed:  ev.Completed,
+	}
+	if ev.Hazard != trace.HazardNone {
+		je.Hazard = ev.Hazard.String()
+	}
+	if ev.Kind == EventRobustness {
+		je.Robustness = ev.Robustness
+		je.Margin = ev.Margin
+		je.Rule = ev.Rule
+		je.MarginRule = ev.MarginRule
+	}
+	return je
+}
+
+// checkAppendJSON compares AppendJSON with the encoding/json oracle on
+// one event, appending after a non-empty prefix: both must fail
+// together (AppendJSON leaving the prefix untouched), or both succeed
+// with identical bytes.
+func checkAppendJSON(t *testing.T, ev Event) {
+	t.Helper()
+	want, wantErr := json.Marshal(toJSONEvent(ev))
+	prefix := []byte("prefix")
+	got, err := AppendJSON(prefix, ev)
+	if (err != nil) != (wantErr != nil) {
+		t.Fatalf("%+v: AppendJSON error %v, json.Marshal error %v", ev, err, wantErr)
+	}
+	if err != nil {
+		if string(got) != "prefix" {
+			t.Fatalf("%+v: failed AppendJSON left %q, want the prefix alone", ev, got)
+		}
+		return
+	}
+	if !bytes.Equal(got[len(prefix):], want) || string(got[:len(prefix)]) != "prefix" {
+		t.Fatalf("%+v:\n AppendJSON %s\n json.Marshal %s", ev, got[len(prefix):], want)
+	}
+}
+
+// jsonSweepFloats are the float edges of encoding/json's float format:
+// both signed zeros, the 'f'/'e' switch at 1e-6 and 1e21 with their
+// neighbours, subnormals, the extremes and a few padded-exponent cases,
+// plus the non-finite values neither encoder can write.
+func jsonSweepFloats() []float64 {
+	fs := []float64{
+		0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, -2.5e-320,
+		math.SmallestNonzeroFloat64, 2.2250738585072014e-308,
+		math.MaxFloat64, -math.MaxFloat64,
+		1, -1, 0.1, 2.0999348925184593, -0.25, 1e-7, 1.5e-9, 1e-10, 123456789.125,
+		1e20, 1e22, 1e100, -3e-300,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	for _, edge := range []float64{1e-6, -1e-6, 1e21, -1e21} {
+		fs = append(fs, edge, math.Nextafter(edge, 0), math.Nextafter(edge, 2*edge))
+	}
+	return fs
+}
+
+// jsonSweepGroups exercise every string-escaping path: plain ASCII, the
+// JSON and HTML specials, control bytes, invalid UTF-8, the JavaScript
+// line separators and non-ASCII text.
+var jsonSweepGroups = []string{
+	"", "acme", "tenant-1.b_c", `quo"te`, `back\slash`, "<script>", "a<b", "a&b", "x>y",
+	"\x00\x01\x1f", "\b\f\n\r\t", "\x7f", "\xff\xfe", "bad\xc3(", "line\u2028sep\u2029",
+	"ümlaut", "日本語", "\U0001F600",
+}
+
+// TestAppendJSONMatchesEncodingJSON: the hand-written appender writes
+// exactly json.Marshal's bytes for the wire struct over every event
+// kind and hazard, every string-escaping path and every float-format
+// edge, and errors exactly where Marshal errors (non-finite robustness
+// fields).
+func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
+	floats := jsonSweepFloats()
+	ints := []int{0, 1, -1, 7, 1 << 40, math.MaxInt64, math.MinInt64}
+	hazards := []trace.HazardType{trace.HazardNone, trace.HazardH1, trace.HazardH2, trace.HazardType(9)}
+	var n int
+	check := func(ev Event) {
+		checkAppendJSON(t, ev)
+		n++
+	}
+	for k := EventKind(0); k <= eventKindCount; k++ {
+		for _, h := range hazards {
+			check(Event{Kind: k, Session: 3, PatientIdx: 2, Hazard: h, Step: 5, Replica: 1,
+				Completed: 9, Robustness: 0.5, Margin: -0.25, Rule: 4, MarginRule: 6})
+			check(Event{Kind: k, Hazard: h})
+		}
+		for _, g := range jsonSweepGroups {
+			check(Event{Kind: k, Group: g})
+		}
+		for _, f := range floats {
+			check(Event{Kind: k, Robustness: f, Margin: 1})
+			check(Event{Kind: k, Robustness: 1, Margin: f})
+		}
+	}
+	for _, v := range ints {
+		check(Event{Kind: EventRobustness, Session: v, PatientIdx: v, Replica: v, Step: v,
+			Completed: int64(v), Rule: v, MarginRule: v})
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 20000; i++ {
+		pickF := func() float64 {
+			if rng.Intn(3) == 0 {
+				return floats[rng.Intn(len(floats))]
+			}
+			return math.Float64frombits(rng.Uint64()) // any bit pattern, non-finite included
+		}
+		pickI := func() int { return ints[rng.Intn(len(ints))] * rng.Intn(3) }
+		check(Event{
+			Kind:       EventKind(rng.Intn(int(eventKindCount) + 1)),
+			Session:    rng.Intn(1 << 20),
+			PatientIdx: rng.Intn(20) - 1,
+			Replica:    pickI(),
+			Group:      jsonSweepGroups[rng.Intn(len(jsonSweepGroups))],
+			Step:       pickI(),
+			Hazard:     hazards[rng.Intn(len(hazards))],
+			Completed:  int64(pickI()),
+			Robustness: pickF(),
+			Rule:       pickI(),
+			Margin:     pickF(),
+			MarginRule: pickI(),
+		})
+	}
+	t.Logf("%d events matched", n)
+}
+
+// FuzzAppendJSON holds AppendJSON to the encoding/json oracle on
+// arbitrary events.
+func FuzzAppendJSON(f *testing.F) {
+	f.Add(int(EventRobustness), 1, 2, "acme", 0, 5, 0, int64(0), 2.0999348925184593, 6, -0.25, 6)
+	f.Add(int(EventAlarm), 0, 9, "", 3, 12, int(trace.HazardH1), int64(0), 0.0, 0, 0.0, 0)
+	f.Add(int(EventProgress), 0, 0, "<&>", 0, 0, 0, int64(40), 1e21, 0, 1e-7, 0)
+	f.Add(int(EventRobustness), 0, 0, "\xff\u2028", 0, 0, 0, int64(0), math.NaN(), 0, math.Inf(-1), 0)
+	f.Fuzz(func(t *testing.T, kind, session, patient int, group string, replica, step, hazard int,
+		completed int64, rob float64, rule int, margin float64, marginRule int) {
+		checkAppendJSON(t, Event{
+			Kind: EventKind(kind), Session: session, PatientIdx: patient, Group: group,
+			Replica: replica, Step: step, Hazard: trace.HazardType(hazard), Completed: completed,
+			Robustness: rob, Rule: rule, Margin: margin, MarginRule: marginRule,
+		})
+	})
+}
+
+// wantLogSinkDigest is the SHA-256 of a LogSink's whole output for
+// sinkFleetConfig with ProgressEvery 7, taken from the encoding/json
+// LogSink the appender replaced: an absolute pin on the wire bytes.
+const wantLogSinkDigest = "b03109e27ceeca7ac9a51cb3187f792780d8bbcd7c1429b3042ba2d77500cafa"
+
+// TestLogSinkWireDigest pins the JSONL wire format absolutely: the
+// digest of a whole campaign's log — lifecycle, progress and
+// robustness lines — must not move.
+func TestLogSinkWireDigest(t *testing.T) {
+	var buf bytes.Buffer
+	sink := NewLogSink(&buf)
+	cfg := sinkFleetConfig()
+	cfg.ProgressEvery = 7
+	cfg.Sinks = []Sink{sink}
+	if _, err := Run(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(buf.Bytes(), []byte(`"kind":"progress"`)); n == 0 {
+		t.Fatal("no progress lines — the pin would not cover them")
+	}
+	sum := sha256.Sum256(buf.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != wantLogSinkDigest {
+		t.Fatalf("LogSink wire digest %s, want %s (%d lines, %d bytes)", got, wantLogSinkDigest, sink.Written(), buf.Len())
+	}
+}
+
+// TestAppendJSONNoAlloc: appending a robustness event with a group into
+// a buffer with room allocates nothing.
+func TestAppendJSONNoAlloc(t *testing.T) {
+	ev := Event{Kind: EventRobustness, Session: 41, PatientIdx: 3, Group: "acme", Replica: 2,
+		Step: 117, Hazard: trace.HazardH1, Robustness: 2.0999348925184593, Margin: -0.3141592653589793, Rule: 6, MarginRule: 2}
+	buf := make([]byte, 0, 512)
+	allocs := testing.AllocsPerRun(200, func() {
+		var err error
+		if buf, err = AppendJSON(buf[:0], ev); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendJSON into a reused buffer: %v allocs/op, want 0", allocs)
+	}
+}
+
+// BenchmarkAppendJSON encodes one grouped robustness event into a
+// reused buffer; the encoding_json sub-benchmark is the json.Marshal
+// oracle the appender replaced.
+func BenchmarkAppendJSON(b *testing.B) {
+	ev := Event{Kind: EventRobustness, Session: 41, PatientIdx: 3, Group: "base", Replica: 2,
+		Step: 117, Robustness: 2.0999348925184593, Margin: -0.3141592653589793, Rule: 6, MarginRule: 2}
+	b.Run("append", func(b *testing.B) {
+		b.ReportAllocs()
+		buf := make([]byte, 0, 512)
+		for i := 0; i < b.N; i++ {
+			buf, _ = AppendJSON(buf[:0], ev)
+		}
+		b.SetBytes(int64(len(buf)))
+	})
+	b.Run("encoding_json", func(b *testing.B) {
+		b.ReportAllocs()
+		var n int
+		for i := 0; i < b.N; i++ {
+			line, _ := json.Marshal(toJSONEvent(ev))
+			n = len(line)
+		}
+		b.SetBytes(int64(n))
+	})
 }
 
 // TestLogSinkWritesJSONL: every event reaches the log as one parseable

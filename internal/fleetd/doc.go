@@ -37,11 +37,12 @@
 // inherently wall-clock scheduled; the few nondeterministic constructs
 // there carry reasoned //fleetvet:nondeterministic waivers.
 //
-// Telemetry streaming is strictly non-blocking: the fan-out sink
-// encodes each event once and offers it to every subscriber's bounded
-// buffer, dropping (and counting) for slow consumers so one stalled
-// client can never stall the fleet's epoch merges or other tenants'
-// streams.
+// Telemetry streaming is strictly non-blocking: inside the fleet's
+// epoch barrier the fan-out sink only copies each event into every
+// matching subscriber's bounded queue, dropping (and counting) for slow
+// consumers so one stalled client can never stall the fleet's epoch
+// merges or other tenants' streams. Each subscriber's handler encodes
+// its backlog off the barrier and flushes once per batch.
 //
 //fleetvet:deterministic
 package fleetd

@@ -399,10 +399,12 @@ func streamLines(t *testing.T, ts *httptest.Server, token, id, accept string, n 
 // TestFanoutBackpressure is the unit-level backpressure contract: with
 // one stalled subscriber and one live one, Emit never blocks, the live
 // subscriber's stream is byte-identical to the emitted event sequence,
-// and the stalled subscriber's losses are counted.
+// the stalled subscriber holds exactly its limit and its losses are
+// counted per tenant and fleet-wide, and no event reaches another
+// tenant.
 func TestFanoutBackpressure(t *testing.T) {
 	f := newFanout()
-	stalled := f.subscribe("acme", 2) // tiny buffer, never drained
+	stalled := f.subscribe("acme", 2) // tiny limit, never drained
 	live := f.subscribe("acme", 1024)
 	other := f.subscribe("zen", 1024)
 
@@ -427,21 +429,18 @@ func TestFanoutBackpressure(t *testing.T) {
 		}
 	}
 
-	var got bytes.Buffer
-	for len(live.ch) > 0 {
-		got.Write(<-live.ch)
+	if held, _ := stalled.take(nil); len(held) != 2 {
+		t.Errorf("stalled subscriber queued %d, want its full limit of 2", len(held))
 	}
-	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+	if leaked, _ := other.take(nil); len(leaked) != 0 {
+		t.Error("zen subscriber received acme events")
+	}
+	f.closeAll()
+	if got, _ := drainStream(f, live, ""); got.Body.String() != want.String() {
 		t.Error("live subscriber's stream is not byte-identical to the emitted sequence")
 	}
 	if n := f.droppedFor("acme"); n != events-2 {
-		t.Errorf("dropped %d for the stalled subscriber, want %d (buffer 2)", n, events-2)
-	}
-	if len(stalled.ch) != 2 {
-		t.Errorf("stalled subscriber buffered %d, want its full buffer of 2", len(stalled.ch))
-	}
-	if len(other.ch) != 0 {
-		t.Error("zen subscriber received acme events")
+		t.Errorf("dropped %d for the stalled subscriber, want %d (limit 2)", n, events-2)
 	}
 	if f.droppedTotal() != f.droppedFor("acme") {
 		t.Error("fleet-wide drop total disagrees with the per-tenant counter")

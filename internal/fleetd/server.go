@@ -57,9 +57,11 @@ type Config struct {
 	// combined with AlertFloor; the fixed floor wins on a double
 	// breach.
 	AlertPct float64
-	// StreamBuffer is the per-subscriber telemetry buffer in events
-	// (default 256); a subscriber that falls further behind loses
-	// events (counted, never blocking).
+	// StreamBuffer bounds each telemetry subscriber's queue of events
+	// not yet taken by its handler (default 256). The queue grows only
+	// as far as the backlog; an event arriving at a full queue is
+	// dropped and counted (TenantStatus.StreamDropped), never blocking
+	// the fleet.
 	StreamBuffer int
 	// Restore seeds the server from a drained control-plane snapshot
 	// (Server.DrainToSnapshot / DecodeSnapshot) instead of starting
@@ -491,8 +493,8 @@ func (s *Server) tenantStatus(id string, spec TenantSpec) TenantStatus {
 // handleTelemetry streams the tenant's fleet events as JSONL (default)
 // or SSE (Accept: text/event-stream) until the client goes away or the
 // server drains. The stream is lossy under backpressure by contract:
-// events a slow client cannot buffer are dropped and counted, never
-// queued against the fleet.
+// events beyond a slow client's StreamBuffer are dropped and counted,
+// never queued against the fleet.
 func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	if _, ok := s.reg.get(id); !ok {
@@ -510,36 +512,7 @@ func (s *Server) handleTelemetry(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.fan.unsubscribe(sub)
-
-	sse := strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-	if sse {
-		w.Header().Set("Content-Type", "text/event-stream")
-		w.Header().Set("Cache-Control", "no-cache")
-	} else {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-	}
-	w.WriteHeader(http.StatusOK)
-	flusher.Flush()
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case line, ok := <-sub.ch:
-			if !ok {
-				return // server drain
-			}
-			if sse {
-				// EncodeJSON lines are newline-terminated single lines;
-				// data: + blank line frames one SSE event.
-				if _, err := fmt.Fprintf(w, "data: %s\n", line); err != nil {
-					return
-				}
-			} else if _, err := w.Write(line); err != nil {
-				return
-			}
-			flusher.Flush()
-		}
-	}
+	s.fan.stream(w, flusher, r, sub)
 }
 
 // snapshotJSON is the wire shape of a tenant snapshot: the sealed
