@@ -34,7 +34,9 @@ bench:
 ## dose history, and Eq. 5 labeling of one 150-cycle trace), the
 ## telemetry wire kernels (the allocation-free JSON appender vs the
 ## encoding/json oracle it replaced, and one fleetd fan-out Emit into a
-## subscriber queue its drainer swaps out), and the
+## subscriber queue its drainer swaps out), the epoch barrier's
+## canonical merge of one serving-shaped epoch (99 sessions x 8 rounds,
+## 0 allocs once warm, vs the sort.Slice oracle it replaced), and the
 ## sink delivery shapes (run-end merge vs epoch merge; fewer iterations
 ## — each op is a whole 100-session fleet). Output lands in
 ## bench-smoke.txt for the CI artifact.
@@ -45,6 +47,8 @@ bench-smoke:
 		-benchtime 1000x -benchmem ./internal/control ./internal/risk >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkAppendJSON|BenchmarkFanoutEmit' \
 		-benchtime 100000x -benchmem ./internal/fleet ./internal/fleetd >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
+	$(GO) test -run '^$$' -bench 'BenchmarkEpochMerge' \
+		-benchtime 1000x -benchmem ./internal/fleet >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchPatientStep' \
 		-benchtime 100x -benchmem . >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedSinkEpochMerge' \
@@ -58,10 +62,11 @@ smoke-fleetd:
 	sh scripts/fleetd_smoke.sh
 
 ## smoke-snapshot: end-to-end drain/restore smoke — start fleetd with
-## -snapshot-file, admit a tenant, SIGTERM to an epoch-aligned drain
-## that writes the sealed control-plane snapshot, restart with
-## -restore, and check the tenant and its telemetry stream resume
-## without a re-PUT (see scripts/snapshot_smoke.sh)
+## -snapshot-file, admit two tenants (one naming its monitor), SIGTERM
+## to an epoch-aligned drain that writes the sealed control-plane
+## snapshot, restart with -restore, check both tenants and their
+## telemetry streams resume without a re-PUT, and check a snapshot that
+## cannot be written exits 1 (see scripts/snapshot_smoke.sh)
 smoke-snapshot:
 	sh scripts/snapshot_smoke.sh
 

@@ -218,7 +218,9 @@ type (
 	// while the fleet runs.
 	FleetAdmissions = fleet.Admissions
 	// FleetAdmitSpec describes one session to admit into a running
-	// fleet.
+	// fleet: its coordinates, group tag and mitigation, or a captured
+	// session to resume (Restore). Every admitted session runs the
+	// fleet's own monitor (FleetConfig.NewMonitor or NewBatchMonitor).
 	FleetAdmitSpec = fleet.AdmitSpec
 	// FleetLiveSession is one live slot of an admission-controlled
 	// fleet.

@@ -1,10 +1,10 @@
 // Command fleetd serves the fleet control plane: one continuously
 // running admission-controlled fleet behind a multi-tenant HTTP API.
-// Tenants declare desired state (patients x fault scenarios, monitor
-// and mitigation config) with PUT /v1/tenants/{id}; a reconcile loop
-// admits and evicts sessions at the fleet's deterministic admission
-// gates, and per-tenant telemetry streams back as JSONL or SSE from
-// the epoch-merged sharded sinks.
+// Tenants declare desired state (patients x fault scenarios and
+// mitigation; every session runs the shard-batched CAWOT monitor) with
+// PUT /v1/tenants/{id}; a reconcile loop admits and evicts sessions at
+// the fleet's deterministic admission gates, and per-tenant telemetry
+// streams back as JSONL or SSE from the epoch-merged sharded sinks.
 //
 //	fleetd -addr :8344 -platform glucosym -max-sessions 256 \
 //	       -parallel 8 -seed 1 -token secret -alert-floor -0.5
@@ -23,8 +23,10 @@
 // snapshot; a later run started with -restore (and the same platform,
 // steps, seed, sink-epoch, and admit-every) resumes the fleet
 // bit-exactly, continuing every tenant's telemetry stream where the
-// drained run cut it. POST /v1/tenants/{id}/snapshot captures a single
-// tenant the same way without stopping the fleet.
+// drained run cut it. If the snapshot drain or the write fails, fleetd
+// still stops but exits with status 1, so a supervisor never mistakes
+// lost state for a clean stop. POST /v1/tenants/{id}/snapshot captures
+// a single tenant the same way without stopping the fleet.
 package main
 
 import (
@@ -133,12 +135,15 @@ func main() {
 	defer cancel()
 	// Order matters: ending the fleet first closes telemetry streams,
 	// so Shutdown's wait for in-flight requests can complete.
+	snapshotLost := false
 	if *snapshotFile != "" {
 		snap, err := srv.DrainToSnapshot(drainCtx)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fleetd: snapshot drain: %v\n", err)
+			snapshotLost = true
 		} else if err := writeSnapshot(*snapshotFile, snap.Encode()); err != nil {
 			fmt.Fprintf(os.Stderr, "fleetd: snapshot write: %v\n", err)
+			snapshotLost = true
 		} else {
 			fmt.Fprintf(os.Stderr, "fleetd: snapshot: %d sessions across %d tenants -> %s\n",
 				len(snap.Fleet.Sessions), len(snap.Tenants), *snapshotFile)
@@ -149,15 +154,31 @@ func main() {
 	if err := httpSrv.Shutdown(drainCtx); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		fmt.Fprintf(os.Stderr, "fleetd: shutdown: %v\n", err)
 	}
+	if snapshotLost {
+		fail(fmt.Errorf("no snapshot written to %s; the fleet state is lost", *snapshotFile))
+	}
 	fmt.Fprintln(os.Stderr, "fleetd: stopped")
 }
 
 // writeSnapshot lands the sealed snapshot atomically: a crash mid-write
 // must never leave a truncated envelope where the next -restore expects
-// a valid one.
+// a valid one. The temp file is synced before the rename, so the rename
+// can never publish a name whose data has not reached the disk.
 func writeSnapshot(path string, data []byte) error {
 	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o600); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o600)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return err
 	}
 	return os.Rename(tmp, path)

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/fault"
-	"repro/internal/monitor"
 )
 
 // Runtime session admission and eviction. A fleet's slot set was a
@@ -68,11 +67,6 @@ type AdmitSpec struct {
 	// its continuous-mode replicas) runs the compiled plan. Registry
 	// entries record ScenIdx -1 and the program's canonical text.
 	Program *fault.Program
-	// NewMonitor optionally overrides Config.NewMonitor for this
-	// session, so tenants can attach their own safety monitor. Invalid
-	// on fleets using Config.NewBatchMonitor (the shard-batched monitor
-	// serves every lane).
-	NewMonitor func(patientIdx int) (monitor.Monitor, error)
 	// Mitigate enables Algorithm 1 mitigation for this session even
 	// when Config.Mitigate is off (requires a monitor).
 	Mitigate bool
@@ -82,7 +76,9 @@ type AdmitSpec struct {
 	// bit-exactly on a fresh slot. The snapshot header supplies
 	// PatientIdx, ScenIdx, Replica, and Mitigate (the fields above are
 	// ignored); Group keeps the snapshot's tag unless overridden here.
-	// Mutually exclusive with NewMonitor.
+	// The session's monitor state restores into the fleet's own monitor
+	// (Config.NewMonitor or NewBatchMonitor), whichever variant wrote
+	// it: scalar and batched monitors snapshot to the same bytes.
 	Restore []byte
 }
 
@@ -597,7 +593,6 @@ func (g *admissionGate) applyOps(ops []admissionOp) {
 				scenIdx:    sp.ScenIdx,
 				program:    sp.Program,
 				group:      sp.Group,
-				newMonitor: sp.NewMonitor,
 				mitigate:   sp.Mitigate,
 			}
 			if sp.Program != nil {
@@ -677,9 +672,6 @@ func (g *admissionGate) failRestore(shard int, sp spec, err error) {
 // snapshot, whose header supplies the session coordinates.
 func (g *admissionGate) validateSpec(sp AdmitSpec) (string, *SessionSnapshot) {
 	if sp.Restore != nil {
-		if sp.NewMonitor != nil {
-			return "Restore conflicts with NewMonitor (a monitor override cannot be rebuilt from a snapshot)", nil
-		}
 		snap, err := DecodeSessionSnapshot(sp.Restore)
 		if err != nil {
 			return err.Error(), nil
@@ -711,9 +703,6 @@ func (g *admissionGate) validateSpec(sp AdmitSpec) (string, *SessionSnapshot) {
 		}
 	} else if sp.ScenIdx < 0 || sp.ScenIdx >= len(g.cfg.Scenarios) {
 		return fmt.Sprintf("scenario index %d outside the declared table [0, %d)", sp.ScenIdx, len(g.cfg.Scenarios)), nil
-	}
-	if sp.NewMonitor != nil && g.cfg.NewBatchMonitor != nil {
-		return "per-session monitor override conflicts with Config.NewBatchMonitor", nil
 	}
 	return "", nil
 }

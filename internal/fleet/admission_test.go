@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/closedloop"
 	"repro/internal/monitor"
 	"repro/internal/scs"
 	"repro/internal/sensor"
@@ -254,106 +253,6 @@ func TestFleetAdmissionGrowShrinkIdle(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestFleetAdmissionMonitorOverride admits a session carrying its own
-// monitor and mitigation config into a fleet with no fleet-level
-// monitor, and checks the override reaches the session (alarms only
-// that session can raise) and survives replica churn.
-func TestFleetAdmissionMonitorOverride(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	adm := NewAdmissions()
-	cfg := admissionFleetConfig()
-	cfg.Telemetry = nil
-	cfg.Sensor = nil
-	cfg.NewMonitor = nil
-	cfg.Sessions = 0
-	cfg.MaxSessions = 2
-	cfg.AdmitEvery = 2
-	cfg.SinkEpoch = 2 // divides AdmitEvery: a gate's events arrive before the next gate
-	cfg.ProgressEvery = 0
-	cfg.Admissions = adm
-
-	alarms := make(chan Event, 256)
-	starts := make(chan Event, 256)
-	cfg.Sinks = []Sink{funcSink(func(ev Event) {
-		switch ev.Kind {
-		case EventAlarm:
-			select {
-			case alarms <- ev:
-			default:
-			}
-		case EventSessionStart:
-			select {
-			case starts <- ev:
-			default:
-			}
-		case EventHazard, EventSessionDone, EventSessionEvict, EventProgress, EventRobustness:
-		}
-	})}
-
-	// The monitored session carries a monitor that alarms every cycle, so
-	// alarm attribution is deterministic: any alarm from "plain" means the
-	// override leaked across sessions.
-	adm.Admit(
-		AdmitSpec{Group: "mon", PatientIdx: 0, ScenIdx: 1, Mitigate: true,
-			NewMonitor: func(int) (monitor.Monitor, error) { return alwaysAlarm{}, nil }},
-		AdmitSpec{Group: "plain", PatientIdx: 0, ScenIdx: 1},
-	)
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := Run(ctx, cfg)
-		done <- err
-	}()
-	waitFor(t, "admission", func() bool { return len(adm.Live()) == 2 })
-
-	// Wait for replica churn (the override must survive restarts), then
-	// check alarm attribution.
-	churned := make(map[string]bool)
-	waitFor(t, "replica churn in both groups", func() bool {
-		for {
-			select {
-			case ev := <-starts:
-				if ev.Replica > 0 {
-					churned[ev.Group] = true
-				}
-			default:
-				return churned["mon"] && churned["plain"]
-			}
-		}
-	})
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-
-	sawAlarm := false
-	for {
-		select {
-		case ev := <-alarms:
-			sawAlarm = true
-			if ev.Group != "mon" {
-				t.Errorf("alarm from group %q: only the monitored session has a monitor", ev.Group)
-			}
-		default:
-			if !sawAlarm {
-				t.Error("no alarm from the always-alarming override monitor")
-			}
-			return
-		}
-	}
-}
-
-// alwaysAlarm is a stub monitor that alarms on every cycle — it makes
-// alarm attribution in override tests independent of scenario timing.
-type alwaysAlarm struct{}
-
-func (alwaysAlarm) Name() string { return "always-alarm" }
-func (alwaysAlarm) Reset()       {}
-func (alwaysAlarm) Step(closedloop.Observation) closedloop.Verdict {
-	return closedloop.Verdict{Alarm: true, Margin: -1}
 }
 
 // TestFleetConfigValidate is the table test over Config.Validate: every

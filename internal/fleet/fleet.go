@@ -398,7 +398,7 @@ func (c Config) withDefaults() (Config, error) {
 
 // spec pins one session slot to its patient/scenario/replica
 // coordinates, plus — for admitted sessions — the tenant group tag and
-// any per-session monitor/mitigation overrides from the AdmitSpec.
+// the per-session mitigation override from the AdmitSpec.
 type spec struct {
 	index      int // slot index: result slice position
 	patientIdx int
@@ -409,9 +409,8 @@ type spec struct {
 	// compiles at session start and rides along into replica refills.
 	program *fault.Program
 
-	group      string
-	newMonitor func(patientIdx int) (monitor.Monitor, error)
-	mitigate   bool
+	group    string
+	mitigate bool
 	// restore, when non-nil, resumes the slot from a captured session
 	// instead of starting it fresh (Config.Restore or AdmitSpec.Restore).
 	restore *SessionSnapshot
@@ -932,7 +931,7 @@ func (e *engine) runShard(shard int) {
 				refill = &spec{
 					index: s.Index, patientIdx: s.PatientIdx,
 					scenIdx: s.scenIdx, replica: s.Replica + 1, program: s.program,
-					group: s.group, newMonitor: s.newMonitor, mitigate: s.mitigate,
+					group: s.group, mitigate: s.mitigate,
 				}
 			case !cfg.Continuous && next < len(slots):
 				sp := cfg.specFor(slots[next], 0)
@@ -1111,14 +1110,9 @@ func (e *engine) newSession(sp spec, lane int, batchPat sim.BatchPatient, batchS
 	if err != nil {
 		return nil, wrap(err)
 	}
-	nm := cfg.NewMonitor
-	if sp.newMonitor != nil {
-		// An admitted session's monitor override (AdmitSpec.NewMonitor).
-		nm = sp.newMonitor
-	}
 	var mon monitor.Monitor
-	if nm != nil {
-		if mon, err = nm(sp.patientIdx); err != nil {
+	if cfg.NewMonitor != nil {
+		if mon, err = cfg.NewMonitor(sp.patientIdx); err != nil {
 			return nil, wrap(err)
 		}
 	}
@@ -1165,7 +1159,7 @@ func (e *engine) newSession(sp spec, lane int, batchPat sim.BatchPatient, batchS
 		return nil, wrap(err)
 	}
 	var margin marginMonitor
-	if t := cfg.Telemetry; t != nil && t.FromMonitor && nm != nil {
+	if t := cfg.Telemetry; t != nil && t.FromMonitor && cfg.NewMonitor != nil {
 		// One-evaluation invariant: telemetry reads the monitor's own
 		// streaming verdicts instead of attaching a second rule set. With
 		// a batched monitor the shard assigns the lane adapter after
@@ -1190,8 +1184,7 @@ func (e *engine) newSession(sp spec, lane int, batchPat sim.BatchPatient, batchS
 	return &Session{
 		Index: sp.index, PatientIdx: sp.patientIdx, Replica: sp.replica,
 		Program: prog, scenIdx: sp.scenIdx, program: sp.program, group: sp.group,
-		newMonitor: sp.newMonitor, mitigate: sp.mitigate,
-		lane: lane, rng: rng, seed: seed, src: src,
+		mitigate: sp.mitigate, lane: lane, rng: rng, seed: seed, src: src,
 		mon: mon, sensorModel: sensorModel, st: st, margin: margin,
 	}, nil
 }

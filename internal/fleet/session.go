@@ -29,12 +29,11 @@ type Session struct {
 	scenIdx int            // scenario-table index; -1 for inline programs
 	program *fault.Program // inline program (AdmitSpec.Program), carried into refills
 	group   string         // AdmitSpec group tag (admitted sessions)
-	// newMonitor/mitigate carry an admitted session's per-spec overrides
-	// into continuous-mode replica restarts.
-	newMonitor func(patientIdx int) (monitor.Monitor, error)
-	mitigate   bool
-	lane       int // shard-local lane for batched monitors
-	rng        *rand.Rand
+	// mitigate carries an admitted session's per-spec override into
+	// continuous-mode replica restarts.
+	mitigate bool
+	lane     int // shard-local lane for batched monitors
+	rng      *rand.Rand
 	// seed is the derived per-session seed and src the counting source
 	// behind rng; together they pin the RNG stream position a snapshot
 	// records (snapshot.go).

@@ -1,8 +1,9 @@
 package fleet
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -102,6 +103,98 @@ func canonicalLess(a, b *Event) bool {
 	return kindRank(a.Kind) < kindRank(b.Kind)
 }
 
+// canonicalMerge puts a pending pool into canonical order. The key
+// totally orders the pool — a session emits at most one event per kind
+// per (replica, step) — so any correct sort yields the same sequence,
+// and the merge exploits the order the engine emits in:
+//
+//  1. A stable counting pass groups the events by Session: one map
+//     lookup per event, the distinct sessions (one per live slot, about
+//     a hundred on a serving fleet) sorted by slot, one scatter.
+//  2. One insertion pass with canonicalLess fixes the order within each
+//     session. A worker emits each session's events in time order,
+//     which is canonical order except for EventHazard: it is stamped
+//     with the replica's first hazard step when the replica finishes,
+//     so it moves back past that replica's later steps. A finite run's
+//     held-back residue is already sorted and precedes its sessions'
+//     newer events.
+//
+// So the merge is linear on engine output plus the hazards'
+// displacement. The scatter copies each event once and an insertion
+// copies only what it shifts, where a comparison sort over 104-byte
+// Events spends most of its time swapping them by value. The scratch is
+// reused across epochs, so a warm barrier allocates nothing.
+type canonicalMerge struct {
+	runOf map[int]int32 // session -> its index in count, this merge only
+	runs  []sessionRun  // distinct sessions, first-seen order until sorted
+	count []int         // per session: event count, then output cursor
+	of    []int32       // per input event: its session's index in count
+	out   []Event       // scatter target; the input buffer takes its place
+}
+
+// sessionRun is one distinct session of a merge and the index of its
+// counter.
+type sessionRun struct {
+	session int
+	idx     int32
+}
+
+// sort returns evs in canonical order. The result is the merge's
+// previous output buffer; evs becomes the next one, so the caller must
+// not keep using it.
+func (m *canonicalMerge) sort(evs []Event) []Event {
+	if len(evs) < 2 {
+		return evs
+	}
+	if m.runOf == nil {
+		m.runOf = make(map[int]int32)
+	}
+	clear(m.runOf)
+	m.runs, m.count, m.of = m.runs[:0], m.count[:0], m.of[:0]
+	var run int32
+	for i := range evs {
+		s := evs[i].Session
+		if i == 0 || s != evs[i-1].Session {
+			var ok bool
+			if run, ok = m.runOf[s]; !ok {
+				run = int32(len(m.count))
+				m.runOf[s] = run
+				m.runs = append(m.runs, sessionRun{session: s, idx: run})
+				m.count = append(m.count, 0)
+			}
+		}
+		m.count[run]++
+		m.of = append(m.of, run)
+	}
+	slices.SortFunc(m.runs, func(a, b sessionRun) int { return cmp.Compare(a.session, b.session) })
+	at := 0
+	for _, r := range m.runs {
+		n := m.count[r.idx]
+		m.count[r.idx] = at
+		at += n
+	}
+	out := slices.Grow(m.out[:0], len(evs))[:len(evs)]
+	for i := range evs {
+		c := &m.count[m.of[i]]
+		out[*c] = evs[i]
+		*c++
+	}
+	for i := 1; i < len(out); i++ {
+		if !canonicalLess(&out[i], &out[i-1]) {
+			continue
+		}
+		ev := out[i]
+		j := i - 1
+		for j > 0 && canonicalLess(&ev, &out[j-1]) {
+			j--
+		}
+		copy(out[j+1:i+1], out[j:i])
+		out[j] = ev
+	}
+	m.out = evs[:0]
+	return out
+}
+
 // shardedDelivery owns sink delivery for one run: the
 // per-worker event buffers, the epoch barrier the worker shards
 // rendezvous on, the pending pool of merged-but-not-yet-deliverable
@@ -119,6 +212,7 @@ type shardedDelivery struct {
 	bufs     [][]Event // per-worker open-epoch buffers
 	pending  []Event   // merged events held back for canonical order (finite)
 	frontier []int     // per-shard smallest session slot still unfinished
+	merge    canonicalMerge
 
 	parties int // shards still participating in the barrier
 	arrived int
@@ -218,8 +312,8 @@ func (d *shardedDelivery) completeBarrier() {
 	d.cond.Broadcast()
 }
 
-// closeEpoch merges every shard buffer into the pending pool, sorts it
-// canonically, and delivers the stable prefix: everything for a
+// closeEpoch merges every shard buffer into the pending pool, puts it
+// in canonical order, and delivers the stable prefix: everything for a
 // continuous fleet (the whole closed epoch), events below the fleet
 // frontier for a finite one. Caller holds mu; the workers are all
 // quiesced, so reading their buffers is safe.
@@ -239,10 +333,10 @@ func (d *shardedDelivery) closeEpoch() {
 				u = f
 			}
 		}
-		// Count the deliverable events before paying for the sort: while
+		// Count the deliverable events before paying for the merge: while
 		// the frontier sits below every buffered session (the common case
 		// between completion waves) the barrier delivers nothing, and
-		// pending can stay unsorted until a barrier that does.
+		// pending can stay unmerged until a barrier that does.
 		cut = 0
 		for i := range d.pending {
 			if d.pending[i].Session < u {
@@ -251,11 +345,7 @@ func (d *shardedDelivery) closeEpoch() {
 		}
 	}
 	if cut > 0 {
-		// The held-back residue is already sorted from the last delivering
-		// barrier; re-sorting it with the new events trades a sorted-runs
-		// merge for simplicity. Delivering barriers are rare — at most one
-		// per completion wave — so stepping, not this sort, dominates.
-		sort.Slice(d.pending, func(i, j int) bool { return canonicalLess(&d.pending[i], &d.pending[j]) })
+		d.pending = d.merge.sort(d.pending)
 		d.deliverPrefix(cut)
 	}
 	if h := d.cfg.sinkEpochHook; h != nil {
@@ -276,7 +366,7 @@ func (d *shardedDelivery) finish() {
 		d.pending = append(d.pending, b...)
 		d.bufs[i] = nil
 	}
-	sort.Slice(d.pending, func(i, j int) bool { return canonicalLess(&d.pending[i], &d.pending[j]) })
+	d.pending = d.merge.sort(d.pending)
 	d.deliverPrefix(len(d.pending))
 }
 

@@ -5,7 +5,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"runtime"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/monitor"
@@ -433,4 +436,159 @@ func TestShardedSinksContinuousProgressMonotone(t *testing.T) {
 	if progress != dones/int64(cfg.ProgressEvery) {
 		t.Fatalf("%d progress marks for %d dones, want %d", progress, dones, dones/int64(cfg.ProgressEvery))
 	}
+}
+
+// sortCanonical is the comparison-sort oracle the canonical merge
+// replaced.
+func sortCanonical(evs []Event) {
+	sort.Slice(evs, func(i, j int) bool { return canonicalLess(&evs[i], &evs[j]) })
+}
+
+// engineEpochs simulates what the workers of a continuous fleet buffer
+// in each of epochs epochs of rounds lock-step rounds: sessions dealt
+// round-robin over shards, each shard's buffer in emission order, and
+// the buffers concatenated as closeEpoch appends them. Every session starts
+// mid-replica; per cycle it may raise its replica's alarm and always
+// streams a robustness sample; a finishing replica may emit a hazard
+// stamped back at an earlier step, then its done, then the next
+// replica's start; and sessions are evicted at gates every four rounds.
+func engineEpochs(rng *rand.Rand, sessions, shards, steps, rounds, epochs int) [][]Event {
+	type lane struct {
+		slot, replica, step int
+		alarmed, gone       bool
+	}
+	lanes := make([][]*lane, shards)
+	for s := 0; s < sessions; s++ {
+		sh := s % shards
+		lanes[sh] = append(lanes[sh], &lane{slot: 3 * s, replica: rng.Intn(3), step: rng.Intn(steps)})
+	}
+	out := make([][]Event, epochs)
+	for e := range out {
+		bufs := make([][]Event, shards)
+		for r := 0; r < rounds; r++ {
+			for sh, ls := range lanes {
+				emit := func(l *lane, kind EventKind, step int) {
+					bufs[sh] = append(bufs[sh], Event{Kind: kind, Session: l.slot, Replica: l.replica, Step: step, Group: "g"})
+				}
+				for _, l := range ls {
+					if l.gone {
+						continue
+					}
+					if r%4 == 0 && rng.Intn(40) == 0 {
+						emit(l, EventSessionEvict, l.step)
+						l.gone = true
+						continue
+					}
+					if !l.alarmed && rng.Intn(8) == 0 {
+						emit(l, EventAlarm, l.step)
+						l.alarmed = true
+					}
+					emit(l, EventRobustness, l.step)
+					if l.step++; l.step < steps {
+						continue
+					}
+					if rng.Intn(2) == 0 {
+						emit(l, EventHazard, rng.Intn(steps))
+					}
+					emit(l, EventSessionDone, steps)
+					l.replica, l.step, l.alarmed = l.replica+1, 0, false
+					emit(l, EventSessionStart, 0)
+				}
+			}
+		}
+		for _, b := range bufs {
+			out[e] = append(out[e], b...)
+		}
+	}
+	return out
+}
+
+// TestCanonicalMergeMatchesSort: the canonical merge yields exactly the
+// comparison sort's sequence on engine-shaped epochs (hazards stamped
+// back in time, done/start pairs across replica boundaries, evictions),
+// on a finite run's sorted residue followed by new events, and on
+// random permutations of both — with its scratch reused throughout.
+func TestCanonicalMergeMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	var m canonicalMerge
+	check := func(name string, in []Event) {
+		t.Helper()
+		want := append([]Event(nil), in...)
+		sortCanonical(want)
+		got := m.sort(append([]Event(nil), in...))
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: merge of %d events differs from the comparison sort", name, len(in))
+		}
+	}
+	var hazards int
+	for trial := 0; trial < 40; trial++ {
+		sessions, shards := 1+rng.Intn(40), 1+rng.Intn(4)
+		steps, rounds := 1+rng.Intn(12), 1+rng.Intn(16)
+		epochs := engineEpochs(rng, sessions, shards, steps, rounds, 2)
+		for _, ev := range epochs[0] {
+			if ev.Kind == EventHazard {
+				hazards++
+			}
+		}
+		check("engine epoch", epochs[0])
+
+		// Finite mode: the delivering barrier held back the sessions at or
+		// above the frontier, already sorted; the next epoch's events follow.
+		residue := append([]Event(nil), epochs[0]...)
+		sortCanonical(residue)
+		frontier := 3 * rng.Intn(sessions+1)
+		residue = slices.DeleteFunc(residue, func(ev Event) bool { return ev.Session < frontier })
+		finite := append(residue, epochs[1]...)
+		check("residue + epoch", finite)
+
+		for _, in := range [][]Event{epochs[0], finite} {
+			perm := append([]Event(nil), in...)
+			rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			check("permutation", perm)
+		}
+	}
+	if hazards == 0 {
+		t.Fatal("no hazard events generated: the back-stamped case is untested")
+	}
+	check("empty", nil)
+	check("one event", []Event{{Kind: EventSessionStart, Session: 7}})
+}
+
+// TestCanonicalMergeNoAlloc: once its scratch has grown to an epoch's
+// size, the merge allocates nothing.
+func TestCanonicalMergeNoAlloc(t *testing.T) {
+	epoch := engineEpochs(rand.New(rand.NewSource(2)), 99, 2, 288, 8, 1)[0]
+	var m canonicalMerge
+	pending := m.sort(append([]Event(nil), epoch...))
+	pending = m.sort(append(pending[:0], epoch...))
+	allocs := testing.AllocsPerRun(50, func() {
+		pending = m.sort(append(pending[:0], epoch...))
+	})
+	if allocs != 0 {
+		t.Fatalf("warm merge of %d events: %v allocs/op, want 0", len(epoch), allocs)
+	}
+}
+
+// BenchmarkEpochMerge merges one serving-shaped epoch — 99 sessions on
+// one shard for 8 rounds — with the merge's scratch warm; sort_slice is
+// the comparison-sort oracle it replaced.
+func BenchmarkEpochMerge(b *testing.B) {
+	epoch := engineEpochs(rand.New(rand.NewSource(1)), 99, 1, 288, 8, 1)[0]
+	pending := make([]Event, 0, len(epoch))
+	b.Run("merge", func(b *testing.B) {
+		var m canonicalMerge
+		pending = m.sort(append(pending[:0], epoch...))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pending = m.sort(append(pending[:0], epoch...))
+		}
+	})
+	b.Run("sort_slice", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			pending = append(pending[:0], epoch...)
+			sortCanonical(pending)
+		}
+	})
 }

@@ -334,10 +334,6 @@ func restoredSpec(ss *SessionSnapshot) (spec, error) {
 // shard-batched banks are read at the session's lane; per-session
 // components are read directly.
 func (e *engine) snapshotSession(s *Session, bm monitor.BatchMonitor, batchTelem *scs.BatchStreamSet, batchSensor *sensor.BatchModel) (SessionSnapshot, error) {
-	if s.newMonitor != nil {
-		return SessionSnapshot{}, fmt.Errorf(
-			"fleet: session %d: per-spec monitor overrides cannot be snapshotted (the restoring fleet cannot rebuild the monitor)", s.Index)
-	}
 	enc := snapshot.NewEncoder()
 	if err := s.st.Snapshot(enc); err != nil {
 		return SessionSnapshot{}, fmt.Errorf("fleet: session %d: %w", s.Index, err)

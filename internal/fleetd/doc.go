@@ -1,10 +1,12 @@
 // Package fleetd is the fleet control plane: it exposes a continuously
 // running admission-controlled fleet (internal/fleet) as a multi-tenant
 // HTTP service. Tenants declare desired state — a set of cohort
-// patients crossed with fault scenarios, plus monitor/mitigation
-// config — and a reconcile loop diffs that declaration against the
-// fleet's live slot set, admitting missing sessions and evicting
-// surplus ones at the fleet's deterministic admission gates.
+// patients crossed with fault scenarios, plus mitigation config — and
+// a reconcile loop diffs that declaration against the fleet's live slot
+// set, admitting missing sessions and evicting surplus ones at the
+// fleet's deterministic admission gates. Every session runs the paper's
+// context-aware monitor (CAWOT over the Table I rules), evaluated for
+// all of a shard's sessions at once by the shard-batched monitor.
 //
 // # Architecture
 //

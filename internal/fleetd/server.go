@@ -159,8 +159,8 @@ func (s *Server) fleetConfig() fleet.Config {
 		Steps:     s.cfg.Steps,
 		Seed:      s.cfg.Seed,
 		Parallel:  s.cfg.Parallel,
-		NewMonitor: func(int) (monitor.Monitor, error) {
-			return monitor.NewCAWOT(scs.TableI(), scs.Params{})
+		NewBatchMonitor: func() (monitor.BatchMonitor, error) {
+			return monitor.NewBatchCAWOT(scs.TableI(), scs.Params{})
 		},
 		Telemetry:   &fleet.TelemetryConfig{FromMonitor: true},
 		Continuous:  true,

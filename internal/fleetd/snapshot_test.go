@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -16,8 +17,11 @@ import (
 // TestServerSnapshotEndpoint drives POST /v1/tenants/{id}/snapshot: the
 // tenant's live sessions are captured at a gate without stopping the
 // fleet, the sealed envelope decodes to exactly that tenant's sessions,
-// and the failure surfaces (unknown tenant, per-spec monitor override)
-// answer loudly.
+// and an unknown tenant answers 404. A tenant that names its monitor
+// ("monitor":"cawot") is served by the same shard-batched monitor as
+// every other tenant, so it snapshots like them, and the whole server
+// still drains to a snapshot that restores slot-exact — one such tenant
+// used to make DrainToSnapshot fail and lose every tenant's state.
 func TestServerSnapshotEndpoint(t *testing.T) {
 	cfg := testConfig()
 	srv, err := New(cfg)
@@ -29,7 +33,11 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	drained := false
 	defer func() {
+		if drained {
+			return
+		}
 		drainCtx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		defer cancel()
 		if err := srv.Drain(drainCtx); err != nil {
@@ -82,16 +90,79 @@ func TestServerSnapshotEndpoint(t *testing.T) {
 		t.Fatal("second snapshot failed")
 	}
 
-	// A tenant with a per-spec monitor override cannot be serialized (the
-	// restoring fleet could not rebuild the monitor); the error must
-	// surface as a 5xx naming the monitor, not hang or succeed silently.
+	// A tenant naming the monitor snapshots like any other.
 	if code, _ := request(t, ts, "", http.MethodPut, "/v1/tenants/zen", `{"patients":[1],"scenarios":[2],"monitor":"cawot"}`); code != http.StatusCreated {
 		t.Fatal("PUT zen failed")
 	}
 	waitFor(t, "zen session to admit", func() bool { return tenantLive(t, ts, "", "zen")() == 1 })
 	code, body = request(t, ts, "", http.MethodPost, "/v1/tenants/zen/snapshot", "")
-	if code != http.StatusInternalServerError || !strings.Contains(string(body), "monitor") {
-		t.Fatalf("override snapshot = %d (%s), want 500 naming the monitor override", code, body)
+	if code != http.StatusOK {
+		t.Fatalf("snapshot of the cawot tenant = %d (%s), want 200", code, body)
+	}
+	if err := json.Unmarshal(body, &resp); err != nil || resp.Sessions != 1 {
+		t.Fatalf("snapshot of the cawot tenant: %d sessions (%v), want 1", resp.Sessions, err)
+	}
+
+	// And the whole server drains to a snapshot that restores slot-exact.
+	drainCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	drained = true
+	snap, err := srv.DrainToSnapshot(drainCtx)
+	if err != nil {
+		t.Fatalf("DrainToSnapshot with a cawot tenant: %v", err)
+	}
+	if len(snap.Fleet.Sessions) != 5 || snap.Tenants["zen"].Monitor != MonitorCAWOT {
+		t.Fatalf("snapshot holds %d sessions and zen spec %+v, want 5 sessions and the cawot monitor",
+			len(snap.Fleet.Sessions), snap.Tenants["zen"])
+	}
+	decoded, err := DecodeSnapshot(snap.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Restore = decoded
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv2.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := srv2.Drain(drainCtx); err != nil {
+			t.Errorf("drain restored server: %v", err)
+		}
+	}()
+	checkSlotExact(t, decoded, srv2)
+}
+
+// checkSlotExact asserts that a server restored from snap runs exactly
+// the snapshot's slots per tenant — had the reconciler evicted and
+// re-admitted, the fleet's never-reused slot numbering would have moved
+// on — and that the restore rejected nothing.
+func checkSlotExact(t *testing.T, snap *ServerSnapshot, srv *Server) {
+	t.Helper()
+	// The reconciler's first pass runs as it starts; give it a tick, then
+	// let any operation it issued land at a gate.
+	time.Sleep(2 * reconcilePeriod)
+	waitFor(t, "reconciler operations to apply", func() bool { return srv.adm.PendingOps() == 0 })
+	wantSlots := map[string][]int{}
+	for _, ss := range snap.Fleet.Sessions {
+		wantSlots[ss.Group] = append(wantSlots[ss.Group], ss.Slot)
+	}
+	gotSlots := map[string][]int{}
+	for _, ls := range srv.adm.Live() {
+		gotSlots[ls.Group] = append(gotSlots[ls.Group], ls.Slot)
+	}
+	for group, want := range wantSlots {
+		got := gotSlots[group]
+		sort.Ints(got)
+		sort.Ints(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("group %s: restored slots %v, want %v (reconciler churned the restore)", group, got, want)
+		}
+	}
+	if n, _ := srv.adm.Rejected(); n != 0 {
+		t.Fatalf("restore produced %d rejections", n)
 	}
 }
 
@@ -186,32 +257,8 @@ func TestServerDrainToSnapshotRestore(t *testing.T) {
 	})
 
 	// Slot-exact resume: the restored live set carries the snapshot's
-	// slot numbers. If the reconciler had evicted and re-admitted, the
-	// fleet's never-reused slot numbering would have moved on.
-	wantSlots := map[string][]int{}
-	for _, ss := range decoded.Fleet.Sessions {
-		wantSlots[ss.Group] = append(wantSlots[ss.Group], ss.Slot)
-	}
-	gotSlots := map[string][]int{}
-	for _, ls := range srv2.adm.Live() {
-		gotSlots[ls.Group] = append(gotSlots[ls.Group], ls.Slot)
-	}
-	for group, want := range wantSlots {
-		got := gotSlots[group]
-		sort.Ints(got)
-		sort.Ints(want)
-		if len(got) != len(want) {
-			t.Fatalf("group %s: restored %d slots, want %d", group, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("group %s: restored slots %v, want %v (reconciler churned the restore)", group, got, want)
-			}
-		}
-	}
-	if n, _ := srv2.adm.Rejected(); n != 0 {
-		t.Fatalf("restore produced %d rejections", n)
-	}
+	// slot numbers.
+	checkSlotExact(t, decoded, srv2)
 
 	// The telemetry stream resumed: a subscriber sees tenant-tagged
 	// events from the restored sessions.

@@ -5,8 +5,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/fleet"
-	"repro/internal/monitor"
-	"repro/internal/scs"
 )
 
 // serverCycleMin is the control-cycle length every fleetd fleet runs at
@@ -14,7 +12,8 @@ import (
 const serverCycleMin = 5
 
 // MonitorCAWOT names the context-aware without-taper monitor, the
-// paper's best-performing configuration and the server default.
+// paper's best-performing configuration and the one monitor the server
+// runs.
 const MonitorCAWOT = "cawot"
 
 // TenantSpec is a tenant's desired state: every (patient, scenario)
@@ -31,8 +30,10 @@ type TenantSpec struct {
 	// server-side against the fleet's horizon before any session is
 	// admitted. A spec may mix table indices and inline programs.
 	Programs []fault.Program `json:"programs,omitempty"`
-	// Monitor selects the safety monitor: "" or "cawot". The empty
-	// string inherits the server default (CAWOT).
+	// Monitor names the safety monitor: "" or "cawot", compatible
+	// aliases for the one monitor the server runs, the shard-batched
+	// CAWOT over Table I. Any other name is rejected. The name is kept
+	// in the registry and in snapshots exactly as written.
 	Monitor string `json:"monitor,omitempty"`
 	// Mitigate turns alarm-gated mitigation on for the tenant's sessions.
 	Mitigate bool `json:"mitigate,omitempty"`
@@ -96,17 +97,6 @@ func (s TenantSpec) validate(numPatients, numScenarios, steps int, cycleMin floa
 		}
 	}
 	return nil
-}
-
-// newMonitor maps the spec's monitor name to a fleet per-session
-// constructor override; nil inherits the fleet default.
-func (s TenantSpec) newMonitor() func(int) (monitor.Monitor, error) {
-	if s.Monitor == "" {
-		return nil
-	}
-	return func(int) (monitor.Monitor, error) {
-		return monitor.NewCAWOT(scs.TableI(), scs.Params{})
-	}
 }
 
 // TenantStatus is the wire shape of GET /v1/tenants/{id}: the declared
@@ -174,19 +164,16 @@ func tenantIDOK(id string) bool {
 // programs inner).
 func specSessions(id string, spec TenantSpec) []fleet.AdmitSpec {
 	out := make([]fleet.AdmitSpec, 0, spec.desired())
-	nm := spec.newMonitor()
 	for _, p := range spec.Patients {
 		for _, sc := range spec.Scenarios {
 			out = append(out, fleet.AdmitSpec{
-				Group: id, PatientIdx: p, ScenIdx: sc,
-				NewMonitor: nm, Mitigate: spec.Mitigate,
+				Group: id, PatientIdx: p, ScenIdx: sc, Mitigate: spec.Mitigate,
 			})
 		}
 		for i := range spec.Programs {
 			pr := spec.Programs[i]
 			out = append(out, fleet.AdmitSpec{
-				Group: id, PatientIdx: p, ScenIdx: -1, Program: &pr,
-				NewMonitor: nm, Mitigate: spec.Mitigate,
+				Group: id, PatientIdx: p, ScenIdx: -1, Program: &pr, Mitigate: spec.Mitigate,
 			})
 		}
 	}
