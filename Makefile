@@ -38,8 +38,10 @@ bench:
 ## canonical merge of one serving-shaped epoch (99 sessions x 8 rounds,
 ## 0 allocs once warm, vs the sort.Slice oracle it replaced), and the
 ## sink delivery shapes (run-end merge vs epoch merge; fewer iterations
-## — each op is a whole 100-session fleet). Output lands in
-## bench-smoke.txt for the CI artifact.
+## — each op is a whole 100-session fleet), and one LSTM replay over a
+## fixed 37-trace set (per-session Replay vs batched lanes on one worker
+## vs EvaluateMonitor's worker split; two iterations — each op replays
+## ~5.5k windows). Output lands in bench-smoke.txt for the CI artifact.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSTLOnlinePush|BenchmarkCAWTStep|BenchmarkSCSBatchPush' \
 		-benchtime 1000x -benchmem ./internal/stl ./internal/monitor . > bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
@@ -53,6 +55,8 @@ bench-smoke:
 		-benchtime 100x -benchmem . >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkShardedSinkEpochMerge' \
 		-benchtime 10x -benchmem . >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
+	$(GO) test -run '^$$' -bench 'BenchmarkReplayLSTM' \
+		-benchtime 2x -benchmem ./internal/experiment >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	@cat bench-smoke.txt
 
 ## smoke-fleetd: end-to-end control-plane smoke — start fleetd, admit a

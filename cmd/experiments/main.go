@@ -96,7 +96,9 @@ func runPlatform(platform experiment.Platform, thin, mitThin int, seed int64) er
 	fmt.Print(experiment.RenderReaction(evals))
 	fmt.Println()
 
-	fmt.Println("Section V-E6 — per-cycle monitor overhead")
+	fmt.Println("Section V-E6 — per-cycle monitor overhead in replay")
+	fmt.Println("  (replay busy time per step: DT, MLP and LSTM amortized over batched lanes;")
+	fmt.Println("   per-session cost per monitor: go test -bench BenchmarkMonitorOverhead .)")
 	for _, e := range evals {
 		fmt.Printf("  %-10s %v\n", e.Monitor, e.StepTime)
 	}

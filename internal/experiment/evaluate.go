@@ -1,7 +1,10 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -15,8 +18,12 @@ type Eval struct {
 	Sample     metrics.Confusion
 	Simulation metrics.Confusion
 	Reaction   metrics.ReactionStats
-	// StepTime is the mean wall-clock cost of one monitor step
-	// (Section V-E6's resource-utilization comparison).
+	// StepTime is the monitor's replay busy time summed over replay
+	// workers, divided by the replayed steps. For DT, MLP and LSTM,
+	// which replay as batched lanes, that is the amortized per-step
+	// cost of batched inference; for the other monitors it is the mean
+	// cost of one per-session step. The per-session Section V-E6
+	// comparison is BenchmarkMonitorOverhead.
 	StepTime time.Duration
 
 	// The richer verdict view, populated for margin-carrying monitors
@@ -34,33 +41,37 @@ type Eval struct {
 	MarginSamples   int
 }
 
-// EvaluateMonitor replays a monitor over every trace (instantiated per
-// patient), annotates alarms in place, and aggregates the paper's
-// accuracy and timeliness metrics plus the rule/margin attribution the
-// richer verdicts carry.
+// EvaluateMonitor replays a monitor over every trace, annotates alarms
+// in place, and aggregates the paper's accuracy and timeliness metrics
+// plus the rule/margin attribution the richer verdicts carry.
+//
+// Monitors with a batched variant (Suite.NewBatchMonitor: DT, MLP,
+// LSTM) replay as lanes: the traces split into GOMAXPROCS contiguous
+// chunks, each stepped by its own batch monitor on its own goroutine
+// (monitor.ReplayBatch). The others replay one trace at a time through
+// a per-patient monitor (monitor.Replay). Either way the verdicts are
+// the per-session monitor's, bit for bit, and the metrics, attribution
+// and annotation run afterwards on the calling goroutine in trace
+// order.
 func (s *Suite) EvaluateMonitor(name string, traces []*trace.Trace) (Eval, error) {
+	return s.evaluateMonitor(name, traces, runtime.GOMAXPROCS(0))
+}
+
+// evaluateMonitor is EvaluateMonitor with an explicit batched-replay
+// worker count.
+func (s *Suite) evaluateMonitor(name string, traces []*trace.Trace, workers int) (Eval, error) {
+	verdicts, busy, err := s.replay(name, traces, workers)
+	if err != nil {
+		return Eval{}, err
+	}
 	ev := Eval{Monitor: name, RuleAttribution: make(map[int]int)}
-	monitors := make(map[string]monitor.Monitor)
 	var steps int
-	var elapsed time.Duration
 	var alarmMarginSum, safeMarginSum float64
 	var alarmMargins, safeMargins int
-	for _, tr := range traces {
-		m, ok := monitors[tr.PatientID]
-		if !ok {
-			var err error
-			m, err = s.NewMonitor(name, tr.PatientID)
-			if err != nil {
-				return Eval{}, fmt.Errorf("experiment: %s for %s: %w", name, tr.PatientID, err)
-			}
-			monitors[tr.PatientID] = m
-		}
-		start := time.Now()
-		verdicts := monitor.Replay(m, tr)
-		elapsed += time.Since(start)
+	for k, tr := range traces {
 		steps += tr.Len()
 		for i := range tr.Samples {
-			v := &verdicts[i]
+			v := &verdicts[k][i]
 			tr.Samples[i].Alarm = v.Alarm
 			tr.Samples[i].AlarmHazard = v.Hazard
 			if v.Rule == 0 {
@@ -81,7 +92,7 @@ func (s *Suite) EvaluateMonitor(name string, traces []*trace.Trace) (Eval, error
 	}
 	ev.Reaction = metrics.ReactionTime(traces)
 	if steps > 0 {
-		ev.StepTime = elapsed / time.Duration(steps)
+		ev.StepTime = busy / time.Duration(steps)
 	}
 	ev.MarginSamples = alarmMargins + safeMargins
 	if alarmMargins > 0 {
@@ -91,6 +102,66 @@ func (s *Suite) EvaluateMonitor(name string, traces []*trace.Trace) (Eval, error
 		ev.MeanSafeMargin = safeMarginSum / float64(safeMargins)
 	}
 	return ev, nil
+}
+
+// replay returns every trace's replayed verdicts, in trace order, and
+// the replay busy time summed over workers.
+func (s *Suite) replay(name string, traces []*trace.Trace, workers int) ([][]monitor.Verdict, time.Duration, error) {
+	verdicts := make([][]monitor.Verdict, len(traces))
+	if _, err := s.NewBatchMonitor(name); err == nil {
+		busy, err := s.replayBatched(name, traces, verdicts, workers)
+		return verdicts, busy, err
+	} else if !errors.Is(err, errNoBatch) {
+		return nil, 0, fmt.Errorf("experiment: batched %s: %w", name, err)
+	}
+	monitors := make(map[string]monitor.Monitor)
+	var busy time.Duration
+	for k, tr := range traces {
+		m, ok := monitors[tr.PatientID]
+		if !ok {
+			var err error
+			m, err = s.NewMonitor(name, tr.PatientID)
+			if err != nil {
+				return nil, 0, fmt.Errorf("experiment: %s for %s: %w", name, tr.PatientID, err)
+			}
+			monitors[tr.PatientID] = m
+		}
+		start := time.Now()
+		verdicts[k] = monitor.Replay(m, tr)
+		busy += time.Since(start)
+	}
+	return verdicts, busy, nil
+}
+
+// replayBatched fills verdicts by splitting traces into at most workers
+// contiguous chunks, each replayed by its own batch monitor on its own
+// goroutine. It returns the workers' busy times summed.
+func (s *Suite) replayBatched(name string, traces []*trace.Trace, verdicts [][]monitor.Verdict, workers int) (time.Duration, error) {
+	monitors := make([]monitor.BatchMonitor, max(1, min(workers, len(traces))))
+	for w := range monitors {
+		var err error
+		if monitors[w], err = s.NewBatchMonitor(name); err != nil {
+			return 0, err
+		}
+	}
+	busy := make([]time.Duration, len(monitors))
+	var wg sync.WaitGroup
+	for w, b := range monitors {
+		lo, hi := w*len(traces)/len(monitors), (w+1)*len(traces)/len(monitors)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			copy(verdicts[lo:hi], monitor.ReplayBatch(b, traces[lo:hi]))
+			busy[w] = time.Since(start)
+		}()
+	}
+	wg.Wait()
+	var total time.Duration
+	for _, d := range busy {
+		total += d
+	}
+	return total, nil
 }
 
 // EvaluateAll runs every named monitor over the trace set.

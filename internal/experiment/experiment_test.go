@@ -12,7 +12,7 @@ import (
 )
 
 // quickCampaign runs a thinned campaign on two patients for test speed.
-func quickCampaign(t *testing.T, plat Platform) []*trace.Trace {
+func quickCampaign(t testing.TB, plat Platform) []*trace.Trace {
 	t.Helper()
 	traces, err := Run(CampaignConfig{
 		Platform:  plat,
@@ -159,15 +159,22 @@ func TestByPatient(t *testing.T) {
 	}
 }
 
-func TestSuiteEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("suite training is seconds-long")
-	}
+// quickSuiteFixture is a small trained suite over quickCampaign's
+// traces: fold 0 held out for testing, the other three for training.
+type quickSuiteFixture struct {
+	plat            Platform
+	traces          []*trace.Trace
+	train, test, ff []*trace.Trace
+	suite           *Suite
+}
+
+// quickSuite trains the test-scale suite (seconds-long at most).
+func quickSuite(t testing.TB) quickSuiteFixture {
+	t.Helper()
 	plat := Glucosym()
 	traces := quickCampaign(t, plat)
 	folds := stllearn.Folds(traces, 4)
 	train := stllearn.TrainingSet(folds, 0)
-	test := folds[0]
 	ff, err := FaultFree(plat, []int{0, 4}, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -180,6 +187,15 @@ func TestSuiteEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return quickSuiteFixture{plat: plat, traces: traces, train: train, test: folds[0], ff: ff, suite: suite}
+}
+
+func TestSuiteEndToEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite training is seconds-long")
+	}
+	fx := quickSuite(t)
+	plat, test, suite := fx.plat, fx.test, fx.suite
 	// Thresholds learned per patient.
 	if len(suite.PatientThresholds) == 0 {
 		t.Error("no patient thresholds")

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -221,9 +222,13 @@ func (s *Suite) NewBatchMonitor(name string) (monitor.BatchMonitor, error) {
 	case "LSTM":
 		return monitor.NewBatchSequence("LSTM", s.LSTM.NewBatch(), s.Config.LSTMWindow)
 	default:
-		return nil, fmt.Errorf("experiment: no batched variant of monitor %q", name)
+		return nil, fmt.Errorf("%w %q", errNoBatch, name)
 	}
 }
+
+// errNoBatch is NewBatchMonitor's error for a monitor that has no
+// batched variant.
+var errNoBatch = errors.New("experiment: no batched variant of monitor")
 
 func subsample(X [][]float64, y []int, limit int, rng *rand.Rand) ([][]float64, []int) {
 	if len(X) <= limit {

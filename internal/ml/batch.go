@@ -37,6 +37,8 @@ type BatchSequenceClassifier interface {
 	// PredictProba per window.
 	PredictProbaSeqBatchInto(windows [][][]float64, proba []float64)
 	Classes() int
+	// Window returns the number of timesteps every window must have.
+	Window() int
 }
 
 // forwardBatchDense computes out = act(W·x + b) for n samples stored
@@ -251,6 +253,9 @@ var _ BatchSequenceClassifier = (*LSTMBatch)(nil)
 // Classes implements BatchSequenceClassifier.
 func (b *LSTMBatch) Classes() int { return b.m.cfg.Classes }
 
+// Window implements BatchSequenceClassifier: the model's trained window.
+func (b *LSTMBatch) Window() int { return b.m.cfg.Window }
+
 func (b *LSTMBatch) ensure(n int) {
 	if n <= b.cap {
 		return
@@ -339,45 +344,79 @@ func (b *LSTMBatch) forward(windows [][][]float64) []float64 {
 // forwardLayer runs one LSTM layer over n sequences of t steps, reading
 // row-major input frames from cur (n x t x l.in) and writing hidden
 // states into nxt (n x t x l.units). Gate weight rows are loaded once
-// per timestep and reused across the whole batch; the per-sample
-// accumulation order matches lstmLayer.forward exactly.
+// per timestep and reused across the whole batch, and the pre-activation
+// dot products are register-tiled over four samples like
+// forwardBatchDense: four independent accumulators share each weight
+// read. Every accumulator adds the bias, then the input terms, then the
+// hidden terms, in lstmLayer.forward's order, so results are
+// bit-identical to the per-sample path.
 //
 //fleetvet:noalloc
 func (b *LSTMBatch) forwardLayer(l *lstmLayer, cur, nxt []float64, n, t int) {
-	u := l.units
+	u, in := l.units, l.in
 	h := b.h[:n*u]
 	c := b.c[:n*u]
+	z := b.z[:n*u*4]
 	for i := range h {
 		h[i] = 0
 		c[i] = 0
 	}
 	for tt := 0; tt < t; tt++ {
-		// Pre-activations gate-major so each weight row is read once.
+		// Pre-activations gate-major so each weight row is read once
+		// per tile.
 		for gate := 0; gate < 4; gate++ {
 			for uu := 0; uu < u; uu++ {
 				row := l.gateRow(l.w, gate, uu)
-				bias := row[l.in+u]
-				for s := 0; s < n; s++ {
-					x := cur[(s*t+tt)*l.in : (s*t+tt+1)*l.in]
-					hPrev := h[s*u : (s+1)*u]
+				wx, wh, bias := row[:in], row[in:in+u], row[in+u]
+				s := 0
+				for ; s+4 <= n; s += 4 {
+					x0 := cur[(s*t+tt)*in:][:len(wx)]
+					x1 := cur[((s+1)*t+tt)*in:][:len(wx)]
+					x2 := cur[((s+2)*t+tt)*in:][:len(wx)]
+					x3 := cur[((s+3)*t+tt)*in:][:len(wx)]
+					h0 := h[s*u:][:len(wh)]
+					h1 := h[(s+1)*u:][:len(wh)]
+					h2 := h[(s+2)*u:][:len(wh)]
+					h3 := h[(s+3)*u:][:len(wh)]
+					a0, a1, a2, a3 := bias, bias, bias, bias
+					for j, w := range wx {
+						a0 += w * x0[j]
+						a1 += w * x1[j]
+						a2 += w * x2[j]
+						a3 += w * x3[j]
+					}
+					for j, w := range wh {
+						a0 += w * h0[j]
+						a1 += w * h1[j]
+						a2 += w * h2[j]
+						a3 += w * h3[j]
+					}
+					z[(s*u+uu)*4+gate] = a0
+					z[((s+1)*u+uu)*4+gate] = a1
+					z[((s+2)*u+uu)*4+gate] = a2
+					z[((s+3)*u+uu)*4+gate] = a3
+				}
+				for ; s < n; s++ {
+					x := cur[(s*t+tt)*in:][:len(wx)]
+					hPrev := h[s*u:][:len(wh)]
 					sum := bias
-					for j, xj := range x {
-						sum += row[j] * xj
+					for j, w := range wx {
+						sum += w * x[j]
 					}
-					for j, hj := range hPrev {
-						sum += row[l.in+j] * hj
+					for j, w := range wh {
+						sum += w * hPrev[j]
 					}
-					b.z[(s*u+uu)*4+gate] = sum
+					z[(s*u+uu)*4+gate] = sum
 				}
 			}
 		}
 		for s := 0; s < n; s++ {
 			for uu := 0; uu < u; uu++ {
-				z := b.z[(s*u+uu)*4 : (s*u+uu)*4+4]
-				iGate := sigmoid(z[0])
-				fGate := sigmoid(z[1])
-				gGate := math.Tanh(z[2])
-				oGate := sigmoid(z[3])
+				zs := z[(s*u+uu)*4 : (s*u+uu)*4+4]
+				iGate := sigmoid(zs[0])
+				fGate := sigmoid(zs[1])
+				gGate := math.Tanh(zs[2])
+				oGate := sigmoid(zs[3])
 				cv := fGate*c[s*u+uu] + iGate*gGate
 				hv := oGate * math.Tanh(cv)
 				c[s*u+uu] = cv

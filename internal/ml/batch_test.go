@@ -95,6 +95,24 @@ func TestLSTMBatchMatchesPerSample(t *testing.T) {
 			t.Fatalf("window %d: batch class %d, per-sample %d", i, got[i], want)
 		}
 	}
+	// Probabilities are bit-identical too, through the four-sample tile
+	// and the remainder alike (37 = 9 tiles + 1), and after reuse at a
+	// smaller batch.
+	for _, n := range []int{37, 6} {
+		proba := make([]float64, n*m.Classes())
+		batch.PredictProbaSeqBatchInto(X[:n], proba)
+		for i := 0; i < n; i++ {
+			want := m.PredictProba(X[i])
+			for c, p := range want {
+				if got := proba[i*m.Classes()+c]; got != p {
+					t.Fatalf("batch %d window %d class %d: batch proba %v, per-sample %v", n, i, c, got, p)
+				}
+			}
+		}
+	}
+	if batch.Window() != window {
+		t.Errorf("batch reports window %d, trained %d", batch.Window(), window)
+	}
 }
 
 func TestBatchAllocations(t *testing.T) {

@@ -121,13 +121,18 @@ type BatchSequence struct {
 var _ BatchMonitor = (*BatchSequence)(nil)
 
 // NewBatchSequence wraps a trained batch sequence classifier with
-// window k.
+// window k, which must be the window the classifier was trained on: the
+// batched kernel reads exactly clf.Window() frames per lane, so any
+// other k would feed it stale or neighbouring frames.
 func NewBatchSequence(name string, clf ml.BatchSequenceClassifier, window int) (*BatchSequence, error) {
 	if clf == nil {
 		return nil, fmt.Errorf("monitor: nil batch sequence classifier")
 	}
 	if window <= 0 {
 		return nil, fmt.Errorf("monitor: invalid window %d", window)
+	}
+	if w := clf.Window(); window != w {
+		return nil, fmt.Errorf("monitor: window %d does not match the classifier's trained window %d", window, w)
 	}
 	return &BatchSequence{name: name, clf: clf, window: window}, nil
 }

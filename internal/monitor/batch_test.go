@@ -72,9 +72,10 @@ func TestBatchMLMatchesPerSessionMonitor(t *testing.T) {
 	}
 }
 
-func TestBatchSequenceMatchesPerSessionMonitor(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	const window = 4
+// trainSmallLSTM fits a one-layer LSTM on random observation windows,
+// labelling a window positive when its last glucose is low.
+func trainSmallLSTM(t *testing.T, rng *rand.Rand, window int) *ml.LSTM {
+	t.Helper()
 	X := make([][][]float64, 150)
 	y := make([]int, len(X))
 	for i := range X {
@@ -94,6 +95,14 @@ func TestBatchSequenceMatchesPerSessionMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return lstm
+}
+
+func TestBatchSequenceMatchesPerSessionMonitor(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	const window = 4
+	lstm := trainSmallLSTM(t, rng, window)
+	var err error
 
 	const lanesN = 7
 	perLane := make([]*SequenceMonitor, lanesN)
@@ -147,5 +156,50 @@ func TestBatchSequenceMatchesPerSessionMonitor(t *testing.T) {
 		if want := perLane[2].Step(o); out[0] != want {
 			t.Fatalf("post-reset step %d: batch %+v, per-session %+v", step, out[0], want)
 		}
+	}
+}
+
+// TestNewBatchSequenceWindowMustMatchModel: the batched kernel reads
+// exactly the trained number of frames per lane, so a monitor window
+// shorter or longer than the model's is rejected at construction
+// instead of scoring stale or neighbouring frames.
+func TestNewBatchSequenceWindowMustMatchModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const trained = 6
+	lstm := trainSmallLSTM(t, rng, trained)
+	for _, tc := range []struct {
+		name   string
+		window int
+		ok     bool
+	}{
+		{"shorter", trained - 2, false},
+		{"equal", trained, true},
+		{"longer", trained + 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := NewBatchSequence("LSTM", lstm.NewBatch(), tc.window)
+			if !tc.ok {
+				if err == nil {
+					t.Fatalf("window %d accepted for a model trained at %d", tc.window, trained)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			per, err := NewSequenceMonitor("LSTM", lstm, tc.window)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.ResetLanes(1)
+			out := make([]Verdict, 1)
+			for step := 0; step < 3*trained; step++ {
+				o := randObs(rng)
+				b.StepBatch([]int{0}, []Observation{o}, out)
+				if want := per.Step(o); out[0] != want {
+					t.Fatalf("step %d: batch %+v, per-session %+v", step, out[0], want)
+				}
+			}
+		})
 	}
 }

@@ -26,7 +26,9 @@
 // alarms, hazards, margins, rule attributions, and confidences — so a
 // fleet can switch between shapes without changing a single trace
 // (TestFleetBatchedMonitorMatchesPerSession,
-// TestBatchCAWTMatchesPerSession).
+// TestBatchCAWTMatchesPerSession). Offline, Replay and ReplayBatch
+// drive the two shapes over recorded traces with one observation
+// builder, so batched replay returns Replay's verdicts.
 //
 // The one-evaluation invariant: the streaming context-aware monitors
 // own exactly one rule-stream evaluation per cycle, and alarm, hazard

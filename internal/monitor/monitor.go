@@ -49,18 +49,67 @@ func Replay(m Monitor, tr *trace.Trace) []Verdict {
 	}
 	m.Reset()
 	out := make([]Verdict, tr.Len())
-	prevRate := tr.Basal
 	for i := range tr.Samples {
-		s := &tr.Samples[i]
-		out[i] = m.Step(Observation{
-			Step: s.Step, TimeMin: s.TimeMin, CycleMin: tr.CycleMin,
-			CGM: s.CGM, BGPrime: s.BGPrime, IOB: s.IOB, IOBPrime: s.IOBPrime,
-			Rate: s.Rate, PrevRate: prevRate, Action: s.Action,
-			Basal: tr.Basal,
-		})
-		prevRate = s.Delivered
+		out[i] = m.Step(observation(tr, i))
 	}
 	return out
+}
+
+// ReplayBatch is Replay for a trace set on a batched monitor: trace k
+// is lane k, and cycle i of every trace still running is one StepBatch
+// call, so lanes drop out as shorter traces end. out[k][i] equals
+// Replay(m, traces[k])[i] for the per-session monitor m that b batches,
+// because both build each observation with the same helper and
+// StepBatch is bit-identical to Step per lane. It resets all of b's
+// lanes first; b must not be shared with a concurrent caller.
+func ReplayBatch(b BatchMonitor, traces []*trace.Trace) [][]Verdict {
+	out := make([][]Verdict, len(traces))
+	total, steps := 0, 0
+	for _, tr := range traces {
+		total += tr.Len()
+		steps = max(steps, tr.Len())
+	}
+	flat := make([]Verdict, total)
+	for k, tr := range traces {
+		out[k], flat = flat[:tr.Len():tr.Len()], flat[tr.Len():]
+	}
+	b.ResetLanes(len(traces))
+	lanes := make([]int, 0, len(traces))
+	obs := make([]Observation, 0, len(traces))
+	verdicts := make([]Verdict, len(traces))
+	for i := 0; i < steps; i++ {
+		lanes, obs = lanes[:0], obs[:0]
+		for k, tr := range traces {
+			if i < tr.Len() {
+				lanes = append(lanes, k)
+				obs = append(obs, observation(tr, i))
+			}
+		}
+		b.StepBatch(lanes, obs, verdicts[:len(lanes)])
+		for j, k := range lanes {
+			out[k][i] = verdicts[j]
+		}
+	}
+	return out
+}
+
+// observation is the monitor input of recorded cycle i, exactly as the
+// closed loop built it online: PrevRate is the previous cycle's
+// delivered rate, seeded at step 0 from the scheduled basal like the
+// live Stepper. Replay and ReplayBatch share it, so the offline/online
+// contract has one definition.
+func observation(tr *trace.Trace, i int) Observation {
+	prevRate := tr.Basal
+	if i > 0 {
+		prevRate = tr.Samples[i-1].Delivered
+	}
+	s := &tr.Samples[i]
+	return Observation{
+		Step: s.Step, TimeMin: s.TimeMin, CycleMin: tr.CycleMin,
+		CGM: s.CGM, BGPrime: s.BGPrime, IOB: s.IOB, IOBPrime: s.IOBPrime,
+		Rate: s.Rate, PrevRate: prevRate, Action: s.Action,
+		Basal: tr.Basal,
+	}
 }
 
 // Annotate writes a monitor's replayed verdicts into the trace samples.
