@@ -30,8 +30,8 @@ bench:
 ## legacy" guard), the per-session-vs-batched rule-evaluation kernel,
 ## the per-session-vs-batched patient stepping kernel (the SoA speedup
 ## guard; fewer iterations — each op steps a 128-lane bank), the
-## closed-loop kernels (one OpenAPS cycle of IOB tracker work on a full
-## dose history, and Eq. 5 labeling of one 150-cycle trace), the
+## closed-loop kernels (one session cycle of IOB tracker work on full
+## dose histories, and Eq. 5 labeling of one 150-cycle trace), the
 ## telemetry wire kernels (the allocation-free JSON appender vs the
 ## encoding/json oracle it replaced, and one fleetd fan-out Emit into a
 ## subscriber queue its drainer swaps out), the epoch barrier's
@@ -76,12 +76,15 @@ smoke-snapshot:
 
 ## fuzz-snapshot: short fuzz pass over the snapshot codec — the sealed
 ## envelope opener (arbitrary bytes must error or round-trip, never
-## panic) and the primitive decoder (truncation/corruption must fail
-## sticky). Go allows one -fuzz pattern per invocation, so two runs.
+## panic), the primitive decoder (truncation/corruption must fail
+## sticky), and the IOB tracker restore (arbitrary payloads must error
+## or restore to a tracker that re-encodes them and sums them exactly).
+## Go allows one -fuzz pattern per invocation, so three runs.
 FUZZTIME ?= 10s
 fuzz-snapshot:
 	$(GO) test -run '^$$' -fuzz '^FuzzOpen$$' -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz '^FuzzDecoder$$' -fuzztime $(FUZZTIME) ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz '^FuzzIOBTrackerRestore$$' -fuzztime $(FUZZTIME) ./internal/control
 
 ## fuzz-scenario: short fuzz pass over the scenario-program codecs —
 ## the canonical text parser (accepted text must re-encode and reparse

@@ -31,7 +31,8 @@ type Controller interface {
 	Decide(in Input) Output
 	// RecordDelivery informs the controller what was actually delivered
 	// over the elapsed cycle (the safety monitor may have overridden the
-	// command), so its IOB bookkeeping tracks reality.
+	// command), so its IOB bookkeeping tracks reality. dtMin must not
+	// be negative; the IOB tracker panics on a negative interval.
 	RecordDelivery(rateUPerH, dtMin float64)
 	// Vars returns the named fault-injectable internal variables.
 	Vars() map[string]*float64

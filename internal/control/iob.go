@@ -11,6 +11,11 @@ import (
 // InsulinCurve models the residual fraction of an insulin dose that is
 // still active t minutes after delivery (1 at t=0 decaying to 0 at the
 // duration of insulin action), and the corresponding activity density.
+//
+// Implementations must be pure functions of the age, and IOBFraction
+// and Activity must return finite values for every age that is not NaN
+// (±Inf included): IOBTracker memoizes terms by age and skips zero-unit
+// doses, which is exact only because 0 times a finite term is ±0.
 type InsulinCurve interface {
 	// IOBFraction returns the remaining active fraction at age t minutes.
 	IOBFraction(tMin float64) float64
@@ -139,6 +144,10 @@ func (c *BilinearCurve) IOBFraction(t float64) float64 {
 type dose struct {
 	timeMin float64
 	units   float64 // net units (can be negative when below basal)
+	// next is, on a nonzero dose, the number of records to the next
+	// nonzero dose in the window (1 on the newest one). Zero doses are
+	// not on this chain and leave it unset.
+	next int
 }
 
 // IOBTracker accumulates insulin deliveries and reports net IOB and
@@ -146,107 +155,149 @@ type dose struct {
 // "net IOB" convention OpenAPS uses. Doses older than the curve's DIA
 // are pruned.
 //
+// Records are numbered from 0 in recording order, and record r sits in
+// ring[r mod len(ring)]. The window is the last n records. Doses arrive
+// in nondecreasing time order, so the expired ones are always its
+// oldest: pruning shrinks n, and the ring doubles only when the window
+// outgrows it.
+//
+// A cycle that delivers exactly the scheduled basal records a zero-unit
+// dose. Its curve term is ±0, because the curve returns finite terms.
+// Each sum starts at +0 and, under round-to-nearest, never becomes -0,
+// so adding ±0 leaves its bits unchanged: the sums walk only the chain
+// of nonzero doses (dose.next, from record first to record last). Zero
+// doses stay in the window, so the snapshot still records them.
+//
 // The tracker memoizes curve terms by dose age: memo[k] holds the
-// IOBFraction and Activity last computed for the dose k positions back
-// from the newest, each keyed by the exact float64 age it was computed
-// at. On a fixed control cycle a slot's age repeats every cycle, so each
-// transcendental runs once per distinct age instead of once per dose per
-// call; any other age (irregular cycles, NaN) misses and recomputes.
-// Because the curve is a pure function of the age, a hit returns the
-// bits a fresh evaluation would, and the memo is not snapshot state.
+// IOBFraction and Activity last computed for the dose k records back
+// from the newest, keyed by the bits of the float64 age they were
+// computed at. On a fixed control cycle a slot's age repeats every
+// cycle, so each transcendental runs once per distinct age instead of
+// once per dose per call; any other age (irregular cycles) misses and
+// recomputes. Because the curve is a pure function of the age, a hit
+// returns the bits a fresh evaluation would, and the memo is not
+// snapshot state. No age in the window is NaN (Record prunes a dose
+// whose age is NaN and RestoreState rejects non-finite input), so no
+// age matches the NaN bits that mark an empty slot.
 type IOBTracker struct {
 	curve InsulinCurve
+	dia   float64 // curve.DIA()
 	basal float64 // scheduled basal, U/h
-	doses []dose
 	now   float64
-	memo  []curveTerm
+
+	ring        []dose // len is a power of two
+	end, n      int    // the window is records end-n .. end-1
+	first, last int    // oldest and newest nonzero record; none when first > last
+	memo        []curveTerm
 }
 
-// curveTerm is one memo slot: a curve value and the age it belongs to,
-// for each of the two curve functions. NaN ages mark empty slots.
+// curveTerm is one memo slot: the two curve values and the bits of the
+// age they belong to.
 type curveTerm struct {
-	iobAge, iob float64
-	actAge, act float64
+	age      uint64
+	iob, act float64
 }
 
-// sameAge reports whether a slot keyed by stored holds the term for
-// age: the identical float64, bit for bit (so -0 and +0 differ), and
-// never NaN.
-func sameAge(stored, age float64) bool {
-	return stored == age && math.Float64bits(stored) == math.Float64bits(age)
-}
+// emptySlot is the key of a slot that holds no terms: NaN bits, which
+// no age in the window has.
+const emptySlot = ^uint64(0)
 
 // NewIOBTracker returns a tracker using the given activity curve and
 // scheduled basal rate (U/h).
 func NewIOBTracker(curve InsulinCurve, basalUPerH float64) *IOBTracker {
-	return &IOBTracker{curve: curve, basal: basalUPerH}
+	return &IOBTracker{curve: curve, dia: curve.DIA(), basal: basalUPerH, last: -1}
 }
 
 // Record adds a delivery of rate U/h sustained for dtMin minutes ending
 // at the tracker's current time plus dtMin, then advances the clock.
+// dtMin must not be negative, so that doses stay in time order; Record
+// panics on a negative interval.
 func (t *IOBTracker) Record(rateUPerH, dtMin float64) {
+	if dtMin < 0 {
+		panic(fmt.Sprintf("control: IOBTracker.Record: negative interval %v min", dtMin))
+	}
 	net := (rateUPerH - t.basal) * dtMin / 60 // net units over the interval
 	// Attribute the dose to the midpoint of the interval.
-	t.doses = append(t.doses, dose{timeMin: t.now + dtMin/2, units: net})
+	t.push(dose{timeMin: t.now + dtMin/2, units: net})
 	t.now += dtMin
-	t.prune()
+	// The expired doses are the oldest (a NaN age counts as expired).
+	for t.n > 0 && !(t.now-t.at(t.end-t.n).timeMin <= t.dia) {
+		t.n--
+	}
+	for t.first <= t.last && t.first < t.end-t.n {
+		t.first += t.at(t.first).next
+	}
 }
 
-func (t *IOBTracker) prune() {
-	dia := t.curve.DIA()
-	keep := t.doses[:0]
-	for _, d := range t.doses {
-		if t.now-d.timeMin <= dia {
-			keep = append(keep, d)
+// at returns record r's slot in the ring.
+func (t *IOBTracker) at(r int) *dose { return &t.ring[r&(len(t.ring)-1)] }
+
+// push appends d to the window as record end, and to the nonzero chain
+// unless it is a zero dose. It doubles the ring first if the window
+// fills it.
+func (t *IOBTracker) push(d dose) {
+	if t.n == len(t.ring) {
+		ring := make([]dose, max(2*len(t.ring), 1))
+		for r := t.end - t.n; r < t.end; r++ {
+			ring[r&(len(ring)-1)] = *t.at(r)
 		}
+		t.ring = ring
 	}
-	t.doses = keep
+	r := t.end
+	if d.units != 0 {
+		if t.first > t.last {
+			t.first = r
+		} else {
+			t.at(t.last).next = r - t.last
+		}
+		d.next = 1
+		t.last = r
+	}
+	*t.at(r) = d
+	t.end++
+	t.n++
 }
 
 // IOB returns the current net insulin on board in units. Positive values
 // mean insulin above the scheduled basal is still active; negative values
 // mean the patient has been under-dosed relative to basal.
 func (t *IOBTracker) IOB() float64 {
-	memo := t.slots()
-	var sum float64
-	for i, d := range t.doses {
-		m := &memo[len(memo)-1-i]
-		if age := t.now - d.timeMin; !sameAge(m.iobAge, age) {
-			m.iobAge, m.iob = age, t.curve.IOBFraction(age)
-		}
-		sum += d.units * m.iob
-	}
-	return sum
+	iob, _ := t.IOBActivity()
+	return iob
 }
 
-// Activity returns the current net insulin activity in U/min.
-func (t *IOBTracker) Activity() float64 {
-	memo := t.slots()
-	var sum float64
-	for i, d := range t.doses {
-		m := &memo[len(memo)-1-i]
-		if age := t.now - d.timeMin; !sameAge(m.actAge, age) {
-			m.actAge, m.act = age, t.curve.Activity(age)
+// IOBActivity returns IOB (units) and the current net insulin activity
+// (U/min) from one pass over the window. Each is the sum, in recording
+// order, of the doses' units times the curve's IOBFraction or Activity
+// at the dose's age.
+func (t *IOBTracker) IOBActivity() (iob, activity float64) {
+	memo, ring, now := t.slots(), t.ring, t.now
+	mask, newest := len(ring)-1, t.end-1
+	for r := t.first; r <= t.last; {
+		d := &ring[r&mask]
+		m := &memo[newest-r]
+		if age := now - d.timeMin; m.age != math.Float64bits(age) {
+			*m = curveTerm{age: math.Float64bits(age), iob: t.curve.IOBFraction(age), act: t.curve.Activity(age)}
 		}
-		sum += d.units * m.act
+		iob += d.units * m.iob
+		activity += d.units * m.act
+		r += d.next
 	}
-	return sum
+	return iob, activity
 }
 
-// slots returns one memo slot per retained dose. When the history
-// outgrows the memo, the memo grows to the dose slice's capacity (so it
-// reallocates no more often than the history does), keeping its slots
-// and marking the new ones empty.
+// slots returns the memo, grown to at least one slot per dose in the
+// window. Growth at least doubles it, keeping its slots and marking the
+// new ones empty.
 func (t *IOBTracker) slots() []curveTerm {
-	n := len(t.doses)
-	if len(t.memo) < n {
-		grown := make([]curveTerm, cap(t.doses))
+	if len(t.memo) < t.n {
+		grown := make([]curveTerm, max(2*len(t.memo), t.n))
 		for i := copy(grown, t.memo); i < len(grown); i++ {
-			grown[i] = curveTerm{iobAge: math.NaN(), actAge: math.NaN()}
+			grown[i].age = emptySlot
 		}
 		t.memo = grown
 	}
-	return t.memo[:n]
+	return t.memo
 }
 
 // Now returns the tracker clock in minutes.
@@ -254,6 +305,6 @@ func (t *IOBTracker) Now() float64 { return t.now }
 
 // Reset clears history and rewinds the clock.
 func (t *IOBTracker) Reset() {
-	t.doses = t.doses[:0]
+	t.end, t.n, t.first, t.last = 0, 0, 0, -1
 	t.now = 0
 }

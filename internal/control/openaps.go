@@ -137,7 +137,8 @@ func (c *OpenAPS) SetPerturb(h PerturbFunc) { c.perturb = h }
 func (c *OpenAPS) Decide(in Input) Output {
 	// Refresh fault-injectable inputs and estimates.
 	c.glucose = in.CGM
-	c.iob = c.tracker.IOB()
+	var activity float64
+	c.iob, activity = c.tracker.IOBActivity()
 	c.isf = c.cfg.ISF
 	if c.perturb != nil {
 		c.perturb(StagePre, c.vars)
@@ -151,7 +152,6 @@ func (c *OpenAPS) Decide(in Input) Output {
 	if c.havePrev {
 		delta = c.glucose - c.prevGlucose
 	}
-	activity := c.tracker.Activity()
 	bgi := -activity * c.isf * cycle // insulin-explained change this cycle
 	deviation := (30 / cycle) * (delta - bgi)
 	naive := c.glucose - c.iob*c.isf

@@ -19,11 +19,12 @@ var (
 )
 
 // SnapshotState implements snapshot.Snapshotter: the clock and the
-// unexpired dose history in recording order.
+// unexpired dose history, zero doses included, in recording order.
 func (t *IOBTracker) SnapshotState(enc *snapshot.Encoder) {
 	enc.Float64(t.now)
-	enc.Int(len(t.doses))
-	for _, d := range t.doses {
+	enc.Int(t.n)
+	for r := t.end - t.n; r < t.end; r++ {
+		d := t.at(r)
 		enc.Float64(d.timeMin)
 		enc.Float64(d.units)
 	}
@@ -32,7 +33,9 @@ func (t *IOBTracker) SnapshotState(enc *snapshot.Encoder) {
 // RestoreState implements snapshot.Snapshotter. It rejects a
 // non-finite clock, dose time or dose units: with a NaN clock every
 // later dose would be pruned on arrival and IOB would read 0 for the
-// rest of the session.
+// rest of the session. It also rejects dose times that decrease or lie
+// after the clock, which Record can never produce: the window prunes
+// only its oldest doses, so it needs them in time order.
 func (t *IOBTracker) RestoreState(dec *snapshot.Decoder) error {
 	now := dec.Float64()
 	n := dec.Count(16)
@@ -56,9 +59,19 @@ func (t *IOBTracker) RestoreState(dec *snapshot.Decoder) error {
 		if !finite(d.units) {
 			return fmt.Errorf("control: restored iob dose %d units is %v", i, d.units)
 		}
+		if i > 0 && d.timeMin < doses[i-1].timeMin {
+			return fmt.Errorf("control: restored iob dose %d time %v precedes dose %d time %v",
+				i, d.timeMin, i-1, doses[i-1].timeMin)
+		}
+		if d.timeMin > now {
+			return fmt.Errorf("control: restored iob dose %d time %v is after the clock %v", i, d.timeMin, now)
+		}
 	}
+	t.Reset()
 	t.now = now
-	t.doses = doses
+	for _, d := range doses {
+		t.push(d)
+	}
 	return nil
 }
 
