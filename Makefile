@@ -41,7 +41,10 @@ bench:
 ## — each op is a whole 100-session fleet), and one LSTM replay over a
 ## fixed 37-trace set (per-session Replay vs batched lanes on one worker
 ## vs EvaluateMonitor's worker split; two iterations — each op replays
-## ~5.5k windows). Output lands in bench-smoke.txt for the CI artifact.
+## ~5.5k windows), and one epoch of MLP and LSTM training at the paper
+## workload's shapes (the per-sample oracle vs the batched trainer on
+## one worker and on GOMAXPROCS workers; two iterations — each op trains
+## a whole epoch). Output lands in bench-smoke.txt for the CI artifact.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSTLOnlinePush|BenchmarkCAWTStep|BenchmarkSCSBatchPush' \
 		-benchtime 1000x -benchmem ./internal/stl ./internal/monitor . > bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
@@ -57,6 +60,8 @@ bench-smoke:
 		-benchtime 10x -benchmem . >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayLSTM' \
 		-benchtime 2x -benchmem ./internal/experiment >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
+	$(GO) test -run '^$$' -bench 'BenchmarkTrainLSTM|BenchmarkTrainMLP' \
+		-benchtime 2x -benchmem ./internal/ml >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	@cat bench-smoke.txt
 
 ## smoke-fleetd: end-to-end control-plane smoke — start fleetd, admit a

@@ -328,7 +328,7 @@ func (b *LSTMBatch) forward(windows [][][]float64) []float64 {
 	}
 	lastUnits := 0
 	for _, l := range m.layers {
-		b.forwardLayer(l, cur, nxt, n, t)
+		b.forwardLayer(l, cur, nxt, n, t, nil)
 		cur, nxt = nxt, cur
 		lastUnits = l.units
 	}
@@ -348,11 +348,16 @@ func (b *LSTMBatch) forward(windows [][][]float64) []float64 {
 // dot products are register-tiled over four samples like
 // forwardBatchDense: four independent accumulators share each weight
 // read. Every accumulator adds the bias, then the input terms, then the
-// hidden terms, in lstmLayer.forward's order, so results are
-// bit-identical to the per-sample path.
+// hidden terms, in the per-sample order (bias, inputs, hidden state), so
+// results are bit-identical to a scalar pass.
+//
+// Training passes a non-nil cache (n x t x l.units x lstmCacheWidth),
+// which receives every timestep's gate activations i, f, g, o, the cell
+// state c and tanh(c): all that backpropagation through time reads
+// besides the hidden states in nxt.
 //
 //fleetvet:noalloc
-func (b *LSTMBatch) forwardLayer(l *lstmLayer, cur, nxt []float64, n, t int) {
+func (b *LSTMBatch) forwardLayer(l *lstmLayer, cur, nxt []float64, n, t int, cache []float64) {
 	u, in := l.units, l.in
 	h := b.h[:n*u]
 	c := b.c[:n*u]
@@ -418,10 +423,15 @@ func (b *LSTMBatch) forwardLayer(l *lstmLayer, cur, nxt []float64, n, t int) {
 				gGate := math.Tanh(zs[2])
 				oGate := sigmoid(zs[3])
 				cv := fGate*c[s*u+uu] + iGate*gGate
-				hv := oGate * math.Tanh(cv)
+				tc := math.Tanh(cv)
+				hv := oGate * tc
 				c[s*u+uu] = cv
 				h[s*u+uu] = hv
 				nxt[(s*t+tt)*u+uu] = hv
+				if cache != nil {
+					st := cache[((s*t+tt)*u+uu)*lstmCacheWidth:][:lstmCacheWidth]
+					st[0], st[1], st[2], st[3], st[4], st[5] = iGate, fGate, gGate, oGate, cv, tc
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -91,7 +92,7 @@ func TestLSTMBatchMatchesPerSample(t *testing.T) {
 	got := make([]int, 37)
 	batch.PredictSeqBatchInto(X[:37], got)
 	for i := 0; i < 37; i++ {
-		if want := m.Predict(X[i]); got[i] != want {
+		if want := argmax(m.scalarPredictProba(X[i])); got[i] != want {
 			t.Fatalf("window %d: batch class %d, per-sample %d", i, got[i], want)
 		}
 	}
@@ -102,7 +103,7 @@ func TestLSTMBatchMatchesPerSample(t *testing.T) {
 		proba := make([]float64, n*m.Classes())
 		batch.PredictProbaSeqBatchInto(X[:n], proba)
 		for i := 0; i < n; i++ {
-			want := m.PredictProba(X[i])
+			want := m.scalarPredictProba(X[i])
 			for c, p := range want {
 				if got := proba[i*m.Classes()+c]; got != p {
 					t.Fatalf("batch %d window %d class %d: batch proba %v, per-sample %v", n, i, c, got, p)
@@ -113,6 +114,40 @@ func TestLSTMBatchMatchesPerSample(t *testing.T) {
 	if batch.Window() != window {
 		t.Errorf("batch reports window %d, trained %d", batch.Window(), window)
 	}
+}
+
+func TestLSTMPredictProbaConcurrent(t *testing.T) {
+	// PredictProba runs a one-lane batch of its own per call, so
+	// concurrent callers sharing one model agree with the scalar pass.
+	rng := rand.New(rand.NewSource(8))
+	X, y := seqData(80, 6, rng)
+	m, err := FitLSTM(X, y, LSTMConfig{Units: []int{6, 4}, Epochs: 1}, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < len(X); i += 4 {
+				got, want := m.PredictProba(X[i]), m.scalarPredictProba(X[i])
+				for c := range want {
+					if got[c] != want[c] {
+						t.Errorf("window %d class %d: %v, scalar %v", i, c, got[c], want[c])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	defer func() {
+		if recover() == nil {
+			t.Error("a window of 5 timesteps on a model trained on 6 should panic")
+		}
+	}()
+	m.PredictProba(X[0][:5])
 }
 
 func TestBatchAllocations(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 )
 
 // LSTMConfig tunes the stacked-LSTM baseline. The zero value selects the
@@ -86,118 +87,11 @@ func (l *lstmLayer) gateRow(w []float64, gate, u int) []float64 {
 	return w[base : base+stride]
 }
 
-// lstmStep is the cached forward state of one timestep.
-type lstmStep struct {
-	x           []float64 // input at t
-	i, f, gg, o []float64 // gate activations
-	c, h        []float64 // cell and hidden state after t
-	cPrev       []float64
-	hPrev       []float64
-}
-
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
-// forward runs the layer over a sequence, returning cached steps.
-func (l *lstmLayer) forward(seq [][]float64) []lstmStep {
-	steps := make([]lstmStep, len(seq))
-	hPrev := make([]float64, l.units)
-	cPrev := make([]float64, l.units)
-	for t, x := range seq {
-		st := lstmStep{
-			x: x,
-			i: make([]float64, l.units), f: make([]float64, l.units),
-			gg: make([]float64, l.units), o: make([]float64, l.units),
-			c: make([]float64, l.units), h: make([]float64, l.units),
-			cPrev: append([]float64(nil), cPrev...),
-			hPrev: append([]float64(nil), hPrev...),
-		}
-		for u := 0; u < l.units; u++ {
-			var z [4]float64
-			for gate := 0; gate < 4; gate++ {
-				row := l.gateRow(l.w, gate, u)
-				sum := row[l.in+l.units] // bias
-				for j, xj := range x {
-					sum += row[j] * xj
-				}
-				for j, hj := range hPrev {
-					sum += row[l.in+j] * hj
-				}
-				z[gate] = sum
-			}
-			st.i[u] = sigmoid(z[0])
-			st.f[u] = sigmoid(z[1])
-			st.gg[u] = math.Tanh(z[2])
-			st.o[u] = sigmoid(z[3])
-			st.c[u] = st.f[u]*cPrev[u] + st.i[u]*st.gg[u]
-			st.h[u] = st.o[u] * math.Tanh(st.c[u])
-		}
-		copy(cPrev, st.c)
-		copy(hPrev, st.h)
-		steps[t] = st
-	}
-	return steps
-}
-
-// backward runs BPTT over cached steps. dhLast is the gradient wrt the
-// final hidden state; dhSeq (optional, same length as steps) carries
-// per-timestep hidden-state gradients from an upper layer. It returns
-// per-timestep gradients wrt the inputs.
-func (l *lstmLayer) backward(steps []lstmStep, dhLast []float64, dhSeq [][]float64) [][]float64 {
-	T := len(steps)
-	dx := make([][]float64, T)
-	dhNext := make([]float64, l.units)
-	dcNext := make([]float64, l.units)
-	if dhLast != nil {
-		copy(dhNext, dhLast)
-	}
-	for t := T - 1; t >= 0; t-- {
-		st := &steps[t]
-		dx[t] = make([]float64, l.in)
-		if dhSeq != nil && dhSeq[t] != nil {
-			for u := range dhNext {
-				dhNext[u] += dhSeq[t][u]
-			}
-		}
-		dhPrev := make([]float64, l.units)
-		dcPrev := make([]float64, l.units)
-		for u := 0; u < l.units; u++ {
-			tanhC := math.Tanh(st.c[u])
-			do := dhNext[u] * tanhC
-			dc := dhNext[u]*st.o[u]*(1-tanhC*tanhC) + dcNext[u]
-			di := dc * st.gg[u]
-			dg := dc * st.i[u]
-			df := dc * st.cPrev[u]
-			dcPrev[u] = dc * st.f[u]
-
-			// Pre-activation gradients.
-			dzi := di * st.i[u] * (1 - st.i[u])
-			dzf := df * st.f[u] * (1 - st.f[u])
-			dzg := dg * (1 - st.gg[u]*st.gg[u])
-			dzo := do * st.o[u] * (1 - st.o[u])
-
-			for gate, dz := range [4]float64{dzi, dzf, dzg, dzo} {
-				if dz == 0 {
-					continue
-				}
-				wRow := l.gateRow(l.w, gate, u)
-				gRow := l.gateRow(l.g, gate, u)
-				for j, xj := range st.x {
-					gRow[j] += dz * xj
-					dx[t][j] += dz * wRow[j]
-				}
-				for j, hj := range st.hPrev {
-					gRow[l.in+j] += dz * hj
-					dhPrev[j] += dz * wRow[l.in+j]
-				}
-				gRow[l.in+l.units] += dz
-			}
-		}
-		dhNext = dhPrev
-		dcNext = dcPrev
-	}
-	return dx
-}
-
+// step scales the mini-batch gradient to a mean, clips its norm and
+// applies Adam. The gradient kernel overwrites l.g every mini-batch, so
+// nothing needs zeroing afterwards.
 func (l *lstmLayer) step(batch, clip float64) {
 	inv := 1 / batch
 	var norm float64
@@ -213,9 +107,6 @@ func (l *lstmLayer) step(batch, clip float64) {
 		}
 	}
 	l.adam.Step(l.w, l.g)
-	for i := range l.g {
-		l.g[i] = 0
-	}
 }
 
 // LSTM is the stacked-LSTM baseline monitor model: LSTM layers followed
@@ -230,96 +121,42 @@ type LSTM struct {
 var _ SequenceClassifier = (*LSTM)(nil)
 
 // FitLSTM trains the model on windows (samples x timesteps x features).
+// Each mini-batch is split across runtime.GOMAXPROCS(0) workers; the
+// trained weights do not depend on that number. Frames are standardized
+// as the rows of one matrix, window after window, so a non-finite value
+// in window i at timestep t is reported at row i*Window+t.
 func FitLSTM(X [][][]float64, y []int, cfg LSTMConfig, rng *rand.Rand) (*LSTM, error) {
-	cfg = cfg.withDefaults()
-	if len(X) == 0 {
-		return nil, fmt.Errorf("ml: empty training set")
-	}
-	if len(X) != len(y) {
-		return nil, fmt.Errorf("ml: %d windows but %d labels", len(X), len(y))
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("ml: nil rng")
-	}
-	for i, w := range X {
-		if len(w) != cfg.Window {
-			return nil, fmt.Errorf("ml: window %d has %d timesteps, want %d", i, len(w), cfg.Window)
-		}
-	}
-	// Standardize over flattened frames.
-	flat := make([][]float64, 0, len(X)*cfg.Window)
-	for _, w := range X {
-		flat = append(flat, w...)
-	}
-	std, err := FitStandardizer(flat)
+	return fitLSTM(X, y, cfg, rng, runtime.GOMAXPROCS(0))
+}
+
+// fitLSTM is FitLSTM on a given number of workers.
+func fitLSTM(X [][][]float64, y []int, cfg LSTMConfig, rng *rand.Rand, workers int) (*LSTM, error) {
+	m, trainIdx, valIdx, err := newLSTM(X, y, cfg, rng)
 	if err != nil {
 		return nil, err
 	}
-
-	model := &LSTM{cfg: cfg, std: std}
-	in := len(X[0][0])
-	dims := append([]int{in}, cfg.Units...)
-	for i := 0; i+1 < len(dims); i++ {
-		model.layers = append(model.layers, newLSTMLayer(dims[i], dims[i+1], cfg.LearningRate, rng))
-	}
-	model.head = newDenseLayer(cfg.Units[len(cfg.Units)-1], cfg.Classes, cfg.LearningRate, rng)
-
-	trainIdx, valIdx := TrainTestSplit(len(X), cfg.ValFraction, rng)
-	probs := make([]float64, cfg.Classes)
-	logits := make([]float64, cfg.Classes)
-	deltaLogits := make([]float64, cfg.Classes)
-
+	tr := newLSTMTrainer(m, X, y, valIdx, workers)
+	defer tr.team.stop()
+	cfg = m.cfg
 	bestVal := math.Inf(1)
-	bestW := model.snapshot()
+	bestW := m.snapshot()
 	bad := 0
-
 	order := append([]int(nil), trainIdx...)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			for _, idx := range order[start:end] {
-				seq := model.standardizeWindow(X[idx])
-				// Forward through the stack, caching each layer.
-				caches := make([][]lstmStep, len(model.layers))
-				cur := seq
-				for li, l := range model.layers {
-					caches[li] = l.forward(cur)
-					cur = hiddenSeq(caches[li])
-				}
-				hLast := cur[len(cur)-1]
-				model.head.forward(hLast, logits)
-				softmax(logits, probs)
-				for c := range deltaLogits {
-					deltaLogits[c] = probs[c]
-					if c == y[idx] {
-						deltaLogits[c]--
-					}
-				}
-				dhLast := make([]float64, len(hLast))
-				model.head.backward(hLast, deltaLogits, dhLast)
-				// Backprop through the stack.
-				var dhSeq [][]float64
-				dh := dhLast
-				for li := len(model.layers) - 1; li >= 0; li-- {
-					dx := model.layers[li].backward(caches[li], dh, dhSeq)
-					dhSeq = dx
-					dh = nil
-				}
-			}
+			end := min(start+cfg.BatchSize, len(order))
+			tr.gradients(order[start:end])
 			batch := float64(end - start)
-			for _, l := range model.layers {
+			for _, l := range m.layers {
 				l.step(batch, cfg.ClipNorm)
 			}
-			model.head.step(batch)
+			m.head.step(batch)
 		}
-		valLoss := model.meanLoss(X, y, valIdx)
+		valLoss := tr.valLoss()
 		if valLoss < bestVal-1e-6 {
 			bestVal = valLoss
-			bestW = model.snapshot()
+			bestW = m.snapshot()
 			bad = 0
 		} else {
 			bad++
@@ -328,36 +165,51 @@ func FitLSTM(X [][][]float64, y []int, cfg LSTMConfig, rng *rand.Rand) (*LSTM, e
 			}
 		}
 	}
-	model.restore(bestW)
-	return model, nil
+	m.restore(bestW)
+	return m, nil
 }
 
-func hiddenSeq(steps []lstmStep) [][]float64 {
-	out := make([][]float64, len(steps))
-	for i := range steps {
-		out[i] = steps[i].h
+// newLSTM validates the training set, fits the standardizer, and draws
+// the initial weights and the validation split from rng: everything
+// training does before its first epoch.
+func newLSTM(X [][][]float64, y []int, cfg LSTMConfig, rng *rand.Rand) (m *LSTM, trainIdx, valIdx []int, err error) {
+	cfg = cfg.withDefaults()
+	if len(X) == 0 {
+		return nil, nil, nil, fmt.Errorf("ml: empty training set")
 	}
-	return out
-}
+	if len(X) != len(y) {
+		return nil, nil, nil, fmt.Errorf("ml: %d windows but %d labels", len(X), len(y))
+	}
+	if rng == nil {
+		return nil, nil, nil, fmt.Errorf("ml: nil rng")
+	}
+	for i, w := range X {
+		if len(w) != cfg.Window {
+			return nil, nil, nil, fmt.Errorf("ml: window %d has %d timesteps, want %d", i, len(w), cfg.Window)
+		}
+	}
+	if err := validateLabels(y, cfg.Classes); err != nil {
+		return nil, nil, nil, err
+	}
+	// Standardize over flattened frames.
+	flat := make([][]float64, 0, len(X)*cfg.Window)
+	for _, w := range X {
+		flat = append(flat, w...)
+	}
+	std, err := FitStandardizer(flat)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 
-func (m *LSTM) standardizeWindow(w [][]float64) [][]float64 {
-	out := make([][]float64, len(w))
-	for i, frame := range w {
-		out[i] = m.std.Transform(frame)
+	m = &LSTM{cfg: cfg, std: std}
+	in := len(X[0][0])
+	dims := append([]int{in}, cfg.Units...)
+	for i := 0; i+1 < len(dims); i++ {
+		m.layers = append(m.layers, newLSTMLayer(dims[i], dims[i+1], cfg.LearningRate, rng))
 	}
-	return out
-}
-
-func (m *LSTM) meanLoss(X [][][]float64, y []int, idx []int) float64 {
-	if len(idx) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, i := range idx {
-		p := m.PredictProba(X[i])
-		sum += crossEntropy(p, y[i])
-	}
-	return sum / float64(len(idx))
+	m.head = newDenseLayer(cfg.Units[len(cfg.Units)-1], cfg.Classes, cfg.LearningRate, rng)
+	trainIdx, valIdx = TrainTestSplit(len(X), cfg.ValFraction, rng)
+	return m, trainIdx, valIdx, nil
 }
 
 func (m *LSTM) snapshot() [][]float64 {
@@ -383,17 +235,15 @@ func (m *LSTM) restore(weights [][]float64) {
 	copy(m.head.b, weights[len(m.layers)+1])
 }
 
-// PredictProba implements SequenceClassifier.
+// PredictProba implements SequenceClassifier. The window must have
+// Window() timesteps. Each call scores it on a one-lane LSTMBatch of its
+// own, so concurrent callers share only the read-only weights.
 func (m *LSTM) PredictProba(window [][]float64) []float64 {
-	cur := m.standardizeWindow(window)
-	for _, l := range m.layers {
-		cur = hiddenSeq(l.forward(cur))
+	if len(window) != m.cfg.Window {
+		panic(fmt.Sprintf("ml: LSTM window has %d timesteps, model was trained on %d", len(window), m.cfg.Window))
 	}
-	hLast := cur[len(cur)-1]
-	logits := make([]float64, m.cfg.Classes)
-	m.head.forward(hLast, logits)
 	out := make([]float64, m.cfg.Classes)
-	softmax(logits, out)
+	m.NewBatch().PredictProbaSeqBatchInto([][][]float64{window}, out)
 	return out
 }
 

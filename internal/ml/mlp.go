@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 )
 
 // MLPConfig tunes the multi-layer perceptron baseline. The zero value
@@ -90,28 +91,9 @@ func (l *denseLayer) forward(x, out []float64) {
 	}
 }
 
-// backward accumulates gradients given upstream delta and input x, and
-// writes the downstream delta into dx (may be nil for the first layer).
-func (l *denseLayer) backward(x, delta, dx []float64) {
-	for o := 0; o < l.out; o++ {
-		d := delta[o]
-		l.gb[o] += d
-		row := l.gw[o*l.in : (o+1)*l.in]
-		for i, xi := range x {
-			row[i] += d * xi
-		}
-	}
-	if dx != nil {
-		for i := 0; i < l.in; i++ {
-			var sum float64
-			for o := 0; o < l.out; o++ {
-				sum += l.w[o*l.in+i] * delta[o]
-			}
-			dx[i] = sum
-		}
-	}
-}
-
+// step scales the mini-batch gradient to a mean and applies Adam. The
+// gradient kernel overwrites gw and gb every mini-batch, so nothing
+// needs zeroing afterwards.
 func (l *denseLayer) step(batch float64) {
 	inv := 1 / batch
 	for i := range l.gw {
@@ -122,12 +104,6 @@ func (l *denseLayer) step(batch float64) {
 	}
 	l.adamW.Step(l.w, l.gw)
 	l.adamB.Step(l.b, l.gb)
-	for i := range l.gw {
-		l.gw[i] = 0
-	}
-	for i := range l.gb {
-		l.gb[i] = 0
-	}
 }
 
 // MLP is the multi-layer perceptron baseline monitor model. Inference
@@ -141,42 +117,22 @@ type MLP struct {
 
 var _ Classifier = (*MLP)(nil)
 
-// FitMLP trains the network. Inputs are standardized internally.
+// FitMLP trains the network. Inputs are standardized internally. Each
+// mini-batch is split across runtime.GOMAXPROCS(0) workers; the trained
+// weights do not depend on that number.
 func FitMLP(X [][]float64, y []int, cfg MLPConfig, rng *rand.Rand) (*MLP, error) {
-	cfg = cfg.withDefaults()
-	if err := validateXY(X, y, cfg.Classes); err != nil {
-		return nil, err
-	}
-	if rng == nil {
-		return nil, fmt.Errorf("ml: nil rng (determinism requires an explicit source)")
-	}
-	std, err := FitStandardizer(X)
+	return fitMLP(X, y, cfg, rng, runtime.GOMAXPROCS(0))
+}
+
+// fitMLP is FitMLP on a given number of workers.
+func fitMLP(X [][]float64, y []int, cfg MLPConfig, rng *rand.Rand, workers int) (*MLP, error) {
+	m, trainIdx, valIdx, err := newMLP(X, y, cfg, rng)
 	if err != nil {
 		return nil, err
 	}
-	Xs := std.TransformAll(X)
-
-	dims := append([]int{len(X[0])}, cfg.Hidden...)
-	dims = append(dims, cfg.Classes)
-	m := &MLP{cfg: cfg, std: std}
-	for i := 0; i+1 < len(dims); i++ {
-		m.layers = append(m.layers, newDenseLayer(dims[i], dims[i+1], cfg.LearningRate, rng))
-	}
-	trainIdx, valIdx := TrainTestSplit(len(Xs), cfg.ValFraction, rng)
-
-	// Per-sample training buffers.
-	nL := len(m.layers)
-	acts := make([][]float64, nL+1)   // pre-dropout activations (post-ReLU)
-	deltas := make([][]float64, nL+1) // gradients wrt activations
-	masks := make([][]float64, nL+1)  // dropout masks for hidden layers
-	for i := 0; i <= nL; i++ {
-		acts[i] = make([]float64, dims[i])
-		deltas[i] = make([]float64, dims[i])
-		masks[i] = make([]float64, dims[i])
-	}
-	probs := make([]float64, cfg.Classes)
-	inferBuf := make([]float64, m.inferLen())
-
+	tr := newMLPTrainer(m, X, y, valIdx, rng, workers)
+	defer tr.team.stop()
+	cfg = m.cfg
 	bestValLoss := math.Inf(1)
 	bestWeights := m.snapshot()
 	badEpochs := 0
@@ -186,45 +142,15 @@ func FitMLP(X [][]float64, y []int, cfg MLPConfig, rng *rand.Rand) (*MLP, error)
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for start := 0; start < len(order); start += cfg.BatchSize {
-			end := start + cfg.BatchSize
-			if end > len(order) {
-				end = len(order)
-			}
-			for _, idx := range order[start:end] {
-				m.forwardTrain(Xs[idx], acts, masks, rng)
-				softmax(acts[nL], probs)
-				// delta at logits = p - onehot(y)
-				for c := 0; c < cfg.Classes; c++ {
-					deltas[nL][c] = probs[c]
-					if c == y[idx] {
-						deltas[nL][c]--
-					}
-				}
-				// Backprop.
-				for li := nL - 1; li >= 0; li-- {
-					var dx []float64
-					if li > 0 {
-						dx = deltas[li]
-					}
-					m.layers[li].backward(acts[li], deltas[li+1], dx)
-					if li > 0 {
-						// ReLU derivative and dropout mask.
-						for i := range dx {
-							if acts[li][i] <= 0 {
-								dx[i] = 0
-							}
-							dx[i] *= masks[li][i]
-						}
-					}
-				}
-			}
+			end := min(start+cfg.BatchSize, len(order))
+			tr.gradients(order[start:end])
 			batch := float64(end - start)
 			for _, l := range m.layers {
 				l.step(batch)
 			}
 		}
 		// Early stopping on held-out loss.
-		valLoss := m.meanLoss(Xs, y, valIdx, probs, inferBuf)
+		valLoss := tr.valLoss()
 		if valLoss < bestValLoss-1e-6 {
 			bestValLoss = valLoss
 			bestWeights = m.snapshot()
@@ -240,42 +166,29 @@ func FitMLP(X [][]float64, y []int, cfg MLPConfig, rng *rand.Rand) (*MLP, error)
 	return m, nil
 }
 
-// forwardTrain runs a pass with ReLU + inverted dropout, storing
-// post-activation values in acts and masks.
-func (m *MLP) forwardTrain(x []float64, acts, masks [][]float64, rng *rand.Rand) {
-	copy(acts[0], x)
-	nL := len(m.layers)
-	for li, l := range m.layers {
-		l.forward(acts[li], acts[li+1])
-		if li != nL-1 { // hidden layers get ReLU + inverted dropout
-
-			keep := 1 - m.cfg.Dropout
-			for i := range acts[li+1] {
-				if acts[li+1][i] < 0 {
-					acts[li+1][i] = 0
-				}
-				if rng.Float64() < m.cfg.Dropout {
-					masks[li+1][i] = 0
-					acts[li+1][i] = 0
-				} else {
-					masks[li+1][i] = 1 / keep
-					acts[li+1][i] *= 1 / keep
-				}
-			}
-		}
+// newMLP validates the training set, fits the standardizer, and draws
+// the initial weights and the validation split from rng: everything
+// training does before its first epoch.
+func newMLP(X [][]float64, y []int, cfg MLPConfig, rng *rand.Rand) (m *MLP, trainIdx, valIdx []int, err error) {
+	cfg = cfg.withDefaults()
+	if err := validateXY(X, y, cfg.Classes); err != nil {
+		return nil, nil, nil, err
 	}
-}
-
-func (m *MLP) meanLoss(X [][]float64, y []int, idx []int, probs, buf []float64) float64 {
-	if len(idx) == 0 {
-		return 0
+	if rng == nil {
+		return nil, nil, nil, fmt.Errorf("ml: nil rng (determinism requires an explicit source)")
 	}
-	var sum float64
-	for _, i := range idx {
-		softmax(m.forwardInfer(X[i], buf), probs)
-		sum += crossEntropy(probs, y[i])
+	std, err := FitStandardizer(X)
+	if err != nil {
+		return nil, nil, nil, err
 	}
-	return sum / float64(len(idx))
+	dims := append([]int{len(X[0])}, cfg.Hidden...)
+	dims = append(dims, cfg.Classes)
+	m = &MLP{cfg: cfg, std: std}
+	for i := 0; i+1 < len(dims); i++ {
+		m.layers = append(m.layers, newDenseLayer(dims[i], dims[i+1], cfg.LearningRate, rng))
+	}
+	trainIdx, valIdx = TrainTestSplit(len(X), cfg.ValFraction, rng)
+	return m, trainIdx, valIdx, nil
 }
 
 // inferLen is the scratch length forwardInfer needs: every layer's

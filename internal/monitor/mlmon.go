@@ -112,12 +112,17 @@ type SequenceMonitor struct {
 var _ Monitor = (*SequenceMonitor)(nil)
 
 // NewSequenceMonitor wraps a trained sequence classifier with window k.
+// A classifier that reports its trained window (ml.LSTM does) must have
+// been trained on k.
 func NewSequenceMonitor(name string, clf ml.SequenceClassifier, window int) (*SequenceMonitor, error) {
 	if clf == nil {
 		return nil, fmt.Errorf("monitor: nil sequence classifier")
 	}
 	if window <= 0 {
 		return nil, fmt.Errorf("monitor: invalid window %d", window)
+	}
+	if w, ok := clf.(interface{ Window() int }); ok && w.Window() != window {
+		return nil, fmt.Errorf("monitor: window %d does not match the classifier's trained window %d", window, w.Window())
 	}
 	return &SequenceMonitor{name: name, clf: clf, window: window}, nil
 }

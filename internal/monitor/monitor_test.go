@@ -309,6 +309,9 @@ func TestSequenceMonitorWindowing(t *testing.T) {
 	if _, err := NewSequenceMonitor("x", lstm, 0); err == nil {
 		t.Error("bad window should fail")
 	}
+	if _, err := NewSequenceMonitor("x", lstm, 4); err == nil {
+		t.Error("a window other than the LSTM's trained 6 should fail")
+	}
 }
 
 func TestTrainingDataLabels(t *testing.T) {
