@@ -25,9 +25,10 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...
 
 ## bench-smoke: the fast hot-path benchmarks CI tracks per commit — the
-## streaming-vs-legacy STL push (internal/stl), the streaming-vs-legacy
-## CAWT step (internal/monitor; the redesign's "streaming no slower than
-## legacy" guard), the per-session-vs-batched rule-evaluation kernel,
+## streaming-vs-legacy STL push (internal/stl), the one-lane CAWOT step
+## vs the legacy eager evaluator (internal/monitor; the per-session cost
+## of the shard-batched rule kernel), the rule-evaluation kernel as 128
+## one-lane sets vs one 128-lane set,
 ## the per-session-vs-batched patient stepping kernel (the SoA speedup
 ## guard; fewer iterations — each op steps a 128-lane bank), the
 ## closed-loop kernels (one session cycle of IOB tracker work on full

@@ -317,7 +317,8 @@ type (
 	// Rule is one Table I Safety Context Specification row.
 	Rule = scs.Rule
 	// SCSState is the per-cycle context vector µ(x) plus the issued
-	// action, the input of rule evaluation and SCSStreamSet.Push.
+	// action, the input of rule evaluation and
+	// SCSBatchStreamSet.PushLanes.
 	SCSState = scs.State
 	// Thresholds maps rule IDs to learned β values.
 	Thresholds = scs.Thresholds
@@ -341,7 +342,7 @@ func LearnThresholds(rules []Rule, traces []*Trace, cfg LearnConfig) (Thresholds
 }
 
 // NewCAWTMonitor builds the context-aware monitor with learned
-// thresholds.
+// thresholds: a one-lane view of NewBatchCAWTMonitor's monitor.
 func NewCAWTMonitor(rules []Rule, th Thresholds) (Monitor, error) {
 	return monitor.NewCAWT(rules, th, scs.Params{})
 }
@@ -372,28 +373,21 @@ type (
 	STLFormula = stl.Formula
 	// STLTrace is a sampled multi-variable signal.
 	STLTrace = stl.Trace
-	// STLStream is the incremental streaming evaluator for past-only
-	// formulas: O(1) amortized per pushed sample, O(window) state.
-	STLStream = stl.Stream
-	// STLStreamGroup evaluates many past-only formulas over one shared
-	// sample stream with a hash-consed node DAG: identical subformulas
-	// share one stateful node, evaluated once per push.
-	STLStreamGroup = stl.StreamGroup
 	// STLMonitor evaluates a past-only formula online, one sample per
-	// control cycle, on the streaming engine.
+	// control cycle, on the streaming engine: O(1) amortized per pushed
+	// sample, O(window) state.
 	STLMonitor = stl.OnlineMonitor
-	// SCSStreamSet renders a Safety Context Specification through the
-	// streaming engine, yielding per-cycle minimum robustness margins.
-	SCSStreamSet = scs.StreamSet
-	// SCSStreamVerdict is the per-cycle aggregate of an SCSStreamSet.
+	// SCSStreamVerdict is the per-cycle, per-lane aggregate of an
+	// SCSBatchStreamSet.
 	SCSStreamVerdict = scs.StreamVerdict
 	// STLBatchStreamGroup evaluates many past-only formulas across a
 	// whole shard of independent sessions in one struct-of-arrays push,
-	// bit-identical per lane to STLStreamGroup.
+	// with a hash-consed node DAG: identical subformulas share one
+	// stateful node, evaluated once per push. Width 1 serves one session.
 	STLBatchStreamGroup = stl.BatchStreamGroup
 	// SCSBatchStreamSet evaluates a Safety Context Specification across
-	// many session lanes in one batched push, bit-identical per lane to
-	// SCSStreamSet.
+	// many session lanes in one batched push, yielding per-cycle minimum
+	// robustness margins. Width 1 serves one session.
 	SCSBatchStreamSet = scs.BatchStreamSet
 )
 
@@ -407,32 +401,14 @@ func MustParseSTL(src string) STLFormula { return stl.MustParse(src) }
 // period in minutes.
 func NewSTLTrace(dtMin float64) (*STLTrace, error) { return stl.NewTrace(dtMin) }
 
-// NewSTLStream compiles a past-only formula for incremental streaming
-// evaluation at sampling period dtMin minutes.
-func NewSTLStream(f STLFormula, dtMin float64) (*STLStream, error) {
-	return stl.NewStream(f, dtMin)
-}
-
-// NewSTLStreamGroup creates an empty hash-consed stream group at
-// sampling period dtMin minutes; add formulas with Add, advance all of
-// them together with Push.
-func NewSTLStreamGroup(dtMin float64) (*STLStreamGroup, error) {
-	return stl.NewStreamGroup(dtMin)
-}
-
 // NewSTLMonitor builds an online monitor for a past-only formula.
 func NewSTLMonitor(f STLFormula, dtMin float64) (*STLMonitor, error) {
 	return stl.NewOnlineMonitor(f, dtMin)
 }
 
-// NewSCSStreamSet compiles a rule set's STL bodies for streaming
-// evaluation (nil thresholds select the rules' defaults).
-func NewSCSStreamSet(rules []Rule, th Thresholds, dtMin float64) (*SCSStreamSet, error) {
-	return scs.NewStreamSet(rules, th, scs.Params{}, dtMin)
-}
-
 // NewSTLBatchStreamGroup creates an empty batched stream group at
-// sampling period dtMin minutes with the given session-lane count.
+// sampling period dtMin minutes with the given session-lane count; add
+// formulas with Add, advance lanes together with PushLanes.
 func NewSTLBatchStreamGroup(dtMin float64, width int) (*STLBatchStreamGroup, error) {
 	return stl.NewBatchStreamGroup(dtMin, width)
 }

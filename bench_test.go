@@ -413,7 +413,7 @@ func BenchmarkFleetMonitorInference100(b *testing.B) {
 	b.Run("per-session", func(b *testing.B) {
 		mons := make([]monitor.Monitor, sessions)
 		for k := range mons {
-			m, err := monitor.NewMLMonitor("MLP", mlp)
+			m, err := monitor.NewMLMonitor("MLP", mlp.NewBatch())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -476,7 +476,7 @@ func BenchmarkFleetEngine100Sessions(b *testing.B) {
 	b.Run("per-session", func(b *testing.B) {
 		cfg := base
 		cfg.NewMonitor = func(int) (monitor.Monitor, error) {
-			return monitor.NewMLMonitor("MLP", mlp)
+			return monitor.NewMLMonitor("MLP", mlp.NewBatch())
 		}
 		run(b, cfg)
 	})
@@ -573,9 +573,9 @@ func BenchmarkShardedSinkEpochMerge(b *testing.B) {
 
 // BenchmarkSCSBatchPush is the kernel-level view of telemetry batching:
 // one control cycle of Table I rule evaluation for 128 sessions, as 128
-// per-session StreamSet pushes versus one BatchStreamSet push.
-// verdicts/s is the shard's rule-evaluation throughput; the two paths
-// are bit-identical (TestBatchStreamSetMatchesPerSession).
+// one-lane BatchStreamSet pushes (the per-session form) versus one
+// 128-lane push. verdicts/s is the shard's rule-evaluation throughput;
+// the two paths are bit-identical (TestBatchStreamSetMatchesPerSession).
 func BenchmarkSCSBatchPush(b *testing.B) {
 	const lanes = 128
 	rules := apsmonitor.TableI()
@@ -591,19 +591,21 @@ func BenchmarkSCSBatchPush(b *testing.B) {
 		}
 	}
 	b.Run("per-session", func(b *testing.B) {
-		sets := make([]*scs.StreamSet, lanes)
+		sets := make([]*scs.BatchStreamSet, lanes)
 		for k := range sets {
-			ss, err := scs.NewStreamSet(rules, nil, scs.Params{}, 5)
+			ss, err := scs.NewBatchStreamSet(rules, nil, scs.Params{}, 5, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
 			sets[k] = ss
 		}
+		lane0 := []int{0}
+		out := make([]scs.StreamVerdict, 1)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for k, ss := range sets {
-				if _, err := ss.Push(states[k]); err != nil {
+				if err := ss.PushLanes(lane0, states[k:k+1], out); err != nil {
 					b.Fatal(err)
 				}
 			}

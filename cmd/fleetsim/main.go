@@ -13,11 +13,10 @@
 // Telemetry: with -stl every session streams its per-cycle STL
 // robustness margin — each worker shard evaluates its whole live window
 // through one shard-batched rule-stream push per cycle. With -monitor
-// cawot the streaming context-aware monitor rides in the loop (-monitor
-// cawot-batch evaluates it shard-batched; add -mitigate for Algorithm
-// 1, -scale-margin to scale corrections by violation depth), and
-// -stl-from-monitor emits the monitor's own margins instead of a second
-// rule evaluation. Events reach the console and the -sink outputs in
+// cawot the streaming context-aware monitor rides in the loop, evaluated
+// shard-batched (add -mitigate for Algorithm 1, -scale-margin to scale
+// corrections by violation depth), and -stl-from-monitor emits the
+// monitor's own margins instead of a second rule evaluation. Events reach the console and the -sink outputs in
 // canonical (parallelism-independent) order, merged from per-worker
 // buffers every -sink-epoch lock-step rounds, so delivery stays live
 // with bounded buffers. -sink persists the event stream: an
@@ -34,7 +33,7 @@
 //
 //	fleetsim -platform glucosym -patients 5 -scenarios 88 -sessions 2000 \
 //	         -parallel 8 -duration 30s -seed 1 -noise 2.5 \
-//	         -monitor cawot-batch -mitigate -scale-margin -stl-from-monitor \
+//	         -monitor cawot -mitigate -scale-margin -stl-from-monitor \
 //	         -sink log,hist -sink-path events.jsonl \
 //	         -sink-rotate-bytes 10000000 -sink-keep 5 -sink-epoch 64
 package main
@@ -66,7 +65,7 @@ func main() {
 		steps        = flag.Int("steps", 150, "control cycles per session")
 		noise        = flag.Float64("noise", 0, "CGM sensor noise SD in mg/dL (0 = clean sensor; negative = sensor error channel with AR(1) noise explicitly disabled)")
 		progress     = flag.Int("progress", 0, "print a progress line every k completed sessions")
-		monitorName  = flag.String("monitor", "", "attach a safety monitor: cawot (per-session streaming context-aware) or cawot-batch (shard-batched, bit-identical)")
+		monitorName  = flag.String("monitor", "", "attach a safety monitor: cawot (the streaming context-aware monitor, shard-batched)")
 		mitigate     = flag.Bool("mitigate", false, "enable Algorithm 1 mitigation (requires -monitor)")
 		scaleMargin  = flag.Bool("scale-margin", false, "scale mitigation corrections by the verdict's violation depth (requires -mitigate)")
 		stlTelem     = flag.Bool("stl", false, "stream per-cycle STL robustness margins (Table I rules, shard-batched streaming engine)")
@@ -139,15 +138,11 @@ func main() {
 			fail(fmt.Errorf("-mitigate and -stl-from-monitor require -monitor"))
 		}
 	case "cawot":
-		cfg.NewMonitor = func(int) (apsmonitor.Monitor, error) {
-			return apsmonitor.NewCAWOTMonitor(apsmonitor.TableI())
-		}
-	case "cawot-batch":
 		cfg.NewBatchMonitor = func() (apsmonitor.BatchMonitor, error) {
 			return apsmonitor.NewBatchCAWOTMonitor(apsmonitor.TableI())
 		}
 	default:
-		fail(fmt.Errorf("unknown monitor %q (want cawot or cawot-batch)", *monitorName))
+		fail(fmt.Errorf("unknown monitor %q (want cawot)", *monitorName))
 	}
 	cfg.Mitigate = *mitigate
 	if *scaleMargin {

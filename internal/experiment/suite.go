@@ -175,7 +175,9 @@ var MonitorNames = []string{"Guideline", "MPC", "CAWOT", "CAWT", "DT", "MLP", "L
 
 // NewMonitor instantiates a fresh monitor for a patient. CAWT uses the
 // patient-specific thresholds (population fallback); CAWT-pop forces the
-// population table (Table VIII comparison).
+// population table (Table VIII comparison). CAWT, CAWOT, DT, MLP and
+// LSTM are one-lane views of the monitors NewBatchMonitor and
+// monitor.NewBatchCAWT build, each with scratch of its own.
 func (s *Suite) NewMonitor(name, patientID string) (monitor.Monitor, error) {
 	switch name {
 	case "CAWT":
@@ -201,9 +203,9 @@ func (s *Suite) NewMonitor(name, patientID string) (monitor.Monitor, error) {
 	case "DT":
 		return monitor.NewMLMonitor("DT", s.DT)
 	case "MLP":
-		return monitor.NewMLMonitor("MLP", s.MLP)
+		return monitor.NewMLMonitor("MLP", s.MLP.NewBatch())
 	case "LSTM":
-		return monitor.NewSequenceMonitor("LSTM", s.LSTM, s.Config.LSTMWindow)
+		return monitor.NewSequenceMonitor("LSTM", s.LSTM.NewBatch(), s.Config.LSTMWindow)
 	default:
 		return nil, fmt.Errorf("experiment: unknown monitor %q", name)
 	}
@@ -211,8 +213,8 @@ func (s *Suite) NewMonitor(name, patientID string) (monitor.Monitor, error) {
 
 // NewBatchMonitor instantiates a batched-inference monitor for the ML
 // baselines (DT, MLP, LSTM): one per fleet shard, sharing this suite's
-// trained weights. Verdicts are bit-identical to the per-session
-// monitors of NewMonitor.
+// trained weights. A lane's verdicts equal those of the per-session
+// monitor NewMonitor builds.
 func (s *Suite) NewBatchMonitor(name string) (monitor.BatchMonitor, error) {
 	switch name {
 	case "DT":

@@ -33,9 +33,11 @@
 // the scalar stepping a Platform without NewBatchPatient runs
 // (TestFleetBatchedSteppingMatchesPerSession), a per-session monitor
 // (TestFleetBatchedMonitorMatchesPerSession), and a retained trace
-// replayed through a fresh scs.StreamSet
+// replayed through a fresh one-lane scs.BatchStreamSet
 // (TestFleetBatchedTelemetryMatchesPerSession) — so batching is purely
-// a throughput decision.
+// a throughput decision. The per-session context-aware and ML monitors
+// are themselves one-lane views of the batched ones, so those two
+// monitor paths run the same kernels.
 //
 // One evaluation per cycle: with TelemetryConfig.FromMonitor, telemetry
 // reads the monitor's own streaming verdict (per-session or per-lane),

@@ -28,7 +28,7 @@ import (
 // By default every worker shard evaluates its whole live window through
 // one shard-batched scs.BatchStreamSet — a single struct-of-arrays push
 // per cycle, bit-identical per lane to replaying the session's trace
-// through a dedicated scs.StreamSet (the reference the differential
+// through a dedicated one-lane set (the reference the differential
 // tests compare against). With FromMonitor the verdicts instead come
 // from the session monitor's own single streaming evaluation, so a
 // fleet serving margin-carrying monitors (the streaming CAWT/CAWOT,
@@ -51,14 +51,15 @@ type TelemetryConfig struct {
 	// instead of attaching a separate telemetry rule set — the
 	// one-evaluation invariant for serving fleets. Requires NewMonitor
 	// building margin-carrying monitors (monitors exposing
-	// StreamVerdict, e.g. monitor.ContextAware) or NewBatchMonitor
+	// StreamVerdict, e.g. monitor.ContextAwareLane) or NewBatchMonitor
 	// building lane-margin monitors (monitor.BatchContextAware).
 	FromMonitor bool
 }
 
 // marginMonitor is the capability FromMonitor telemetry needs: access
 // to the monitor's full streaming verdict for the last step.
-// monitor.ContextAware implements it.
+// monitor.ContextAwareLane implements it; the ML monitors' one-lane
+// views do not.
 type marginMonitor interface {
 	StreamVerdict() (scs.StreamVerdict, bool)
 }
@@ -633,7 +634,8 @@ func (e *engine) runShard(shard int) {
 
 	// Shard-batched telemetry: the whole live window's rule streams
 	// advance in one struct-of-arrays push per cycle, bit-identical per
-	// lane to a per-session scs.StreamSet replaying the session's trace.
+	// lane to a one-lane scs.BatchStreamSet replaying the session's
+	// trace.
 	var batchTelem *scs.BatchStreamSet
 	var telemSamples []trace.Sample
 	var telemStates []scs.State

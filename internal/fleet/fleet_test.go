@@ -282,8 +282,9 @@ func trainFleetMLP(t *testing.T, scenarios []fault.Program) *ml.MLP {
 }
 
 // TestFleetBatchedMonitorMatchesPerSession runs the same fleet with a
-// per-session MLP monitor and with per-shard batched inference; the
-// traces must be identical (batched inference is bit-exact).
+// per-session MLP monitor (a one-lane view per session) and with
+// per-shard batched inference; the traces must be identical: a lane's
+// verdicts do not depend on the batch width or its neighbours.
 func TestFleetBatchedMonitorMatchesPerSession(t *testing.T) {
 	scenarios := thinScenarios(30)
 	mlp := trainFleetMLP(t, scenarios[:10])
@@ -297,7 +298,7 @@ func TestFleetBatchedMonitorMatchesPerSession(t *testing.T) {
 	}
 	perCfg := base
 	perCfg.NewMonitor = func(int) (monitor.Monitor, error) {
-		return monitor.NewMLMonitor("MLP", mlp)
+		return monitor.NewMLMonitor("MLP", mlp.NewBatch())
 	}
 	batchCfg := base
 	batchCfg.NewBatchMonitor = func() (monitor.BatchMonitor, error) {
@@ -589,7 +590,8 @@ func allKindScenarios(perKind int) []fault.Program {
 // differential: the shard-batched telemetry engine must emit exactly
 // the robustness events — margin, arg-min rule, margin rule, hazard,
 // for every session and emitted step — that replaying each session's
-// retained trace through its own fresh scs.StreamSet produces, across
+// retained trace through its own fresh one-lane scs.BatchStreamSet
+// produces, across
 // every fault kind, with sensor noise, under margin-scaled mitigation,
 // with an Every stride, at multiple parallelism levels. Traces must
 // also be byte-identical to the same fleet without telemetry
@@ -603,21 +605,22 @@ func TestFleetBatchedTelemetryMatchesPerSession(t *testing.T) {
 		Seed:      13,
 		Sensor:    &sensor.Config{NoiseSD: 2},
 	}
-	// replay is the per-session reference: one StreamSet per retained
+	// replay is the per-session reference: one one-lane set per retained
 	// trace, emitting on the same Every stride the engine honours.
 	replay := func(traces []*trace.Trace, every int) map[robKey]robVal {
 		want := make(map[robKey]robVal)
+		out := make([]scs.StreamVerdict, 1)
 		for sess, tr := range traces {
-			ss, err := scs.NewStreamSet(scs.TableI(), nil, scs.Params{}, tr.CycleMin)
+			ss, err := scs.NewBatchStreamSet(scs.TableI(), nil, scs.Params{}, tr.CycleMin, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range tr.Samples {
 				smp := &tr.Samples[i]
-				v, err := ss.Push(scs.StateFromSample(smp))
-				if err != nil {
+				if err := ss.PushLanes([]int{0}, []scs.State{scs.StateFromSample(smp)}, out); err != nil {
 					t.Fatal(err)
 				}
+				v := out[0]
 				if (smp.Step+1)%every == 0 {
 					want[robKey{sess, 0, smp.Step}] = robVal{
 						rob: v.MinRobust, margin: v.Margin,

@@ -13,10 +13,12 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/closedloop"
+	"repro/internal/ml"
 	"repro/internal/monitor"
 	"repro/internal/scs"
 	"repro/internal/sensor"
@@ -560,18 +562,38 @@ func TestTelemetryFromMonitor(t *testing.T) {
 		t.Fatal("no violations across a fault campaign — comparison is vacuous")
 	}
 
-	// A monitor without margins must be rejected at session build.
-	bad := cfg
-	bad.NewMonitor = func(int) (monitor.Monitor, error) {
-		return monitor.NewGuideline(monitor.GuidelineConfig{})
+	// A monitor without margins must be rejected at session build: a
+	// scalar monitor, and a one-lane DT view — the per-session view
+	// exposes StreamVerdict only over the context-aware batch monitor.
+	rng := rand.New(rand.NewSource(4))
+	X := make([][]float64, 64)
+	y := make([]int, len(X))
+	for i := range X {
+		X[i] = make([]float64, monitor.FeatureDim)
+		X[i][0] = 60 + 200*rng.Float64()
+		if X[i][0] > 180 {
+			y[i] = 1
+		}
+	}
+	tree, err := ml.FitTree(X, y, ml.TreeConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
 	ring, err := NewRingSink(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad.Sinks = []Sink{ring}
-	if _, err := Run(context.Background(), bad); err == nil {
-		t.Fatal("FromMonitor with a margin-less monitor should fail")
+	for _, marginless := range []func(int) (monitor.Monitor, error){
+		func(int) (monitor.Monitor, error) { return monitor.NewGuideline(monitor.GuidelineConfig{}) },
+		func(int) (monitor.Monitor, error) { return monitor.NewMLMonitor("DT", tree) },
+	} {
+		bad := cfg
+		bad.NewMonitor = marginless
+		bad.Sinks = []Sink{ring}
+		_, err := Run(context.Background(), bad)
+		if err == nil || !strings.Contains(err.Error(), "margin-carrying monitor") {
+			t.Fatalf("FromMonitor with a margin-less monitor: err %v, want a margin-carrying rejection", err)
+		}
 	}
 	// And FromMonitor without NewMonitor is a config error.
 	noMon := cfg
@@ -583,8 +605,8 @@ func TestTelemetryFromMonitor(t *testing.T) {
 }
 
 // TestFromMonitorMarginsMatchSeparateStreamSet: monitor-sourced margins
-// must be identical to what a dedicated telemetry StreamSet would have
-// computed under the same rules and thresholds (the evaluations are
+// must be identical to what the dedicated, shard-batched telemetry rule
+// set computes under the same rules and thresholds (the evaluations are
 // interchangeable; FromMonitor just avoids paying for the second one).
 func TestFromMonitorMarginsMatchSeparateStreamSet(t *testing.T) {
 	base := Config{

@@ -33,9 +33,21 @@ func TestMLPBatchMatchesPerSample(t *testing.T) {
 	batch := m.NewBatch()
 	got := make([]int, len(Q))
 	batch.PredictBatchInto(Q, got)
+	proba := make([]float64, len(Q)*3)
+	batch.PredictProbaBatchInto(Q, proba)
 	for i, x := range Q {
-		if want := m.Predict(x); got[i] != want {
-			t.Fatalf("sample %d: batch class %d, per-sample %d", i, got[i], want)
+		want := m.scalarPredictProba(x)
+		if got[i] != argmax(want) {
+			t.Fatalf("sample %d: batch class %d, per-sample %d", i, got[i], argmax(want))
+		}
+		// PredictProba runs a one-lane batch: it too must match the
+		// scalar pass bit for bit.
+		one := m.PredictProba(x)
+		for c := range want {
+			if proba[i*3+c] != want[c] || one[c] != want[c] {
+				t.Fatalf("sample %d class %d: batch %v, one-lane %v, per-sample %v",
+					i, c, proba[i*3+c], one[c], want[c])
+			}
 		}
 	}
 	// Reuse with a smaller batch must not read stale scratch.

@@ -118,8 +118,6 @@ type LSTM struct {
 	std    *Standardizer
 }
 
-var _ SequenceClassifier = (*LSTM)(nil)
-
 // FitLSTM trains the model on windows (samples x timesteps x features).
 // Each mini-batch is split across runtime.GOMAXPROCS(0) workers; the
 // trained weights do not depend on that number. Frames are standardized
@@ -235,8 +233,8 @@ func (m *LSTM) restore(weights [][]float64) {
 	copy(m.head.b, weights[len(m.layers)+1])
 }
 
-// PredictProba implements SequenceClassifier. The window must have
-// Window() timesteps. Each call scores it on a one-lane LSTMBatch of its
+// PredictProba returns class probabilities for one window (timesteps x
+// features), which must have Window() timesteps. Each call scores it on a one-lane LSTMBatch of its
 // own, so concurrent callers share only the read-only weights.
 func (m *LSTM) PredictProba(window [][]float64) []float64 {
 	if len(window) != m.cfg.Window {
@@ -247,10 +245,10 @@ func (m *LSTM) PredictProba(window [][]float64) []float64 {
 	return out
 }
 
-// Predict implements SequenceClassifier.
+// Predict returns the argmax class of one window.
 func (m *LSTM) Predict(window [][]float64) int { return argmax(m.PredictProba(window)) }
 
-// Classes implements SequenceClassifier.
+// Classes returns the number of classes.
 func (m *LSTM) Classes() int { return m.cfg.Classes }
 
 // Window returns the expected number of timesteps.

@@ -27,15 +27,6 @@ type Classifier interface {
 	Classes() int
 }
 
-// SequenceClassifier classifies fixed-length windows of feature vectors.
-type SequenceClassifier interface {
-	// PredictProba returns class probabilities for one window
-	// (timesteps x features).
-	PredictProba(window [][]float64) []float64
-	Predict(window [][]float64) int
-	Classes() int
-}
-
 // argmax returns the index of the largest value.
 func argmax(v []float64) int {
 	best, idx := math.Inf(-1), 0

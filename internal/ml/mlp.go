@@ -106,9 +106,11 @@ func (l *denseLayer) step(batch float64) {
 	l.adamB.Step(l.b, l.gb)
 }
 
-// MLP is the multi-layer perceptron baseline monitor model. Inference
-// keeps its scratch per call, so one trained model may serve many
-// goroutines concurrently (every fleet session's MLMonitor shares it).
+// MLP is the multi-layer perceptron baseline monitor model. Its
+// weights are only read after training, so one model may serve many
+// goroutines concurrently: PredictProba scores each call on a one-lane
+// MLPBatch of its own, and each monitor or fleet shard holds its own
+// MLPBatch (NewBatch) for scratch.
 type MLP struct {
 	cfg    MLPConfig
 	layers []*denseLayer
@@ -191,38 +193,6 @@ func newMLP(X [][]float64, y []int, cfg MLPConfig, rng *rand.Rand) (m *MLP, trai
 	return m, trainIdx, valIdx, nil
 }
 
-// inferLen is the scratch length forwardInfer needs: every layer's
-// output activations, back to back.
-func (m *MLP) inferLen() int {
-	n := 0
-	for _, l := range m.layers {
-		n += l.out
-	}
-	return n
-}
-
-// forwardInfer runs a deterministic pass (no dropout) on standardized x
-// and returns the logits. buf (at least inferLen long) holds the
-// activations, so concurrent callers with their own buffers never share
-// state.
-func (m *MLP) forwardInfer(x, buf []float64) []float64 {
-	nL := len(m.layers)
-	for li, l := range m.layers {
-		out := buf[:l.out]
-		buf = buf[l.out:]
-		l.forward(x, out)
-		if li != nL-1 {
-			for i := range out {
-				if out[i] < 0 {
-					out[i] = 0
-				}
-			}
-		}
-		x = out
-	}
-	return x
-}
-
 func (m *MLP) snapshot() [][]float64 {
 	var out [][]float64
 	for _, l := range m.layers {
@@ -242,20 +212,12 @@ func (m *MLP) restore(weights [][]float64) {
 	}
 }
 
-// PredictProba implements Classifier.
+// PredictProba implements Classifier. Each call scores x on a one-lane
+// MLPBatch of its own, so concurrent callers share only the read-only
+// weights. Callers that score repeatedly should hold an MLPBatch.
 func (m *MLP) PredictProba(x []float64) []float64 {
-	// Per-call scratch: on the stack when the activations fit (the
-	// default binary [64, 32] net needs 98), so inference allocates
-	// nothing beyond its input and output; larger nets take a heap
-	// buffer.
-	var stack [256]float64
-	buf := stack[:]
-	if n := m.inferLen(); n > len(stack) {
-		buf = make([]float64, n)
-	}
-	logits := m.forwardInfer(m.std.Transform(x), buf)
 	out := make([]float64, m.cfg.Classes)
-	softmax(logits, out)
+	m.NewBatch().PredictProbaBatchInto([][]float64{x}, out)
 	return out
 }
 

@@ -7,7 +7,47 @@ import (
 
 // The per-sample trainers: one sample at a time through scalar forward
 // and backward passes that accumulate straight into the gradients. They
-// are the oracle the batched trainers must match bit for bit.
+// are the oracle the batched trainers must match bit for bit. The
+// scalar inference passes below are the oracle of batched inference.
+
+// inferLen is the scratch length forwardInfer needs: every layer's
+// output activations, back to back.
+func (m *MLP) inferLen() int {
+	n := 0
+	for _, l := range m.layers {
+		n += l.out
+	}
+	return n
+}
+
+// forwardInfer runs a deterministic pass (no dropout) on standardized x
+// and returns the logits. buf (at least inferLen long) holds the
+// activations, so concurrent callers with their own buffers never share
+// state.
+func (m *MLP) forwardInfer(x, buf []float64) []float64 {
+	nL := len(m.layers)
+	for li, l := range m.layers {
+		out := buf[:l.out]
+		buf = buf[l.out:]
+		l.forward(x, out)
+		if li != nL-1 {
+			for i := range out {
+				if out[i] < 0 {
+					out[i] = 0
+				}
+			}
+		}
+		x = out
+	}
+	return x
+}
+
+// scalarPredictProba is the per-sample MLP inference pass.
+func (m *MLP) scalarPredictProba(x []float64) []float64 {
+	out := make([]float64, m.cfg.Classes)
+	softmax(m.forwardInfer(m.std.Transform(x), make([]float64, m.inferLen())), out)
+	return out
+}
 
 // lstmStep is the cached forward state of one timestep.
 type lstmStep struct {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ml"
+	"repro/internal/snapshot"
 )
 
 // BatchMonitor evaluates one control cycle for many concurrent sessions
@@ -12,8 +13,8 @@ import (
 // state and scratch buffers: create one per fleet shard; the wrapped
 // model weights are shared and only read.
 //
-// Verdicts are identical to running the corresponding per-session
-// Monitor on each lane.
+// A lane's verdicts do not depend on the batch width, so the
+// per-session form of each batched monitor is its one-lane view (Lane).
 type BatchMonitor interface {
 	Name() string
 	// ResetLanes prepares n independent session lanes, clearing any
@@ -24,6 +25,49 @@ type BatchMonitor interface {
 	// StepBatch evaluates obs[k] as the next cycle of session lane
 	// lanes[k], writing the verdict into out[k].
 	StepBatch(lanes []int, obs []Observation, out []Verdict)
+}
+
+// laneBatch is what a one-lane view needs of its batch monitor.
+type laneBatch interface {
+	BatchMonitor
+	snapshot.LaneSnapshotter
+}
+
+// Lane is a one-lane view of a batch monitor: the per-session Monitor
+// form of every batched monitor. NewMLMonitor and NewSequenceMonitor
+// return one; NewCAWT and NewCAWOT return a ContextAwareLane, which adds
+// the rule monitor's streaming verdict. Its snapshot bytes are the
+// lane's SnapshotLane bytes, so a session snapshotted from a
+// per-session fleet restores into any lane of a shard-batched one and
+// back.
+type Lane struct {
+	b    laneBatch
+	lane [1]int
+	obs  [1]Observation
+	out  [1]Verdict
+}
+
+var (
+	_ Monitor              = (*Lane)(nil)
+	_ snapshot.Snapshotter = (*Lane)(nil)
+)
+
+func newLane(b laneBatch) Lane {
+	b.ResetLanes(1)
+	return Lane{b: b}
+}
+
+// Name implements Monitor.
+func (l *Lane) Name() string { return l.b.Name() }
+
+// Reset implements Monitor.
+func (l *Lane) Reset() { l.b.ResetLanes(1) }
+
+// Step implements Monitor.
+func (l *Lane) Step(obs Observation) Verdict {
+	l.obs[0] = obs
+	l.b.StepBatch(l.lane[:], l.obs[:], l.out[:])
+	return l.out[0]
 }
 
 // featuresInto writes the Eq. 7 feature vector into dst (len FeatureDim).
@@ -37,8 +81,10 @@ func featuresInto(dst []float64, obs Observation) {
 }
 
 // BatchML wraps a point-in-time batch classifier (DT, MLP) as a
-// BatchMonitor. It is stateless across cycles, so lanes only size the
-// scratch buffers.
+// BatchMonitor per Eq. 7. It is stateless across cycles, so lanes only
+// size the scratch buffers. Each verdict carries the predicted class's
+// probability as Confidence, from the same single forward pass that
+// decides the alarm.
 type BatchML struct {
 	name  string
 	clf   ml.BatchClassifier
@@ -103,8 +149,9 @@ type seqLane struct {
 }
 
 // BatchSequence wraps a windowed batch classifier (LSTM) as a
-// BatchMonitor, keeping a sliding feature window per lane like
-// SequenceMonitor does per session.
+// BatchMonitor per Eq. 8: it keeps a sliding window of the last k
+// observations per lane, and a lane stays silent until its window
+// fills.
 type BatchSequence struct {
 	name   string
 	clf    ml.BatchSequenceClassifier
@@ -140,8 +187,15 @@ func NewBatchSequence(name string, clf ml.BatchSequenceClassifier, window int) (
 // Name implements BatchMonitor.
 func (b *BatchSequence) Name() string { return b.name }
 
-// ResetLanes implements BatchMonitor.
+// ResetLanes implements BatchMonitor. At an unchanged width it only
+// empties the windows.
 func (b *BatchSequence) ResetLanes(n int) {
+	if n == len(b.lanes) {
+		for i := range b.lanes {
+			b.ResetLane(i)
+		}
+		return
+	}
 	b.lanes = make([]seqLane, n)
 	for i := range b.lanes {
 		frames := make([][]float64, b.window)
@@ -164,7 +218,7 @@ func (b *BatchSequence) ResetLane(lane int) {
 }
 
 // StepBatch implements BatchMonitor. Lanes whose window has not filled
-// yet stay silent, matching SequenceMonitor.
+// yet stay silent.
 func (b *BatchSequence) StepBatch(lanes []int, obs []Observation, out []Verdict) {
 	b.wins = b.wins[:0]
 	b.ready = b.ready[:0]

@@ -26,7 +26,7 @@ func trainSmallMLP(t *testing.T, rng *rand.Rand) *ml.MLP {
 	y := make([]int, len(X))
 	for i := range X {
 		o := randObs(rng)
-		X[i] = Features(o)
+		X[i] = features(o)
 		if o.CGM < 90 {
 			y[i] = 1
 		} else if o.CGM > 250 {
@@ -44,7 +44,7 @@ func TestBatchMLMatchesPerSessionMonitor(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	mlp := trainSmallMLP(t, rng)
 
-	per, err := NewMLMonitor("MLP", mlp)
+	per, err := NewMLMonitor("MLP", mlp.NewBatch())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func trainSmallLSTM(t *testing.T, rng *rand.Rand, window int) *ml.LSTM {
 		for tt := range w {
 			o := randObs(rng)
 			lastCGM = o.CGM
-			w[tt] = Features(o)
+			w[tt] = features(o)
 		}
 		X[i] = w
 		if lastCGM < 90 {
@@ -105,9 +105,9 @@ func TestBatchSequenceMatchesPerSessionMonitor(t *testing.T) {
 	var err error
 
 	const lanesN = 7
-	perLane := make([]*SequenceMonitor, lanesN)
+	perLane := make([]*Lane, lanesN)
 	for i := range perLane {
-		perLane[i], err = NewSequenceMonitor("LSTM", lstm, window)
+		perLane[i], err = NewSequenceMonitor("LSTM", lstm.NewBatch(), window)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +187,7 @@ func TestNewBatchSequenceWindowMustMatchModel(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			per, err := NewSequenceMonitor("LSTM", lstm, tc.window)
+			per, err := NewSequenceMonitor("LSTM", lstm.NewBatch(), tc.window)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,15 +7,16 @@ import (
 	"repro/internal/scs"
 )
 
-// BatchContextAware is the context-aware monitor evaluated across a
-// whole fleet shard at once: one scs.BatchStreamSet holds every
+// BatchContextAware is the context-aware monitor (CAWT/CAWOT) evaluated
+// across a whole fleet shard at once: one scs.BatchStreamSet holds every
 // session lane's rule-stream state in [lanes]-wide vectors, and a
 // single batched push per control cycle yields every lane's alarm,
-// hazard, signed margin, and rule attribution. Verdicts are
-// bit-identical to running one ContextAware per session (the batched
-// differential tests enforce exact equality), so a fleet can switch a
-// shard between per-session and batched evaluation without changing a
-// single trace — the same contract the batched ML monitors honor.
+// hazard, signed margin, and rule attribution. A lane's verdicts do not
+// depend on the width (the differential tests compare an N-lane batch
+// with N one-lane views), so a fleet can switch a shard between
+// per-session and batched evaluation without changing a single trace —
+// the same contract the batched ML monitors honor. NewCAWT and NewCAWOT
+// return its one-lane view.
 //
 // It implements BatchMonitor for the fleet engine's per-shard batched
 // path and exposes per-lane streaming verdicts for FromMonitor
@@ -61,13 +62,21 @@ func newBatchContextAware(name string, rules []scs.Rule, th scs.Thresholds, p sc
 			return nil, fmt.Errorf("monitor: %s missing threshold for rule %d", name, r.ID)
 		}
 	}
-	return &BatchContextAware{
+	m := &BatchContextAware{
 		name:       name,
 		rules:      rules,
 		thresholds: th,
 		params:     p.WithDefaults(),
 		dt:         DefaultCycleMin,
-	}, nil
+	}
+	// Compile one lane now, so a rule set the engine rejects fails here
+	// rather than in the first ResetLanes.
+	var err error
+	if m.streams, err = scs.NewBatchStreamSet(m.rules, m.thresholds, m.params, m.dt, 1); err != nil {
+		return nil, fmt.Errorf("monitor: %s: %w", name, err)
+	}
+	m.allocLanes(1)
+	return m, nil
 }
 
 // Name implements BatchMonitor.
@@ -85,14 +94,25 @@ func (m *BatchContextAware) rebuild() {
 }
 
 // ResetLanes implements BatchMonitor: prepare n independent session
-// lanes, clearing any per-lane rule-stream state.
+// lanes, clearing any per-lane rule-stream state. At an unchanged width
+// it reuses the compiled streams and per-lane buffers.
 func (m *BatchContextAware) ResetLanes(n int) {
-	if n != m.width || m.streams == nil {
-		m.width = n
+	if n != m.width {
+		m.allocLanes(n)
 		m.rebuild()
-	} else {
-		m.streams.Reset()
+		return
 	}
+	m.streams.Reset()
+	for lane := range m.last {
+		m.last[lane], m.lastOK[lane] = scs.StreamVerdict{}, false
+		m.lastFired[lane] = m.lastFired[lane][:0]
+	}
+}
+
+// allocLanes sizes the per-lane verdict state and push scratch for n
+// lanes.
+func (m *BatchContextAware) allocLanes(n int) {
+	m.width = n
 	m.last = make([]scs.StreamVerdict, n)
 	m.lastOK = make([]bool, n)
 	m.lastFired = make([][]int, n)
@@ -110,18 +130,18 @@ func (m *BatchContextAware) ResetLane(lane int) {
 }
 
 // StepBatch implements BatchMonitor: one batched rule-stream push
-// evaluates every lane's cycle, and each verdict is derived from the
-// lane's StreamVerdict exactly as ContextAware.Step derives its own.
+// evaluates every lane's cycle, and each lane's verdict is derived from
+// its StreamVerdict. The predicted hazard is the class of the violated
+// rules (H1 wins ties, being the acute hazard).
 func (m *BatchContextAware) StepBatch(lanes []int, obs []Observation, out []Verdict) {
 	n := len(obs)
 	if n == 0 {
 		return
 	}
-	if len(obs) > 0 && obs[0].CycleMin > 0 && obs[0].CycleMin != m.dt && m.streams.Len() == 0 {
+	if obs[0].CycleMin > 0 && obs[0].CycleMin != m.dt && m.streams.Len() == 0 {
 		// Recompile at the observed sampling period before any state
-		// accumulates, mirroring ContextAware.Step. Table I bodies are
-		// sampling-period-free; this only matters for rule sets with
-		// temporal windows.
+		// accumulates. Table I bodies are sampling-period-free; this only
+		// matters for rule sets with temporal windows.
 		m.dt = obs[0].CycleMin
 		m.rebuild()
 	}

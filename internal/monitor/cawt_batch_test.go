@@ -27,9 +27,10 @@ func randCAWTObs(rng *rand.Rand, step int) Observation {
 
 // TestBatchCAWTMatchesPerSession: the shard-batched context-aware
 // monitor must produce verdicts, streaming verdicts, and fired-rule
-// diagnostics exactly equal to one per-session ContextAware per lane,
+// diagnostics exactly equal to one per-session one-lane view per lane,
 // across randomized observation streams, active-lane subsets, staggered
 // lane resets, and both threshold modes (CAWT learned / CAWOT default).
+// A lane's results must not depend on the width or on its neighbours.
 func TestBatchCAWTMatchesPerSession(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	rules := scs.TableI()
@@ -41,25 +42,23 @@ func TestBatchCAWTMatchesPerSession(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		width := 1 + rng.Intn(6)
 		var batch *BatchContextAware
-		newRef := func() (Monitor, error) { return NewCAWOT(rules, scs.Params{}) }
+		newRef := func() (*ContextAwareLane, error) { return NewCAWOT(rules, scs.Params{}) }
 		var err error
 		if trial%2 == 0 {
 			batch, err = NewBatchCAWOT(rules, scs.Params{})
 		} else {
 			batch, err = NewBatchCAWT(rules, learned, scs.Params{})
-			newRef = func() (Monitor, error) { return NewCAWT(rules, learned, scs.Params{}) }
+			newRef = func() (*ContextAwareLane, error) { return NewCAWT(rules, learned, scs.Params{}) }
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
 		batch.ResetLanes(width)
-		refs := make([]*ContextAware, width)
+		refs := make([]*ContextAwareLane, width)
 		for lane := range refs {
-			m, err := newRef()
-			if err != nil {
+			if refs[lane], err = newRef(); err != nil {
 				t.Fatal(err)
 			}
-			refs[lane] = m.(*ContextAware)
 		}
 
 		lanes := make([]int, 0, width)
@@ -118,9 +117,9 @@ func TestBatchCAWTMatchesPerSession(t *testing.T) {
 	}
 }
 
-// TestBatchCAWTRecompilesAtObservedCycle: like ContextAware, the
-// batched monitor recompiles its rule streams when the first observed
-// cycle length differs from the construction default.
+// TestBatchCAWTRecompilesAtObservedCycle: the batched monitor, at any
+// width, recompiles its rule streams when the first observed cycle
+// length differs from the construction default.
 func TestBatchCAWTRecompilesAtObservedCycle(t *testing.T) {
 	rules := scs.TableI()
 	batch, err := NewBatchCAWOT(rules, scs.Params{})

@@ -66,8 +66,8 @@ func randomThresholds(rules []scs.Rule, rng *rand.Rand) scs.Thresholds {
 // TestStreamingCAWTMatchesLegacyDifferential is the redesign's core
 // differential guarantee: over fleet-generated traces spanning every
 // fault scenario kind, with and without sensor noise, and under
-// randomized learned thresholds, the streaming ContextAware monitor
-// must produce bit-identical alarm and hazard sequences (and fired-rule
+// randomized learned thresholds, the streaming context-aware monitor
+// (the one-lane view NewCAWT builds) must produce bit-identical alarm and hazard sequences (and fired-rule
 // sets) to the legacy eager evaluator — while additionally carrying a
 // margin and rule attribution the legacy path cannot produce.
 func TestStreamingCAWTMatchesLegacyDifferential(t *testing.T) {

@@ -12,9 +12,9 @@ import (
 
 // ContextAwareLegacy is the pre-streaming context-aware monitor: it
 // re-evaluates every Table I rule eagerly per step via Rule.Violated.
-// ContextAware evaluates the same rules through one incremental
-// scs.StreamSet, with bit-identical alarms and hazards plus margins and
-// rule attribution the eager path cannot provide. The eager evaluator
+// NewCAWT/NewCAWOT evaluate the same rules through one incremental
+// scs.BatchStreamSet lane, with bit-identical alarms and hazards plus
+// margins and rule attribution the eager path cannot provide. The eager evaluator
 // is test code: the reference for the randomized differential tests
 // (cawt_diff_test.go) and the BenchmarkCAWTStep baseline.
 type ContextAwareLegacy struct {
@@ -100,11 +100,13 @@ func (m *ContextAwareLegacy) FiredRules() []int {
 // Thresholds returns the monitor's threshold table.
 func (m *ContextAwareLegacy) Thresholds() scs.Thresholds { return m.thresholds }
 
-// BenchmarkCAWTStep compares the streaming context-aware monitor (one
-// hash-consed scs.StreamSet push per cycle, yielding alarm + margin +
-// rule attribution) against the legacy eager per-rule evaluator (alarm
-// only). The acceptance bar for the verdict-API redesign is streaming
-// no slower than legacy while carrying strictly more information.
+// BenchmarkCAWTStep compares the streaming context-aware monitor as one
+// session uses it — the one-lane view NewCAWOT builds, one hash-consed
+// rule-stream push per cycle yielding alarm + margin + rule attribution
+// — against the legacy eager per-rule evaluator (alarm only). The bar
+// is streaming no slower than legacy while carrying strictly more
+// information; the one-lane push must also stay close to the cost of
+// the per-session engine it replaced.
 func BenchmarkCAWTStep(b *testing.B) {
 	rules := scs.TableI()
 	// A deterministic observation stream covering safe and violating

@@ -21,10 +21,16 @@
 //     (BatchContextAware) evaluates the whole shard's rule streams in
 //     one struct-of-arrays push.
 //
-// The batching invariant: StepBatch verdicts are bit-identical to
-// running the corresponding per-session Monitor on each lane — same
-// alarms, hazards, margins, rule attributions, and confidences — so a
-// fleet can switch between shapes without changing a single trace
+// CAWT/CAWOT, DT/MLP and LSTM each have one implementation, the batch
+// form: NewCAWT, NewCAWOT, NewMLMonitor and NewSequenceMonitor return
+// its one-lane view (ContextAwareLane, Lane), whose snapshot bytes are
+// the lane's. Guideline and MPC are scalar monitors with per-patient
+// parameters and no batch form.
+//
+// The lane-independence invariant: a lane's StepBatch verdicts — alarms,
+// hazards, margins, rule attributions, and confidences — do not depend
+// on the batch width or on which lanes share a call, so a fleet can
+// switch between shapes without changing a single trace
 // (TestFleetBatchedMonitorMatchesPerSession,
 // TestBatchCAWTMatchesPerSession). Offline, Replay and ReplayBatch
 // drive the two shapes over recorded traces with one observation

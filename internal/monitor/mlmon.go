@@ -1,30 +1,17 @@
 package monitor
 
 import (
-	"fmt"
-
 	"repro/internal/ml"
 	"repro/internal/trace"
 )
 
-// Features extracts the ML feature vector of Eq. 7 from an observation:
-// the observable state xt plus the issued control action ut.
-func Features(obs Observation) []float64 {
-	return []float64{
-		obs.CGM,
-		obs.BGPrime,
-		obs.IOB,
-		obs.IOBPrime,
-		obs.Rate,
-		float64(obs.Action),
-	}
-}
-
-// FeatureDim is the length of the Features vector.
+// FeatureDim is the length of the Eq. 7 feature vector: the observable
+// state xt plus the issued control action ut.
 const FeatureDim = 6
 
-// FeaturesFromSample extracts the same features from a recorded sample
-// (for training-set construction).
+// FeaturesFromSample extracts the Eq. 7 features from a recorded sample
+// (for training-set construction), in the order featuresInto writes
+// them for a live observation.
 func FeaturesFromSample(s *trace.Sample) []float64 {
 	return []float64{
 		s.CGM,
@@ -69,80 +56,31 @@ func probaToVerdict(proba []float64, classes int) Verdict {
 	return v
 }
 
-// MLMonitor wraps a point-in-time classifier (DT, MLP) as a safety
-// monitor per Eq. 7.
-type MLMonitor struct {
-	name string
-	clf  ml.Classifier
+// NewMLMonitor wraps a trained point-in-time classifier (DT, MLP) as a
+// per-session safety monitor: a one-lane BatchML. The classifier's
+// scratch belongs to the monitor, so give each monitor its own (e.g.
+// MLP.NewBatch per call); a Tree holds none and may be shared.
+func NewMLMonitor(name string, clf ml.BatchClassifier) (*Lane, error) {
+	b, err := NewBatchML(name, clf)
+	if err != nil {
+		return nil, err
+	}
+	l := newLane(b)
+	return &l, nil
 }
 
-var _ Monitor = (*MLMonitor)(nil)
-
-// NewMLMonitor wraps a trained classifier.
-func NewMLMonitor(name string, clf ml.Classifier) (*MLMonitor, error) {
-	if clf == nil {
-		return nil, fmt.Errorf("monitor: nil classifier")
+// NewSequenceMonitor wraps a trained windowed classifier (LSTM) with
+// window k as a per-session safety monitor: a one-lane BatchSequence,
+// silent until its window fills. k must be the classifier's trained
+// window, and each monitor needs its own classifier scratch (e.g.
+// LSTM.NewBatch per call).
+func NewSequenceMonitor(name string, clf ml.BatchSequenceClassifier, window int) (*Lane, error) {
+	b, err := NewBatchSequence(name, clf, window)
+	if err != nil {
+		return nil, err
 	}
-	return &MLMonitor{name: name, clf: clf}, nil
-}
-
-// Name implements Monitor.
-func (m *MLMonitor) Name() string { return m.name }
-
-// Reset implements Monitor.
-func (m *MLMonitor) Reset() {}
-
-// Step implements Monitor. The verdict carries the predicted class's
-// probability as Confidence, from the same single forward pass that
-// decides the alarm.
-func (m *MLMonitor) Step(obs Observation) Verdict {
-	return probaToVerdict(m.clf.PredictProba(Features(obs)), m.clf.Classes())
-}
-
-// SequenceMonitor wraps a windowed classifier (LSTM) as a safety monitor
-// per Eq. 8: it maintains a sliding window of the last k observations
-// and stays silent until the window fills.
-type SequenceMonitor struct {
-	name   string
-	clf    ml.SequenceClassifier
-	window int
-	buf    [][]float64
-}
-
-var _ Monitor = (*SequenceMonitor)(nil)
-
-// NewSequenceMonitor wraps a trained sequence classifier with window k.
-// A classifier that reports its trained window (ml.LSTM does) must have
-// been trained on k.
-func NewSequenceMonitor(name string, clf ml.SequenceClassifier, window int) (*SequenceMonitor, error) {
-	if clf == nil {
-		return nil, fmt.Errorf("monitor: nil sequence classifier")
-	}
-	if window <= 0 {
-		return nil, fmt.Errorf("monitor: invalid window %d", window)
-	}
-	if w, ok := clf.(interface{ Window() int }); ok && w.Window() != window {
-		return nil, fmt.Errorf("monitor: window %d does not match the classifier's trained window %d", window, w.Window())
-	}
-	return &SequenceMonitor{name: name, clf: clf, window: window}, nil
-}
-
-// Name implements Monitor.
-func (m *SequenceMonitor) Name() string { return m.name }
-
-// Reset implements Monitor.
-func (m *SequenceMonitor) Reset() { m.buf = m.buf[:0] }
-
-// Step implements Monitor.
-func (m *SequenceMonitor) Step(obs Observation) Verdict {
-	m.buf = append(m.buf, Features(obs))
-	if len(m.buf) > m.window {
-		m.buf = m.buf[1:]
-	}
-	if len(m.buf) < m.window {
-		return Verdict{}
-	}
-	return probaToVerdict(m.clf.PredictProba(m.buf), m.clf.Classes())
+	l := newLane(b)
+	return &l, nil
 }
 
 // TrainingData assembles point-in-time training matrices from labeled

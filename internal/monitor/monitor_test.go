@@ -9,7 +9,14 @@ import (
 	"repro/internal/trace"
 )
 
-func newCAWT(t *testing.T, th scs.Thresholds) *ContextAware {
+// features is the Eq. 7 feature vector of an observation.
+func features(o Observation) []float64 {
+	x := make([]float64, FeatureDim)
+	featuresInto(x, o)
+	return x
+}
+
+func newCAWT(t *testing.T, th scs.Thresholds) *ContextAwareLane {
 	t.Helper()
 	m, err := NewCAWT(scs.TableI(), th, scs.Params{})
 	if err != nil {
@@ -234,7 +241,7 @@ func TestMLMonitorBinaryAndMulticlass(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		cgm := 80 + rng.Float64()*220
 		obs := Observation{CGM: cgm, Rate: 1, Action: trace.ActionKeep}
-		X = append(X, Features(obs))
+		X = append(X, features(obs))
 		if cgm > 200 {
 			y = append(y, 1)
 		} else {
@@ -274,7 +281,7 @@ func TestSequenceMonitorWindowing(t *testing.T) {
 			if up {
 				v = base + float64(k)*5
 			}
-			win[k] = Features(Observation{CGM: v, Rate: 1, Action: trace.ActionKeep})
+			win[k] = features(Observation{CGM: v, Rate: 1, Action: trace.ActionKeep})
 		}
 		X = append(X, win)
 		if up {
@@ -287,7 +294,7 @@ func TestSequenceMonitorWindowing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewSequenceMonitor("LSTM", lstm, 6)
+	m, err := NewSequenceMonitor("LSTM", lstm.NewBatch(), 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,14 +309,20 @@ func TestSequenceMonitorWindowing(t *testing.T) {
 	if !v.Alarm {
 		t.Error("rising window should alarm")
 	}
+	// Reset empties the window: the monitor is silent until it refills.
 	m.Reset()
-	if len(m.buf) != 0 {
-		t.Error("Reset should clear the window")
+	for i := 0; i < 5; i++ {
+		if v := m.Step(Observation{CGM: 300 + float64(i)*10, Rate: 1, Action: trace.ActionKeep}); v.Alarm {
+			t.Fatalf("alarm before the reset window refilled (step %d)", i)
+		}
 	}
-	if _, err := NewSequenceMonitor("x", lstm, 0); err == nil {
+	if v := m.Step(Observation{CGM: 360, Rate: 1, Action: trace.ActionKeep}); !v.Alarm {
+		t.Error("refilled rising window should alarm")
+	}
+	if _, err := NewSequenceMonitor("x", lstm.NewBatch(), 0); err == nil {
 		t.Error("bad window should fail")
 	}
-	if _, err := NewSequenceMonitor("x", lstm, 4); err == nil {
+	if _, err := NewSequenceMonitor("x", lstm.NewBatch(), 4); err == nil {
 		t.Error("a window other than the LSTM's trained 6 should fail")
 	}
 }

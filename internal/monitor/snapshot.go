@@ -1,10 +1,10 @@
 // Snapshot/restore of monitor state. Each monitor serializes exactly
 // the state that shapes its future verdicts; derived caches (last
 // verdicts, fired-rule scratch) are recomputed on the next step and are
-// not part of the encoding. The scalar and batched variants of each
-// monitor emit identical bytes for the same logical state, so a session
-// can be snapshotted from a batched lane and restored into a scalar
-// monitor or vice versa.
+// not part of the encoding. A batched monitor encodes one lane at a
+// time, and its one-lane view (Lane) encodes exactly those lane bytes,
+// so a session can be snapshotted from a batched lane and restored into
+// a per-session monitor or vice versa.
 
 package monitor
 
@@ -16,54 +16,28 @@ import (
 )
 
 var (
-	_ snapshot.Snapshotter     = (*ContextAware)(nil)
 	_ snapshot.LaneSnapshotter = (*BatchContextAware)(nil)
 	_ snapshot.Snapshotter     = (*Guideline)(nil)
-	_ snapshot.Snapshotter     = (*MLMonitor)(nil)
 	_ snapshot.LaneSnapshotter = (*BatchML)(nil)
-	_ snapshot.Snapshotter     = (*SequenceMonitor)(nil)
 	_ snapshot.LaneSnapshotter = (*BatchSequence)(nil)
 	_ snapshot.Snapshotter     = (*MPC)(nil)
 )
 
-// SnapshotState implements snapshot.Snapshotter: the compiled sampling
-// period followed by the rule-stream state.
-func (m *ContextAware) SnapshotState(enc *snapshot.Encoder) {
-	enc.Float64(m.dt)
-	m.streams.SnapshotState(enc)
+// SnapshotState implements snapshot.Snapshotter with the lane's
+// SnapshotLane bytes.
+func (l *Lane) SnapshotState(enc *snapshot.Encoder) { l.b.SnapshotLane(0, enc) }
+
+// RestoreState implements snapshot.Snapshotter. The batch is reset
+// first, so a restore replaces all state as into a fresh monitor (a
+// context-aware lane recompiles at a restored sampling period even
+// after it has stepped).
+func (l *Lane) RestoreState(dec *snapshot.Decoder) error {
+	l.b.ResetLanes(1)
+	return l.b.RestoreLane(0, dec)
 }
 
-// RestoreState implements snapshot.Snapshotter. If the snapshot was
-// taken at a different sampling period than this monitor is compiled
-// for, the rule streams are recompiled at the stored period first, so
-// temporal windows keep their original spans.
-func (m *ContextAware) RestoreState(dec *snapshot.Decoder) error {
-	dt := dec.Float64()
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if dt <= 0 {
-		return fmt.Errorf("monitor: invalid restored sampling period %v", dt)
-	}
-	if dt != m.dt {
-		streams, err := scs.NewStreamSet(m.rules, m.thresholds, m.params, dt)
-		if err != nil {
-			return fmt.Errorf("monitor: recompile at restored dt=%v: %w", dt, err)
-		}
-		m.dt = dt
-		m.streams = streams
-	}
-	if err := m.streams.RestoreState(dec); err != nil {
-		return err
-	}
-	m.last = scs.StreamVerdict{}
-	m.lastOK = false
-	m.lastFired = m.lastFired[:0]
-	return nil
-}
-
-// SnapshotLane implements snapshot.LaneSnapshotter, emitting the same
-// bytes ContextAware.SnapshotState would for the lane's logical state.
+// SnapshotLane implements snapshot.LaneSnapshotter: the compiled
+// sampling period followed by the lane's rule-stream state.
 func (m *BatchContextAware) SnapshotLane(lane int, enc *snapshot.Encoder) {
 	enc.Float64(m.dt)
 	m.streams.SnapshotLane(lane, enc)
@@ -122,59 +96,15 @@ func (m *Guideline) RestoreState(dec *snapshot.Decoder) error {
 	return nil
 }
 
-// SnapshotState implements snapshot.Snapshotter. A point-in-time
-// classifier holds no evolving state, so the encoding is empty — which
-// also makes it byte-compatible with a BatchML lane.
-func (m *MLMonitor) SnapshotState(enc *snapshot.Encoder) {}
-
-// RestoreState implements snapshot.Snapshotter.
-func (m *MLMonitor) RestoreState(dec *snapshot.Decoder) error { return nil }
-
-// SnapshotLane implements snapshot.LaneSnapshotter: empty, matching
-// MLMonitor.SnapshotState.
+// SnapshotLane implements snapshot.LaneSnapshotter. A point-in-time
+// classifier holds no evolving state, so the encoding is empty.
 func (b *BatchML) SnapshotLane(lane int, enc *snapshot.Encoder) {}
 
 // RestoreLane implements snapshot.LaneSnapshotter.
 func (b *BatchML) RestoreLane(lane int, dec *snapshot.Decoder) error { return nil }
 
-// SnapshotState implements snapshot.Snapshotter: the sliding feature
-// window, oldest frame first.
-func (m *SequenceMonitor) SnapshotState(enc *snapshot.Encoder) {
-	enc.Int(len(m.buf))
-	for _, frame := range m.buf {
-		for _, v := range frame {
-			enc.Float64(v)
-		}
-	}
-}
-
-// RestoreState implements snapshot.Snapshotter.
-func (m *SequenceMonitor) RestoreState(dec *snapshot.Decoder) error {
-	n := dec.Count(8 * FeatureDim)
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	if n > m.window {
-		return fmt.Errorf("monitor: restored window holds %d frames, capacity %d", n, m.window)
-	}
-	buf := make([][]float64, n)
-	for i := range buf {
-		frame := make([]float64, FeatureDim)
-		for j := range frame {
-			frame[j] = dec.Float64()
-		}
-		buf[i] = frame
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	m.buf = buf
-	return nil
-}
-
-// SnapshotLane implements snapshot.LaneSnapshotter, emitting the lane's
-// window oldest-first — the same bytes SequenceMonitor.SnapshotState
-// produces for the equivalent scalar window.
+// SnapshotLane implements snapshot.LaneSnapshotter: the lane's sliding
+// feature window, oldest frame first.
 func (b *BatchSequence) SnapshotLane(lane int, enc *snapshot.Encoder) {
 	l := &b.lanes[lane]
 	enc.Int(l.n)

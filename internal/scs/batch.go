@@ -4,35 +4,72 @@ import (
 	"fmt"
 
 	"repro/internal/stl"
+	"repro/internal/trace"
 )
 
-// BatchStreamSet evaluates a Safety Context Specification across a
-// whole shard of sessions in one push: the rules' antecedents compile
-// into a single hash-consed stl.BatchStreamGroup whose per-node state
-// is a [lanes]-wide vector, and the structurally fixed consequent folds
-// inline per lane exactly as StreamSet does per session. One PushLanes
-// per control cycle yields every live session's StreamVerdict —
-// bit-identical to pushing each session through its own StreamSet (the
-// batched differential tests enforce exact equality of margins, arg-min
-// rules, hazards, and fired sets) — while dispatch, memo checks, and
-// rule loops amortize across the shard. Lanes reset independently, so a
-// fleet shard recycles a completed session's lane without disturbing
-// its neighbors.
+// StreamVerdict is the per-cycle result of evaluating a rule set
+// incrementally: satisfaction, the raw STL minimum across rule bodies,
+// and the signed rule margin with its arg-min rule and hazard
+// attribution. It is the single evaluation the streaming CAWT monitor,
+// Algorithm 1 margin scaling, and fleet hazard telemetry all read from.
+type StreamVerdict struct {
+	// Sat is true when every rule body held at the pushed sample.
+	Sat bool
+	// MinRobust is the minimum STL robustness across all rule bodies
+	// (the quantitative semantics of the Eq. 1 implication); WorstRule
+	// is the ID of the rule attaining it. Note that a violated
+	// forbidden-action rule bottoms out at 0 here — the action equality
+	// atom has zero robustness at the boundary — which is why Margin
+	// below exists.
+	MinRobust float64
+	WorstRule int
+	// Margin is the signed rule margin: with Sat it equals MinRobust
+	// (distance to the nearest unsafe-control-action boundary), and on a
+	// violation it is minus the violated rule's antecedent robustness —
+	// how deep the state sits inside the unsafe context — so alarms carry
+	// a usable severity. Rule is the ID of the rule attaining Margin.
+	Margin float64
+	Rule   int
+	// Hazard is the predicted hazard class over the violated rules
+	// (H1 wins ties, being the acute hazard); HazardNone when Sat.
+	Hazard trace.HazardType
+}
+
+// State field selectors for the rule vocabulary.
+const (
+	selBG = iota
+	selBGPrime
+	selIOB
+	selIOBPrime
+	selAction
+)
+
+// BatchStreamSet renders a Safety Context Specification's rule bodies
+// (the formulas under G[t0,te] in Eq. 1) through the streaming STL
+// engine across a whole shard of sessions in one push. The rules'
+// antecedents compile into a single hash-consed stl.BatchStreamGroup —
+// identical subformulas (shared context atoms, shared windows) evaluate
+// once per cycle no matter how many rules contain them, and per-node
+// state is a [lanes]-wide vector — and the structurally fixed
+// consequent (the u == action equality, per Rule.Consequent) folds
+// inline per lane, so one PushLanes per control cycle yields every live
+// session's satisfaction, STL body robustness, and signed rule margin.
+// Pushes are O(1) amortized per rule and lane, and state is bounded by
+// the rules' window lengths, never by session length. Lanes reset
+// independently, so a fleet shard recycles a completed session's lane
+// without disturbing its neighbors; a set of width 1 is the
+// per-session evaluator.
 type BatchStreamSet struct {
 	rules []Rule
 	group *stl.BatchStreamGroup
-	ante  []int
 	width int
 
-	// fold is the shared Eq. 1 verdict fold (see fold.go); ls/lr are its
-	// reused per-rule antecedent scratch, gathered per lane.
-	fold ruleFold
-	ls   []bool
-	lr   []float64
+	fold ruleFold // the Eq. 1 verdict fold (see fold.go)
 
 	// vals is the reused struct-of-arrays push matrix; sel maps each
-	// group variable row to its State field. sats/robs cache each rule's
-	// result vectors for the verdict fold.
+	// group variable row to its State field. sats/robs are each rule's
+	// antecedent result vectors (stl.BatchStreamGroup.Outputs), fixed at
+	// compile time, which the verdict fold reads after every push.
 	vals  []float64
 	sel   []int
 	sats  [][]bool
@@ -43,8 +80,9 @@ type BatchStreamSet struct {
 
 // NewBatchStreamSet compiles every rule body for batched evaluation
 // across `width` session lanes at sampling period dtMin minutes (nil
-// thresholds select the rules' CAWOT defaults). Rule validation matches
-// NewStreamSet exactly.
+// thresholds select the rules' CAWOT defaults). Table I bodies are pure
+// state predicates, but the compilation accepts any past-only rule
+// rendering (e.g. Since-based mitigation specifications).
 func NewBatchStreamSet(rules []Rule, th Thresholds, p Params, dtMin float64, width int) (*BatchStreamSet, error) {
 	if len(rules) == 0 {
 		return nil, fmt.Errorf("scs: stream set needs at least one rule")
@@ -62,14 +100,15 @@ func NewBatchStreamSet(rules []Rule, th Thresholds, p Params, dtMin float64, wid
 		group: group,
 		width: width,
 		fold:  newRuleFold(rules),
-		ls:    make([]bool, len(rules)),
-		lr:    make([]float64, len(rules)),
 		sats:  make([][]bool, len(rules)),
 		robs:  make([][]float64, len(rules)),
 		fired: make([][]int, width),
 	}
-	if bs.ante, err = compileAntecedents(rules, th, p, group.Add); err != nil {
+	if err = compileAntecedents(rules, th, p, group); err != nil {
 		return nil, err
+	}
+	for i := range rules {
+		bs.sats[i], bs.robs[i] = group.Outputs(i)
 	}
 	if bs.sel, err = fieldSelectors(group.Vars()); err != nil {
 		return nil, err
@@ -93,10 +132,10 @@ func (bs *BatchStreamSet) Len() int { return bs.n }
 // PushLanes feeds one control cycle's context state for each of the
 // given lanes and writes the per-lane verdicts into out (len(out) must
 // be at least len(lanes)). states[k] is the cycle state of session lane
-// lanes[k]; lanes absent from the call do not advance. The verdict
-// aggregation per lane is the exact fold of StreamSet.Push, so batched
-// margins, rules, and hazards are bit-identical to per-session
-// evaluation.
+// lanes[k]; lanes absent from the call do not advance. Alarm, STL
+// robustness, signed margin, and rule attribution all come from this
+// single incremental evaluation, folded per lane in rule order, so a
+// lane's verdict does not depend on which other lanes share the push.
 func (bs *BatchStreamSet) PushLanes(lanes []int, states []State, out []StreamVerdict) error {
 	n := len(lanes)
 	if n > bs.width {
@@ -138,15 +177,8 @@ func (bs *BatchStreamSet) PushLanes(lanes []int, states []State, out []StreamVer
 	if err := bs.group.PushLanes(lanes, bs.vals[:len(bs.sel)*n]); err != nil {
 		return fmt.Errorf("scs: %w", err)
 	}
-	for i := range bs.rules {
-		bs.sats[i] = bs.group.Sats(bs.ante[i])
-		bs.robs[i] = bs.group.Robs(bs.ante[i])
-	}
 	for k := 0; k < n; k++ {
-		for i := range bs.rules {
-			bs.ls[i], bs.lr[i] = bs.sats[i][k], bs.robs[i][k]
-		}
-		out[k], bs.fired[k] = bs.fold.fold(float64(states[k].Action), bs.ls, bs.lr, bs.fired[k][:0])
+		out[k], bs.fired[k] = bs.fold.fold(float64(states[k].Action), k, bs.sats, bs.robs, bs.fired[k][:0])
 	}
 	bs.n++
 	return nil

@@ -44,7 +44,8 @@ func randThresholds(rng *rand.Rand, rules []Rule) Thresholds {
 // randomized active subsets, staggered lane resets, randomized
 // thresholds — must produce StreamVerdicts (margin, arg-min rule,
 // hazard, satisfaction) and fired-rule sets exactly equal to one
-// per-session StreamSet per lane.
+// one-lane set per session: a lane's verdicts must not depend on the
+// width or on which lanes share a push.
 func TestBatchStreamSetMatchesPerSession(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	rules := TableI()
@@ -58,9 +59,9 @@ func TestBatchStreamSetMatchesPerSession(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs := make([]*StreamSet, width)
+		refs := make([]*oneLane, width)
 		for lane := range refs {
-			if refs[lane], err = NewStreamSet(rules, th, Params{}, 5); err != nil {
+			if refs[lane], err = newOneLane(rules, th, Params{}); err != nil {
 				t.Fatal(err)
 			}
 		}

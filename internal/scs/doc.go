@@ -14,28 +14,27 @@
 //
 // # Streaming evaluation and its invariants
 //
-// Two incremental evaluators render rule sets through internal/stl's
-// streaming engines, and they must agree exactly:
+// BatchStreamSet renders a rule set through internal/stl's batched
+// streaming engine across a whole fleet shard of session lanes in one
+// struct-of-arrays push; a one-lane set is the per-session evaluator.
+// Shared context atoms and windows evaluate once per cycle no matter
+// how many rules contain them, and the structurally fixed consequent
+// (the u == action equality) folds inline per lane, so a single push
+// yields each lane's satisfaction, minimum STL body robustness, signed
+// rule margin with arg-min attribution, and predicted hazard class —
+// the StreamVerdict that the streaming CAWT monitor, Algorithm 1 margin
+// scaling, and fleet telemetry all read from (the one-evaluation
+// invariant: nothing evaluates the rules twice for the same cycle).
+// State is O(window), never session length.
 //
-//   - StreamSet: one session's rules as a hash-consed stl.StreamGroup.
-//     Shared context atoms and windows evaluate once per cycle no
-//     matter how many rules contain them, and the structurally fixed
-//     consequent (the u == action equality) folds inline, so a single
-//     Push yields satisfaction, the minimum STL body robustness, the
-//     signed rule margin with arg-min attribution, and the predicted
-//     hazard class — the StreamVerdict that the streaming CAWT monitor,
-//     Algorithm 1 margin scaling, and fleet telemetry all read from
-//     (the one-evaluation invariant: nothing evaluates the rules twice
-//     for the same cycle). State is O(window), never session length.
-//   - BatchStreamSet: the same rule set across a whole fleet shard of
-//     session lanes in one struct-of-arrays push. The batching
-//     invariant: per-lane verdicts and fired-rule sets are bit-identical
-//     to a per-session StreamSet — margins, arg-min rules, and hazards
-//     included — enforced by TestBatchStreamSetMatchesPerSession over
-//     randomized boundary-hugging states, staggered lane resets, and
-//     randomized thresholds. The verdict fold per lane is the exact
-//     same arithmetic in the exact same order; only the loop over
-//     sessions moved inside the node DAG.
+// The lane-independence invariant: a lane's verdicts and fired-rule
+// sets — margins, arg-min rules, and hazards included — do not depend
+// on the set's width or on which other lanes share a push, enforced by
+// TestBatchStreamSetMatchesPerSession (one many-lane set against one
+// one-lane set per session) over randomized boundary-hugging states,
+// staggered lane resets, and randomized thresholds. Rule semantics
+// themselves are pinned against the eager Rule.Violated and STL
+// renderings (TestStreamSetMatchesRuleSemantics).
 //
 //fleetvet:deterministic
 package scs

@@ -8,35 +8,31 @@ import (
 	"repro/internal/trace"
 )
 
-// compileAntecedents validates a rule set and compiles each rule's
-// antecedent through add (StreamGroup.Add or BatchStreamGroup.Add),
-// returning each antecedent's group index. Shared by NewStreamSet and
-// NewBatchStreamSet so the two constructors cannot drift.
-func compileAntecedents(rules []Rule, th Thresholds, p Params, add func(stl.Formula) (int, error)) ([]int, error) {
-	ante := make([]int, len(rules))
-	for i, r := range rules {
+// compileAntecedents validates a rule set and adds each rule's
+// antecedent to group in rule order, so group formula i is rule i's
+// antecedent.
+func compileAntecedents(rules []Rule, th Thresholds, p Params, group *stl.BatchStreamGroup) error {
+	for _, r := range rules {
 		beta, ok := th[r.ID]
 		if !ok {
-			return nil, fmt.Errorf("scs: missing threshold for rule %d", r.ID)
+			return fmt.Errorf("scs: missing threshold for rule %d", r.ID)
 		}
 		if r.Hazard == trace.HazardNone {
 			// Every Safety Context Specification rule predicts a hazard
 			// class; a zero Hazard is a construction bug, and admitting it
 			// would fabricate an H2 attribution on violation.
-			return nil, fmt.Errorf("scs: rule %d has no hazard class", r.ID)
+			return fmt.Errorf("scs: rule %d has no hazard class", r.ID)
 		}
-		var err error
-		if ante[i], err = add(r.Antecedent(p, beta)); err != nil {
-			return nil, fmt.Errorf("scs: rule %d antecedent: %w", r.ID, err)
+		if _, err := group.Add(r.Antecedent(p, beta)); err != nil {
+			return fmt.Errorf("scs: rule %d antecedent: %w", r.ID, err)
 		}
 	}
-	return ante, nil
+	return nil
 }
 
 // fieldSelectors maps a compiled group's variable table to State field
-// selectors, so pushes bind values without maps. Shared by both stream
-// set constructors: a new rule-vocabulary variable must be wired here
-// exactly once.
+// selectors, so pushes bind values without maps. A new rule-vocabulary
+// variable must be wired here exactly once.
 func fieldSelectors(vars []string) ([]int, error) {
 	sel := make([]int, 0, len(vars))
 	for _, name := range vars {
@@ -58,14 +54,11 @@ func fieldSelectors(vars []string) ([]int, error) {
 	return sel, nil
 }
 
-// ruleFold is the Eq. 1 verdict fold over one session's per-rule
+// ruleFold is the Eq. 1 verdict fold over one lane's per-rule
 // antecedent results: the consequent specialization (forbidden vs
 // required action), the minimum body robustness with arg-min rule, the
 // fired set, the worst-violation signed margin, and the H1/H2 hazard
-// attribution. It is the single implementation behind both
-// StreamSet.Push and BatchStreamSet.PushLanes, so the per-session and
-// shard-batched paths agree by construction — the differential tests
-// then only have to prove the antecedent evaluation equal.
+// attribution, run once per lane by BatchStreamSet.PushLanes.
 type ruleFold struct {
 	rules    []Rule
 	action   []float64
@@ -88,15 +81,16 @@ func newRuleFold(rules []Rule) ruleFold {
 	return f
 }
 
-// fold computes one session's verdict: u is the issued action as a
-// float, ls/lr the per-rule antecedent satisfaction and robustness
-// (indexed like rules), and fired an emptied scratch slice that violated
-// rule IDs are appended to in rule order and returned.
-func (f *ruleFold) fold(u float64, ls []bool, lr []float64, fired []int) (StreamVerdict, []int) {
+// fold computes the verdict of active index k: u is the issued action
+// as a float, sats[i][k]/robs[i][k] rule i's antecedent satisfaction and
+// robustness, and fired an emptied scratch slice that violated rule IDs
+// are appended to in rule order and returned.
+func (f *ruleFold) fold(u float64, k int, sats [][]bool, robs [][]float64, fired []int) (StreamVerdict, []int) {
 	v := StreamVerdict{Sat: true, MinRobust: math.Inf(1)}
 	worst := math.Inf(1) // violation depth of the worst violated rule
 	anyH1 := false
 	for i := range f.rules {
+		ls, lr := sats[i][k], robs[i][k]
 		// Consequent inline: rob(u == a) = -|u - a|, negated for the
 		// forbidden-action form ¬(u == a). Identical to compiling
 		// Rule.Consequent, minus the dispatch.
@@ -105,14 +99,14 @@ func (f *ruleFold) fold(u float64, ls []bool, lr []float64, fired []int) (Stream
 			rs, rr = !rs, -rr
 		}
 		rob := rr // Eq. 1 body robustness: max(-lr, rr), finite operands
-		if -lr[i] > rob {
-			rob = -lr[i]
+		if -lr > rob {
+			rob = -lr
 		}
 		if rob < v.MinRobust {
 			v.MinRobust = rob
 			v.WorstRule = f.rules[i].ID
 		}
-		if !ls[i] || rs {
+		if !ls || rs {
 			continue // body satisfied
 		}
 		v.Sat = false
@@ -120,7 +114,7 @@ func (f *ruleFold) fold(u float64, ls []bool, lr []float64, fired []int) (Stream
 		if f.isH1[i] {
 			anyH1 = true
 		}
-		if m := -lr[i]; m < worst {
+		if m := -lr; m < worst {
 			worst = m
 			v.Rule = f.rules[i].ID
 		}

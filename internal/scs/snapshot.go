@@ -1,46 +1,25 @@
-// Snapshot/restore of streaming rule-set state. A StreamSet and a
-// BatchStreamSet delegate entirely to their stl groups: the rule fold
-// and fired scratch are recomputed on every push, so the group's
-// operator state (plus its sample cursor) is the whole checkpoint. The
-// bytes are identical between the scalar and batched engines, which is
-// what lets a session snapshotted from a batched telemetry lane restore
-// into a per-session StreamSet and vice versa.
+// Snapshot/restore of streaming rule-set state, one lane at a time. A
+// BatchStreamSet delegates entirely to its stl group: the rule fold and
+// fired scratch are recomputed on every push, so the group's operator
+// state (plus the lane's sample cursor) is the whole checkpoint. The
+// bytes do not depend on the set's width, which is what lets a session
+// snapshotted from one lane of a shard restore into any lane of any
+// identically built set, a one-lane set included.
 
 package scs
 
 import "repro/internal/snapshot"
 
-var (
-	_ snapshot.Snapshotter     = (*StreamSet)(nil)
-	_ snapshot.LaneSnapshotter = (*BatchStreamSet)(nil)
-)
-
-// SnapshotState implements snapshot.Snapshotter.
-func (ss *StreamSet) SnapshotState(enc *snapshot.Encoder) {
-	ss.group.SnapshotState(enc)
-}
-
-// RestoreState implements snapshot.Snapshotter. The set must have been
-// built from the same rules and thresholds as the one that produced the
-// bytes.
-func (ss *StreamSet) RestoreState(dec *snapshot.Decoder) error {
-	if err := ss.group.RestoreState(dec); err != nil {
-		return err
-	}
-	ss.n = ss.group.Len()
-	ss.fired = ss.fired[:0]
-	return nil
-}
+var _ snapshot.LaneSnapshotter = (*BatchStreamSet)(nil)
 
 // SnapshotLane implements snapshot.LaneSnapshotter: one lane's rule
-// streams, byte-identical to the scalar SnapshotState of an identically
-// built StreamSet at the same point.
+// streams.
 func (bs *BatchStreamSet) SnapshotLane(lane int, enc *snapshot.Encoder) {
 	bs.group.SnapshotLane(lane, enc)
 }
 
 // RestoreLane implements snapshot.LaneSnapshotter, accepting bytes from
-// SnapshotLane or from a scalar StreamSet's SnapshotState.
+// SnapshotLane of an identically built set of any width.
 func (bs *BatchStreamSet) RestoreLane(lane int, dec *snapshot.Decoder) error {
 	if err := bs.group.RestoreLane(lane, dec); err != nil {
 		return err

@@ -8,6 +8,37 @@ import (
 	"repro/internal/trace"
 )
 
+// oneLane is a one-lane BatchStreamSet: the per-session rule evaluator
+// the tests drive.
+type oneLane struct {
+	bs  *BatchStreamSet
+	st  [1]State
+	out [1]StreamVerdict
+}
+
+var lane0 = []int{0}
+
+func newOneLane(rules []Rule, th Thresholds, p Params) (*oneLane, error) {
+	bs, err := NewBatchStreamSet(rules, th, p, 5, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &oneLane{bs: bs}, nil
+}
+
+// Push evaluates one cycle state.
+func (o *oneLane) Push(s State) (StreamVerdict, error) {
+	o.st[0] = s
+	err := o.bs.PushLanes(lane0, o.st[:], o.out[:])
+	return o.out[0], err
+}
+
+// Fired returns the rule IDs violated at the last push.
+func (o *oneLane) Fired() []int { return o.bs.Fired(0) }
+
+// Reset clears the lane, as a session restarting in place.
+func (o *oneLane) Reset() { o.bs.ResetLane(0) }
+
 func randState(rng *rand.Rand) State {
 	return State{
 		BG:       40 + 300*rng.Float64(),
@@ -18,14 +49,14 @@ func randState(rng *rand.Rand) State {
 	}
 }
 
-// TestStreamSetMatchesRuleSemantics checks the streamed Table I bodies
-// against both evaluation paths that already exist: the direct
-// Rule.Violated predicate and the offline STL trace semantics.
+// TestStreamSetMatchesRuleSemantics checks the streamed Table I bodies,
+// on a one-lane set, against the direct Rule.Violated predicate and the
+// offline STL trace semantics.
 func TestStreamSetMatchesRuleSemantics(t *testing.T) {
 	rules := TableI()
 	th := Defaults(rules)
 	var p Params
-	ss, err := NewStreamSet(rules, th, p, 5)
+	ss, err := newOneLane(rules, th, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +121,7 @@ func TestStreamSetMatchesRuleSemantics(t *testing.T) {
 // long-running session holds constant state and allocation-free pushes.
 func TestStreamSetBoundedState(t *testing.T) {
 	rules := TableI()
-	ss, err := NewStreamSet(rules, Defaults(rules), Params{}, 5)
+	ss, err := newOneLane(rules, Defaults(rules), Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,19 +131,19 @@ func TestStreamSetBoundedState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	state1k := ss.StateSamples()
+	state1k := ss.bs.StateSamples()
 	s := randState(rng)
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, err := ss.Push(s); err != nil {
 			t.Fatal(err)
 		}
 	})
-	for ss.Len() < 50_000 {
+	for ss.bs.Len() < 50_000 {
 		if _, err := ss.Push(randState(rng)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := ss.StateSamples(); got != state1k {
+	if got := ss.bs.StateSamples(); got != state1k {
 		// Table I bodies are pure predicates: zero buffered samples.
 		t.Errorf("state changed with session length: %d at 1k, %d at 50k", state1k, got)
 	}
@@ -125,7 +156,7 @@ func TestStreamSetMissingThreshold(t *testing.T) {
 	rules := TableI()
 	th := Defaults(rules)
 	delete(th, rules[3].ID)
-	if _, err := NewStreamSet(rules, th, Params{}, 5); err == nil {
+	if _, err := newOneLane(rules, th, Params{}); err == nil {
 		t.Error("missing threshold should be rejected")
 	}
 }
@@ -140,7 +171,7 @@ func TestStreamSetMarginSemantics(t *testing.T) {
 	rules := TableI()
 	th := Defaults(rules)
 	var p Params
-	ss, err := NewStreamSet(rules, th, p, 5)
+	ss, err := newOneLane(rules, th, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +273,7 @@ func TestStreamSetMarginSemantics(t *testing.T) {
 func TestStreamSetRejectsHazardlessRule(t *testing.T) {
 	rules := TableI()
 	rules[3].Hazard = trace.HazardNone
-	if _, err := NewStreamSet(rules, Defaults(rules), Params{}, 5); err == nil {
+	if _, err := newOneLane(rules, Defaults(rules), Params{}); err == nil {
 		t.Error("hazard-less rule should be rejected")
 	}
 }

@@ -19,21 +19,24 @@ type batchCtx struct {
 // batchNode is one compiled operator evaluated across a whole shard of
 // sessions at once: step consumes the newest sample of every active
 // lane and returns satisfaction and robustness vectors indexed like
-// ctx.lanes. The returned slices are owned by the node and stay valid
-// until its next step; aliasing between parents is safe because a
-// bare-shared stateless node rewrites identical values and stateful
-// shared nodes are memo-guarded.
+// ctx.lanes. The returned slices are prefixes of the node's output
+// vectors (outputs), which are allocated at full width at compile time
+// and never move; they stay valid until the node's next step. Aliasing
+// between parents is safe because a bare-shared stateless node rewrites
+// identical values and stateful shared nodes are memo-guarded.
 type batchNode interface {
 	step(ctx *batchCtx) (sat []bool, rob []float64)
+	outputs() *batchOut
 	state() int
 	reset()
 	resetLane(lane int)
 }
 
-// batchCompiler mirrors compiler for the batched engine: it lowers
-// past-only formulas to nodes whose per-operator state is a
-// [lanes]-wide vector of the scalar cores, hash-consing structurally
-// identical subformulas exactly like the per-session group compiler.
+// batchCompiler lowers past-only formulas to nodes whose per-operator
+// state is a [lanes]-wide vector of the per-lane cores (stream.go),
+// hash-consing structurally identical subformulas: same atoms and same
+// windows compile to one shared node whose state and per-push work
+// exist once per group.
 type batchCompiler struct {
 	dt     float64
 	width  int
@@ -61,10 +64,12 @@ func (c *batchCompiler) varIndex(name string) int {
 	return i
 }
 
-// compile lowers one formula with hash-consed sharing: the canonical
-// key and the memo policy (only stateful subtrees are seq-guarded) are
-// identical to the per-session compiler, so the batched DAG has exactly
-// the same sharing structure and per-push advance discipline.
+// compile lowers one formula with hash-consed sharing. The canonical
+// key is the parser syntax rendering, which is injective on the AST
+// (thresholds print at shortest-round-trip precision). Only stateful
+// subtrees are wrapped in the per-push memo: sharing one delay line or
+// window deque between formulas is what must not double-advance, while
+// a repeated stateless comparison is cheaper than a memo check.
 func (c *batchCompiler) compile(f Formula) (batchNode, error) {
 	key := f.String()
 	if n, ok := c.cache[key]; ok {
@@ -84,6 +89,10 @@ func (c *batchCompiler) compile(f Formula) (batchNode, error) {
 	return out, nil
 }
 
+// lower compiles one operator, recursing through compile so every
+// subformula takes part in sharing. Minute bounds convert to inclusive
+// sample offsets exactly as Bounds.window does, so streaming and offline
+// evaluation agree on window edges (including empty fractional windows).
 func (c *batchCompiler) lower(f Formula) (batchNode, error) {
 	switch n := f.(type) {
 	case *Atom:
@@ -92,17 +101,17 @@ func (c *batchCompiler) lower(f Formula) (batchNode, error) {
 		}
 		return &batchAtomNode{
 			varIdx: c.varIndex(n.Var), op: n.Op, threshold: n.Threshold,
-			out: newBatchOut(c.width),
+			batchOut: newBatchOut(c.width),
 		}, nil
 	case Const:
-		bc := &batchConstNode{out: newBatchOut(c.width)}
+		bc := &batchConstNode{batchOut: newBatchOut(c.width)}
 		rob := math.Inf(-1)
 		if bool(n) {
 			rob = math.Inf(1)
 		}
 		for k := 0; k < c.width; k++ {
-			bc.out.sat[k] = bool(n)
-			bc.out.rob[k] = rob
+			bc.sat[k] = bool(n)
+			bc.rob[k] = rob
 		}
 		return bc, nil
 	case *Not:
@@ -110,12 +119,12 @@ func (c *batchCompiler) lower(f Formula) (batchNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &batchNotNode{child: child, out: newBatchOut(c.width)}, nil
+		return &batchNotNode{child: child, batchOut: newBatchOut(c.width)}, nil
 	case *And:
 		if atoms, ok := flatOrderAtoms(n.Children); ok {
 			fa := &batchFlatAndNode{
-				atoms: make([]fusedAtom, len(atoms)),
-				out:   newBatchOut(c.width),
+				atoms:    make([]fusedAtom, len(atoms)),
+				batchOut: newBatchOut(c.width),
 			}
 			for i, a := range atoms {
 				fa.atoms[i] = newFusedAtom(c.varIndex(a.Var), a.Op, a.Threshold)
@@ -126,13 +135,13 @@ func (c *batchCompiler) lower(f Formula) (batchNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &batchAndNode{children: cs, out: newBatchOut(c.width)}, nil
+		return &batchAndNode{children: cs, batchOut: newBatchOut(c.width)}, nil
 	case *Or:
 		cs, err := c.compileChildren(n.Children)
 		if err != nil {
 			return nil, err
 		}
-		return &batchOrNode{children: cs, out: newBatchOut(c.width)}, nil
+		return &batchOrNode{children: cs, batchOut: newBatchOut(c.width)}, nil
 	case *Implies:
 		l, err := c.compile(n.L)
 		if err != nil {
@@ -142,7 +151,7 @@ func (c *batchCompiler) lower(f Formula) (batchNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &batchImpliesNode{l: l, r: r, out: newBatchOut(c.width)}, nil
+		return &batchImpliesNode{l: l, r: r, batchOut: newBatchOut(c.width)}, nil
 	case *Once:
 		child, err := c.compile(n.Child)
 		if err != nil {
@@ -195,11 +204,14 @@ func (c *batchCompiler) compileChildren(children []Formula) ([]batchNode, error)
 }
 
 // batchOut is a node's output vector pair, sized to the group width at
-// construction so the hot path never allocates.
+// construction so the hot path never allocates. Nodes embed it, which
+// gives them the outputs method.
 type batchOut struct {
 	sat []bool
 	rob []float64
 }
+
+func (o *batchOut) outputs() *batchOut { return o }
 
 func newBatchOut(width int) batchOut {
 	return batchOut{sat: make([]bool, width), rob: make([]float64, width)}
@@ -242,24 +254,25 @@ func (m *batchMemoNode) reset() {
 
 func (m *batchMemoNode) resetLane(lane int) { m.inner.resetLane(lane) }
 
+func (m *batchMemoNode) outputs() *batchOut { return m.inner.outputs() }
+
 // --- stateless batch nodes -------------------------------------------
 
 type batchAtomNode struct {
 	varIdx    int
 	op        CmpOp
 	threshold float64
-	out       batchOut
+	batchOut
 }
 
 //fleetvet:noalloc
 func (a *batchAtomNode) step(ctx *batchCtx) ([]bool, []float64) {
 	n := ctx.n
 	vals := ctx.vals[a.varIdx*n : (a.varIdx+1)*n]
-	sat, rob := a.out.sat[:n], a.out.rob[:n]
+	sat, rob := a.sat[:n], a.rob[:n]
 	th := a.threshold
-	// One loop per comparison op: the per-lane arithmetic is exactly the
-	// scalar atomNode switch with the dispatch hoisted out of the lane
-	// loop.
+	// One loop per comparison op, with the dispatch hoisted out of the
+	// lane loop.
 	switch a.op {
 	case OpLT:
 		for k, v := range vals {
@@ -293,11 +306,11 @@ func (a *batchAtomNode) state() int    { return 0 }
 func (a *batchAtomNode) reset()        {}
 func (a *batchAtomNode) resetLane(int) {}
 
-type batchConstNode struct{ out batchOut }
+type batchConstNode struct{ batchOut }
 
 //fleetvet:noalloc
 func (c *batchConstNode) step(ctx *batchCtx) ([]bool, []float64) {
-	return c.out.sat[:ctx.n], c.out.rob[:ctx.n]
+	return c.sat[:ctx.n], c.rob[:ctx.n]
 }
 
 func (c *batchConstNode) state() int    { return 0 }
@@ -306,13 +319,13 @@ func (c *batchConstNode) resetLane(int) {}
 
 type batchNotNode struct {
 	child batchNode
-	out   batchOut
+	batchOut
 }
 
 //fleetvet:noalloc
 func (nn *batchNotNode) step(ctx *batchCtx) ([]bool, []float64) {
 	cs, cr := nn.child.step(ctx)
-	sat, rob := nn.out.sat[:ctx.n], nn.out.rob[:ctx.n]
+	sat, rob := nn.sat[:ctx.n], nn.rob[:ctx.n]
 	for k := range cs {
 		sat[k], rob[k] = !cs[k], -cr[k]
 	}
@@ -323,19 +336,48 @@ func (nn *batchNotNode) state() int         { return nn.child.state() }
 func (nn *batchNotNode) reset()             { nn.child.reset() }
 func (nn *batchNotNode) resetLane(lane int) { nn.child.resetLane(lane) }
 
-// batchFlatAndNode is the fused conjunction-of-ordering-predicates
-// kernel iterated session-major: the atom loop is outer, the lane loop
-// inner, so each linear form streams through the whole shard's values
-// contiguously. Per-lane fold order equals flatAndNode exactly.
+// batchFlatAndNode is a conjunction of ordering predicates fused into
+// one node: the common Safety Context Specification antecedent shape,
+// hot enough in per-cycle monitoring to deserve a dispatch- and
+// branch-lean loop. Semantics are exactly batchAndNode over the same
+// atoms. Across a shard it iterates session-major: the atom loop is
+// outer, the lane loop inner, so each linear form streams through the
+// whole shard's values contiguously. A one-lane push runs the atoms in
+// registers instead. Both loops fold each lane's atoms in the same
+// order, so a lane's result does not depend on the push width.
 type batchFlatAndNode struct {
 	atoms []fusedAtom
-	out   batchOut
+	batchOut
 }
 
 //fleetvet:noalloc
 func (a *batchFlatAndNode) step(ctx *batchCtx) ([]bool, []float64) {
 	n := ctx.n
-	sat, rob := a.out.sat[:n], a.out.rob[:n]
+	sat, rob := a.sat[:n], a.rob[:n]
+	if n == 1 {
+		s, r := true, math.Inf(1)
+		for i := range a.atoms {
+			at := &a.atoms[i]
+			cr := ctx.vals[at.varIdx]*at.mul + at.add
+			// Negated comparisons so a NaN input reads unsatisfied, exactly
+			// like the unfused atom's direct v-vs-θ comparison.
+			if at.strict {
+				if !(cr > 0) {
+					s = false
+				}
+			} else if !(cr >= 0) {
+				s = false
+			}
+			// Compare-based min with explicit NaN propagation: equal to the
+			// math.Min fold of batchAndNode (a NaN input poisons the
+			// conjunction's robustness there too), minus its ±0 branches.
+			if cr < r || cr != cr {
+				r = cr
+			}
+		}
+		sat[0], rob[0] = s, r
+		return sat, rob
+	}
 	for k := range sat {
 		sat[k], rob[k] = true, math.Inf(1)
 	}
@@ -373,13 +415,13 @@ func (a *batchFlatAndNode) resetLane(int) {}
 
 type batchAndNode struct {
 	children []batchNode
-	out      batchOut
+	batchOut
 }
 
 //fleetvet:noalloc
 func (a *batchAndNode) step(ctx *batchCtx) ([]bool, []float64) {
 	n := ctx.n
-	sat, rob := a.out.sat[:n], a.out.rob[:n]
+	sat, rob := a.sat[:n], a.rob[:n]
 	for k := range sat {
 		sat[k], rob[k] = true, math.Inf(1)
 	}
@@ -399,13 +441,13 @@ func (a *batchAndNode) resetLane(lane int) { batchResetChildrenLane(a.children, 
 
 type batchOrNode struct {
 	children []batchNode
-	out      batchOut
+	batchOut
 }
 
 //fleetvet:noalloc
 func (o *batchOrNode) step(ctx *batchCtx) ([]bool, []float64) {
 	n := ctx.n
-	sat, rob := o.out.sat[:n], o.out.rob[:n]
+	sat, rob := o.sat[:n], o.rob[:n]
 	for k := range sat {
 		sat[k], rob[k] = false, math.Inf(-1)
 	}
@@ -425,14 +467,14 @@ func (o *batchOrNode) resetLane(lane int) { batchResetChildrenLane(o.children, l
 
 type batchImpliesNode struct {
 	l, r batchNode
-	out  batchOut
+	batchOut
 }
 
 //fleetvet:noalloc
 func (im *batchImpliesNode) step(ctx *batchCtx) ([]bool, []float64) {
 	ls, lr := im.l.step(ctx)
 	rs, rr := im.r.step(ctx)
-	sat, rob := im.out.sat[:ctx.n], im.out.rob[:ctx.n]
+	sat, rob := im.sat[:ctx.n], im.rob[:ctx.n]
 	for k := range ls {
 		sat[k] = !ls[k] || rs[k]
 		rob[k] = math.Max(-lr[k], rr[k])
@@ -469,24 +511,24 @@ func batchResetChildrenLane(cs []batchNode, lane int) {
 
 // --- stateful batch nodes --------------------------------------------
 
-// batchWindowNode is Once/Historically across the shard: per-node state
-// is a [lanes]-wide vector of the scalar extremum cores (delay line +
-// Lemire deque each), iterated session-major per push, so every lane's
-// arithmetic is bit-identical to the per-session windowNode while the
-// node's dispatch and the child's vector stay hot across the shard.
+// batchWindowNode is Once (max) or Historically (min) across the shard:
+// per-node state is a [lanes]-wide vector of extremum cores (delay line
+// + Lemire deque each), iterated session-major per push, so the node's
+// dispatch and the child's vector stay hot across the shard. Each lane
+// runs two cores, over robustness and over satisfaction as 0/1.
 type batchWindowNode struct {
 	child batchNode
 	robC  []*extremumCore
 	satC  []*extremumCore
-	out   batchOut
+	batchOut
 }
 
 func newBatchWindowNode(child batchNode, lo, hi int, isMin bool, width int) *batchWindowNode {
 	w := &batchWindowNode{
-		child: child,
-		robC:  make([]*extremumCore, width),
-		satC:  make([]*extremumCore, width),
-		out:   newBatchOut(width),
+		child:    child,
+		robC:     make([]*extremumCore, width),
+		satC:     make([]*extremumCore, width),
+		batchOut: newBatchOut(width),
 	}
 	for i := range w.robC {
 		w.robC[i] = newExtremumCore(lo, hi, isMin)
@@ -498,7 +540,7 @@ func newBatchWindowNode(child batchNode, lo, hi int, isMin bool, width int) *bat
 //fleetvet:noalloc
 func (w *batchWindowNode) step(ctx *batchCtx) ([]bool, []float64) {
 	cs, cr := w.child.step(ctx)
-	sat, rob := w.out.sat[:ctx.n], w.out.rob[:ctx.n]
+	sat, rob := w.sat[:ctx.n], w.rob[:ctx.n]
 	for k := 0; k < ctx.n; k++ {
 		lane := ctx.lanes[k]
 		rob[k] = w.robC[lane].push(cr[k])
@@ -529,21 +571,21 @@ func (w *batchWindowNode) resetLane(lane int) {
 	w.satC[lane].reset()
 }
 
-// batchSinceNode is L S[a,b] R across the shard, one pair of scalar
-// since cores per lane.
+// batchSinceNode is L S[a,b] R across the shard, one pair of since
+// cores per lane.
 type batchSinceNode struct {
 	l, r batchNode
 	robC []*sinceCore
 	satC []*sinceCore
-	out  batchOut
+	batchOut
 }
 
 func newBatchSinceNode(l, r batchNode, lo, hi, width int) *batchSinceNode {
 	s := &batchSinceNode{
 		l: l, r: r,
-		robC: make([]*sinceCore, width),
-		satC: make([]*sinceCore, width),
-		out:  newBatchOut(width),
+		robC:     make([]*sinceCore, width),
+		satC:     make([]*sinceCore, width),
+		batchOut: newBatchOut(width),
 	}
 	for i := range s.robC {
 		s.robC[i] = newSinceCore(lo, hi)
@@ -556,7 +598,7 @@ func newBatchSinceNode(l, r batchNode, lo, hi, width int) *batchSinceNode {
 func (s *batchSinceNode) step(ctx *batchCtx) ([]bool, []float64) {
 	ls, lr := s.l.step(ctx)
 	rs, rr := s.r.step(ctx)
-	sat, rob := s.out.sat[:ctx.n], s.out.rob[:ctx.n]
+	sat, rob := s.sat[:ctx.n], s.rob[:ctx.n]
 	for k := 0; k < ctx.n; k++ {
 		lane := ctx.lanes[k]
 		rob[k] = s.robC[lane].push(lr[k], rr[k])
@@ -593,21 +635,19 @@ func (s *batchSinceNode) resetLane(lane int) {
 
 // BatchStreamGroup evaluates many past-only formulas across a whole
 // shard of independent sessions (lanes) in one struct-of-arrays push:
-// the formulas compile into the same hash-consed node DAG as
-// StreamGroup, but every node carries [lanes]-wide state and output
-// vectors and iterates session-major, so per-push dispatch, memo
-// checks, and value loads amortize across the shard instead of being
-// paid once per session. Per-lane results are bit-identical to pushing
-// each lane's samples through its own StreamGroup (the batched
-// differential tests enforce exact equality), and lanes reset
-// independently, which is what lets a fleet shard recycle a lane for a
-// fresh session without touching its neighbors.
+// the formulas compile into one hash-consed node DAG in which every
+// node carries [lanes]-wide state and output vectors and iterates
+// session-major, so per-push dispatch, memo checks, and value loads
+// amortize across the shard instead of being paid once per session.
+// Every lane's results equal the offline Sat/Robustness of its samples
+// since its last reset, exactly (the differential tests enforce ==).
+// Lanes reset independently, which is what lets a fleet shard recycle a
+// lane for a fresh session without touching its neighbors; a group of
+// width 1 is the per-session evaluator.
 type BatchStreamGroup struct {
 	comp     *batchCompiler
 	formulas []Formula
 	roots    []batchNode
-	outSat   [][]bool
-	outRob   [][]float64
 	width    int
 	pushes   uint64
 	laneN    []int // per-lane sample counts (snapshot/restore cursor)
@@ -650,8 +690,6 @@ func (g *BatchStreamGroup) Add(f Formula) (int, error) {
 	}
 	g.formulas = append(g.formulas, f)
 	g.roots = append(g.roots, root)
-	g.outSat = append(g.outSat, nil)
-	g.outRob = append(g.outRob, nil)
 	return len(g.roots) - 1, nil
 }
 
@@ -711,10 +749,10 @@ func (g *BatchStreamGroup) PushLanes(lanes []int, vals []float64) error {
 		g.laneN[lane]++
 	}
 	g.ctx = batchCtx{lanes: lanes, vals: vals, n: n, seq: g.pushes}
-	for i, r := range g.roots {
-		g.outSat[i], g.outRob[i] = r.step(&g.ctx)
+	for _, r := range g.roots {
+		r.step(&g.ctx)
 	}
-	g.ctx.vals = nil
+	g.ctx.lanes, g.ctx.vals = nil, nil
 	return nil
 }
 
@@ -727,14 +765,26 @@ func (g *BatchStreamGroup) clearSeen(lanes []int) {
 }
 
 // Sats returns formula i's satisfaction vector at the last push,
-// indexed like the lanes slice that push was called with. The slice is
-// reused by the next push; callers that retain it must copy.
-func (g *BatchStreamGroup) Sats(i int) []bool { return g.outSat[i] }
+// indexed like the lanes slice that push was called with (empty before
+// the first push). The slice is reused by the next push; callers that
+// retain it must copy.
+func (g *BatchStreamGroup) Sats(i int) []bool { return g.roots[i].outputs().sat[:g.ctx.n] }
 
 // Robs returns formula i's robustness vector at the last push, indexed
-// like the lanes slice that push was called with. The slice is reused
-// by the next push; callers that retain it must copy.
-func (g *BatchStreamGroup) Robs(i int) []float64 { return g.outRob[i] }
+// like the lanes slice that push was called with (empty before the
+// first push). The slice is reused by the next push; callers that
+// retain it must copy.
+func (g *BatchStreamGroup) Robs(i int) []float64 { return g.roots[i].outputs().rob[:g.ctx.n] }
+
+// Outputs returns formula i's full-width result vectors. They are
+// allocated when the formula is added and never move: after a push of
+// n lanes, entries [0, n) hold the results indexed like that push's
+// lanes slice. A caller that reads every push can hold them once
+// instead of calling Sats and Robs per push.
+func (g *BatchStreamGroup) Outputs(i int) ([]bool, []float64) {
+	o := g.roots[i].outputs()
+	return o.sat, o.rob
+}
 
 // StateSamples returns the total buffered per-sample entries across the
 // group's unique operator nodes, summed over all lanes (hash-consed
@@ -760,19 +810,16 @@ func (g *BatchStreamGroup) ResetLane(lane int) {
 }
 
 // LaneLen returns the number of samples lane has consumed since its
-// last reset — the per-lane analogue of StreamGroup.Len, and the cursor
-// a lane snapshot records.
+// last reset: the cursor a lane snapshot records.
 func (g *BatchStreamGroup) LaneLen(lane int) int { return g.laneN[lane] }
 
-// Reset clears all operator state in every lane. Sats/Robs return nil
-// again until the next push, as on a fresh group.
+// Reset clears all operator state in every lane. Sats/Robs return
+// empty vectors again until the next push, as on a fresh group.
 func (g *BatchStreamGroup) Reset() {
 	for _, r := range g.roots {
 		r.reset()
 	}
-	for i := range g.outSat {
-		g.outSat[i], g.outRob[i] = nil, nil
-	}
+	g.ctx.n = 0
 	for i := range g.laneN {
 		g.laneN[i] = 0
 	}

@@ -1,6 +1,7 @@
 package stl
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -9,8 +10,8 @@ import (
 // contract of the batched engine: randomized past-only formulas pushed
 // through one BatchStreamGroup across many lanes — with randomized
 // active-lane subsets per push and staggered lane resets — must produce
-// satisfaction and robustness exactly equal (==) to pushing each lane's
-// sample stream through its own per-session StreamGroup.
+// satisfaction and robustness exactly equal (==) to the offline
+// Sat/Robustness of each lane's samples since its last reset.
 func TestBatchStreamGroupMatchesPerLane(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	for trial := 0; trial < 250; trial++ {
@@ -25,12 +26,6 @@ func TestBatchStreamGroupMatchesPerLane(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		refs := make([]*StreamGroup, width)
-		for lane := range refs {
-			if refs[lane], err = NewStreamGroup(1); err != nil {
-				t.Fatal(err)
-			}
-		}
 		for i, f := range formulas {
 			bi, err := batch.Add(f)
 			if err != nil {
@@ -39,36 +34,33 @@ func TestBatchStreamGroupMatchesPerLane(t *testing.T) {
 			if bi != i {
 				t.Fatalf("trial %d: batch index %d, want %d", trial, bi, i)
 			}
-			for _, ref := range refs {
-				if _, err := ref.Add(f); err != nil {
-					t.Fatalf("trial %d: ref add %s: %v", trial, f, err)
-				}
-			}
 		}
-		// The batched and per-session compilers intern identically, so
-		// the variable tables must agree position for position.
 		vars := batch.Vars()
-		refVars := refs[0].Vars()
-		if len(vars) != len(refVars) {
-			t.Fatalf("trial %d: var tables differ: %v vs %v", trial, vars, refVars)
-		}
-		for i := range vars {
-			if vars[i] != refVars[i] {
-				t.Fatalf("trial %d: var tables differ: %v vs %v", trial, vars, refVars)
+		// refs[lane] records the lane's samples since its last reset: the
+		// offline oracle's input.
+		refs := make([]*Trace, width)
+		newRef := func() *Trace {
+			tr, err := NewTrace(1)
+			if err != nil {
+				t.Fatal(err)
 			}
+			return tr
+		}
+		for lane := range refs {
+			refs[lane] = newRef()
 		}
 
 		steps := 20 + rng.Intn(40)
 		lanes := make([]int, 0, width)
 		vals := make([]float64, 0, len(vars)*width)
-		refVals := make([]float64, len(vars))
+		sample := make(map[string]float64, len(vars))
 		for s := 0; s < steps; s++ {
 			// Occasionally recycle a lane mid-run, as a fleet shard does
 			// when a session completes and its lane restarts.
 			if rng.Intn(8) == 0 {
 				lane := rng.Intn(width)
 				batch.ResetLane(lane)
-				refs[lane].Reset()
+				refs[lane] = newRef()
 			}
 			// A random non-empty subset of lanes advances this push.
 			lanes = lanes[:0]
@@ -91,19 +83,28 @@ func TestBatchStreamGroupMatchesPerLane(t *testing.T) {
 				t.Fatalf("trial %d step %d: batch push: %v", trial, s, err)
 			}
 			for k, lane := range lanes {
-				for v := range vars {
-					refVals[v] = vals[v*n+k]
+				for v, name := range vars {
+					sample[name] = vals[v*n+k]
 				}
-				if err := refs[lane].PushVector(refVals); err != nil {
-					t.Fatalf("trial %d step %d: ref push lane %d: %v", trial, s, lane, err)
+				refs[lane].Append(sample)
+				if got := batch.LaneLen(lane); got != refs[lane].Len() {
+					t.Fatalf("trial %d step %d: lane %d holds %d samples, oracle %d", trial, s, lane, got, refs[lane].Len())
 				}
 			}
-			for i := range formulas {
+			for i, f := range formulas {
 				sats, robs := batch.Sats(i), batch.Robs(i)
 				for k, lane := range lanes {
-					wantSat, wantRob := refs[lane].Sat(i), refs[lane].Rob(i)
+					at := refs[lane].Len() - 1
+					wantSat, err := f.Sat(refs[lane], at)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantRob, err := f.Robustness(refs[lane], at)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if sats[k] != wantSat || robs[k] != wantRob {
-						t.Fatalf("trial %d step %d formula %d (%s) lane %d: batched (%v, %v), per-lane (%v, %v)",
+						t.Fatalf("trial %d step %d formula %d (%s) lane %d: batched (%v, %v), offline (%v, %v)",
 							trial, s, i, formulas[i], lane, sats[k], robs[k], wantSat, wantRob)
 					}
 				}
@@ -266,5 +267,65 @@ func TestBatchStreamGroupRejectsDuplicateLanes(t *testing.T) {
 	// same lanes succeeds afterwards.
 	if err := g.PushLanes([]int{0, 1, 2}, make([]float64, 3)); err != nil {
 		t.Fatalf("valid push after rejection: %v", err)
+	}
+}
+
+// TestBatchFlatAndOneLaneMatchesWide: a fused conjunction runs a
+// register loop on one-lane pushes and a lane-inner loop on wider ones.
+// Both must give every lane the offline result, including values
+// exactly at a threshold (where strict and non-strict atoms differ)
+// and NaN (unsatisfied, NaN robustness).
+func TestBatchFlatAndOneLaneMatchesWide(t *testing.T) {
+	f := MustParse("x > 1 and y >= 2 and x <= 4 and y < 5")
+	values := []float64{1, 2, 4, 5, 0, 3, math.NaN()}
+	one, err := NewBatchStreamGroup(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := NewBatchStreamGroup(1, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*BatchStreamGroup{one, wide} {
+		if _, err := g.Add(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, err := NewTrace(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range values {
+		for _, y := range values {
+			tr.Append(map[string]float64{"x": x, "y": y})
+			wantSat, err := f.Sat(tr, tr.Len()-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantRob, err := f.Robustness(tr, tr.Len()-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := one.PushLanes([]int{0}, []float64{x, y}); err != nil {
+				t.Fatal(err)
+			}
+			// Lane 1 of the wide push carries the same sample.
+			if err := wide.PushLanes([]int{0, 1, 2}, []float64{0, x, 9, 0, y, 9}); err != nil {
+				t.Fatal(err)
+			}
+			for _, got := range []struct {
+				name string
+				sat  bool
+				rob  float64
+			}{
+				{"one-lane", one.Sats(0)[0], one.Robs(0)[0]},
+				{"wide", wide.Sats(0)[1], wide.Robs(0)[1]},
+			} {
+				sameRob := got.rob == wantRob || math.IsNaN(got.rob) && math.IsNaN(wantRob)
+				if got.sat != wantSat || !sameRob {
+					t.Fatalf("x=%v y=%v %s: (%v, %v), offline (%v, %v)", x, y, got.name, got.sat, got.rob, wantSat, wantRob)
+				}
+			}
+		}
 	}
 }

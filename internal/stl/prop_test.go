@@ -158,29 +158,32 @@ func randPastFormula(rng *rand.Rand, depth int) Formula {
 	}
 }
 
-// streamTrace pushes every sample of tr through a fresh Stream for f,
-// comparing verdict and robustness against the offline Sat/Robustness
-// at every index. Equality is exact (==), not approximate: the
-// streaming engine reorders min/max folds but never changes operands.
+// streamTrace pushes every sample of tr through a fresh one-lane
+// BatchStreamGroup for f, comparing verdict and robustness against the
+// offline Sat/Robustness at every index. Equality is exact (==), not
+// approximate: the streaming engine reorders min/max folds but never
+// changes operands.
 func streamTrace(t *testing.T, trial int, f Formula, tr *Trace) {
 	t.Helper()
-	s, err := NewStream(f, tr.Dt())
+	g, err := NewBatchStreamGroup(tr.Dt(), 1)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Add(f); err != nil {
 		t.Fatalf("trial %d: compile %s: %v", trial, f, err)
 	}
-	sample := make(map[string]float64, len(propVars))
+	lane := []int{0}
+	vals := make([]float64, len(g.Vars()))
 	for i := 0; i < tr.Len(); i++ {
-		for _, v := range tr.Names() {
-			val, err := tr.Value(v, i)
-			if err != nil {
+		for v, name := range g.Vars() {
+			if vals[v], err = tr.Value(name, i); err != nil {
 				t.Fatal(err)
 			}
-			sample[v] = val
 		}
-		gotSat, gotRob, err := s.Push(sample)
-		if err != nil {
+		if err := g.PushLanes(lane, vals); err != nil {
 			t.Fatalf("trial %d: push %d of %s: %v", trial, i, f, err)
 		}
+		gotSat, gotRob := g.Sats(0)[0], g.Robs(0)[0]
 		wantSat, err := f.Sat(tr, i)
 		if err != nil {
 			t.Fatalf("trial %d: offline sat of %s at %d: %v", trial, f, i, err)

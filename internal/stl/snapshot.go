@@ -1,14 +1,15 @@
-// Snapshot/restore of streaming operator state. A StreamGroup and a
-// BatchStreamGroup compiled from the same formulas in the same Add
-// order build isomorphic hash-consed DAGs (same canonical cache keys,
-// same memo policy, same compile recursion), so walking the compiler's
-// memo list in creation order visits corresponding stateful nodes in
-// both engines. Only the stateful cores (delay lines, extremum deques,
-// Since recursions) are serialized, in canonical logical order — ring
-// buffers oldest-first, deques front-to-back — which makes a scalar
-// group's bytes identical to a batched lane's bytes for the same
-// logical state, and makes re-encoding a restored group reproduce the
-// original bytes exactly.
+// Snapshot/restore of streaming operator state, one lane at a time.
+// Groups compiled from the same formulas in the same Add order build
+// isomorphic hash-consed DAGs (same canonical cache keys, same memo
+// policy, same compile recursion) at any width, so walking the
+// compiler's memo list in creation order visits corresponding stateful
+// nodes in every such group. Only the stateful cores (delay lines,
+// extremum deques, Since recursions) are serialized, in canonical
+// logical order — ring buffers oldest-first, deques front-to-back —
+// which makes a lane's bytes independent of the group's width and of
+// ring positions, so a lane restores into any lane of any identically
+// built group, and re-encoding a restored lane reproduces the original
+// bytes exactly.
 //
 // Per-push memo caches (seq/sat/rob) are deliberately not serialized:
 // a memo only short-circuits while its seq equals the current push's
@@ -23,60 +24,11 @@ import (
 	"repro/internal/snapshot"
 )
 
-var (
-	_ snapshot.Snapshotter     = (*StreamGroup)(nil)
-	_ snapshot.LaneSnapshotter = (*BatchStreamGroup)(nil)
-)
-
-// SnapshotState implements snapshot.Snapshotter: the push count plus
-// every unique stateful operator core in compile order.
-func (g *StreamGroup) SnapshotState(enc *snapshot.Encoder) {
-	enc.Int(g.n)
-	for _, m := range g.comp.memos {
-		switch t := m.inner.(type) {
-		case *windowNode:
-			snapshotExtremum(enc, t.rob)
-			snapshotExtremum(enc, t.sat)
-		case *sinceNode:
-			snapshotSince(enc, t.rob)
-			snapshotSince(enc, t.sat)
-		}
-	}
-}
-
-// RestoreState implements snapshot.Snapshotter. The group must have
-// been built from the same formulas in the same Add order as the one
-// that produced the bytes; a shape mismatch surfaces as a decode error.
-func (g *StreamGroup) RestoreState(dec *snapshot.Decoder) error {
-	n := dec.Int()
-	if dec.Err() == nil && n < 0 {
-		return fmt.Errorf("stl: negative restored sample count %d", n)
-	}
-	for _, m := range g.comp.memos {
-		m.seq = 0
-		switch t := m.inner.(type) {
-		case *windowNode:
-			restoreExtremum(dec, t.rob)
-			restoreExtremum(dec, t.sat)
-		case *sinceNode:
-			restoreSince(dec, t.rob)
-			restoreSince(dec, t.sat)
-		}
-	}
-	if err := dec.Err(); err != nil {
-		return err
-	}
-	g.n = n
-	for i := range g.sats {
-		g.sats[i], g.robs[i] = false, 0
-	}
-	return nil
-}
+var _ snapshot.LaneSnapshotter = (*BatchStreamGroup)(nil)
 
 // SnapshotLane implements snapshot.LaneSnapshotter: the lane's sample
-// count plus its slice of every unique stateful operator, in the same
-// compile order — and therefore the same bytes — as the scalar
-// SnapshotState of an identically built StreamGroup.
+// count plus its slice of every unique stateful operator, in compile
+// order.
 func (g *BatchStreamGroup) SnapshotLane(lane int, enc *snapshot.Encoder) {
 	enc.Int(g.laneN[lane])
 	for _, m := range g.comp.memos {
@@ -92,7 +44,7 @@ func (g *BatchStreamGroup) SnapshotLane(lane int, enc *snapshot.Encoder) {
 }
 
 // RestoreLane implements snapshot.LaneSnapshotter, accepting bytes from
-// either SnapshotLane or a scalar group's SnapshotState. Other lanes
+// SnapshotLane of an identically built group of any width. Other lanes
 // are untouched.
 func (g *BatchStreamGroup) RestoreLane(lane int, dec *snapshot.Decoder) error {
 	n := dec.Int()

@@ -1,196 +1,14 @@
 package stl
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
-// Stream is the incremental streaming evaluator for past-only formulas:
-// each temporal operator compiles to a stateful node — ring buffers for
-// the bounded-history delay lines, monotonic (Lemire) deques for the
-// Once/Historically window extrema, and a clamp-merge candidate deque
-// for bounded Since — so every Push costs O(1) amortized and the total
-// retained state is O(sum of window lengths), independent of how long
-// the session runs. Verdicts and robustness are exactly equal, sample
-// for sample, to evaluating the formula's Sat/Robustness on the full
-// recorded trace (the differential property tests in prop_test.go
-// enforce this on randomized formulas).
-//
-// Every variable the formula references must be present in every pushed
-// sample; a missing variable is an error (the offline trace semantics
-// backfill NaN, which silently poisons windowed extrema — a streaming
-// hazard monitor should fail loudly instead).
-type Stream struct {
-	formula Formula
-	root    streamNode
-	comp    *compiler
-	vals    []float64
-	dt      float64
-	n       int
-
-	lastSat bool
-	lastRob float64
-
-	// ctx is reused across pushes so the hot path stays allocation-free
-	// (a per-push context would escape through the node interface).
-	ctx stepCtx
-}
-
-// NewStream compiles a past-only formula for streaming evaluation at
-// sampling period dtMin minutes.
-func NewStream(f Formula, dtMin float64) (*Stream, error) {
-	if f == nil {
-		return nil, fmt.Errorf("stl: nil formula")
-	}
-	if dtMin <= 0 {
-		return nil, fmt.Errorf("stl: non-positive sampling period %v", dtMin)
-	}
-	if !PastOnly(f) {
-		return nil, fmt.Errorf("stl: formula %q needs future knowledge; cannot monitor online", f)
-	}
-	comp := newCompiler(dtMin, false)
-	root, err := comp.compile(f)
-	if err != nil {
-		return nil, err
-	}
-	return &Stream{
-		formula: f, root: root, comp: comp,
-		vals: make([]float64, len(comp.vars)), dt: dtMin,
-	}, nil
-}
-
-// Formula returns the compiled formula.
-func (s *Stream) Formula() Formula { return s.formula }
-
-// Dt returns the sampling period in minutes.
-func (s *Stream) Dt() float64 { return s.dt }
-
-// Len returns the number of samples pushed.
-func (s *Stream) Len() int { return s.n }
-
-// Push consumes one sample and returns boolean satisfaction and the
-// robustness margin at that sample. A sample missing a referenced
-// variable is rejected before any operator state advances, so the
-// stream stays consistent and the caller may push a corrected sample.
-//
-//fleetvet:noalloc
-func (s *Stream) Push(sample map[string]float64) (bool, float64, error) {
-	for i, v := range s.comp.vars {
-		val, ok := sample[v]
-		if !ok {
-			return false, 0, fmt.Errorf("stl: unknown variable %q", v)
-		}
-		s.vals[i] = val
-	}
-	s.ctx.vals = s.vals
-	s.ctx.seq = uint64(s.n) + 1
-	sat, rob := s.root.step(&s.ctx)
-	s.ctx.vals = nil
-	s.n++
-	s.lastSat, s.lastRob = sat, rob
-	return sat, rob, nil
-}
-
-// Last returns the verdict and robustness at the newest sample.
-func (s *Stream) Last() (sat bool, rob float64, err error) {
-	if s.n == 0 {
-		return false, 0, fmt.Errorf("stl: no samples pushed")
-	}
-	return s.lastSat, s.lastRob, nil
-}
-
-// StateSamples returns the total number of buffered per-sample entries
-// across all operator nodes — the quantity that must stay O(window)
-// regardless of how many samples have been pushed (asserted by the
-// boundedness tests).
-func (s *Stream) StateSamples() int { return s.root.state() }
-
-// Reset clears all operator state, as if no samples had been pushed.
-func (s *Stream) Reset() {
-	s.root.reset()
-	s.n = 0
-	s.lastSat, s.lastRob = false, 0
-}
-
-// stepCtx carries the current sample through one recursive step: the
-// value vector (indexed by the compiler's variable table) and a push
-// sequence number that memoized shared nodes key their caches on.
-type stepCtx struct {
-	vals []float64
-	seq  uint64
-}
-
-// streamNode is one compiled operator. step consumes the newest sample
-// (via ctx) and returns satisfaction and robustness at that sample.
-type streamNode interface {
-	step(ctx *stepCtx) (bool, float64)
-	state() int
-	reset()
-}
-
-// compiler lowers past-only formulas to stateful node trees, resolving
-// variable names to dense value-vector indices. With interning enabled
-// (stream groups) it hash-conses the compiled tree: structurally
-// identical subformulas — same atoms, same windows — compile to one
-// shared node whose operator state and per-push work exist once per
-// group, guarded by a per-push memo so a shared stateful node advances
-// exactly once per sample no matter how many formulas contain it.
-type compiler struct {
-	dt     float64
-	vars   []string
-	varIdx map[string]int
-	cache  map[string]streamNode // canonical rendering -> shared node
-	memos  []*memoNode
-}
-
-func newCompiler(dt float64, intern bool) *compiler {
-	c := &compiler{dt: dt, varIdx: make(map[string]int)}
-	if intern {
-		c.cache = make(map[string]streamNode)
-	}
-	return c
-}
-
-// varIndex interns a variable name into the value vector.
-func (c *compiler) varIndex(name string) int {
-	if i, ok := c.varIdx[name]; ok {
-		return i
-	}
-	i := len(c.vars)
-	c.vars = append(c.vars, name)
-	c.varIdx[name] = i
-	return i
-}
-
-// compile lowers one formula, sharing previously compiled identical
-// subformulas when interning is on. The canonical key is the parser
-// syntax rendering, which is injective on the AST (thresholds print at
-// shortest-round-trip precision).
-func (c *compiler) compile(f Formula) (streamNode, error) {
-	if c.cache == nil {
-		return c.lower(f)
-	}
-	key := f.String()
-	if n, ok := c.cache[key]; ok {
-		return n, nil
-	}
-	inner, err := c.lower(f)
-	if err != nil {
-		return nil, err
-	}
-	out := inner
-	if hasState(f) {
-		// Only stateful subtrees need the per-push memo: sharing one
-		// delay line or window deque between formulas is what must not
-		// double-advance. Stateless subtrees are shared bare — a repeated
-		// comparison is cheaper than a memo check.
-		m := &memoNode{inner: inner}
-		c.memos = append(c.memos, m)
-		out = m
-	}
-	c.cache[key] = out
-	return out, nil
-}
+// Per-lane operator cores of the batched streaming engine (batch.go).
+// Each temporal node of a BatchStreamGroup holds one core per lane:
+// ring buffers for the bounded-history delay lines, monotonic (Lemire)
+// deques for the Once/Historically window extrema, and a clamp-merge
+// candidate deque for bounded Since, so every push costs O(1) amortized
+// per lane and retained state is O(sum of window lengths), independent
+// of how long a session runs.
 
 // hasState reports whether a formula's compiled form buffers samples
 // (contains a past-time temporal operator).
@@ -221,290 +39,6 @@ func hasState(f Formula) bool {
 	}
 }
 
-// lower compiles one operator, recursing through compile so every
-// subformula takes part in sharing. Minute bounds convert to inclusive
-// sample offsets exactly as Bounds.window does, so streaming and offline
-// evaluation agree on window edges (including empty fractional windows).
-func (c *compiler) lower(f Formula) (streamNode, error) {
-	switch n := f.(type) {
-	case *Atom:
-		if n.Op < OpLT || n.Op > OpNE {
-			return nil, fmt.Errorf("stl: invalid comparison op %d", int(n.Op))
-		}
-		return &atomNode{varIdx: c.varIndex(n.Var), op: n.Op, threshold: n.Threshold}, nil
-	case Const:
-		return &constNode{value: bool(n)}, nil
-	case *Not:
-		child, err := c.compile(n.Child)
-		if err != nil {
-			return nil, err
-		}
-		return &notNode{child: child}, nil
-	case *And:
-		if atoms, ok := flatOrderAtoms(n.Children); ok {
-			// Kernel fusion for the dominant rule shape — a flat
-			// conjunction of ordering predicates — evaluates as a
-			// dispatch- and switch-free linear form per atom.
-			fa := &flatAndNode{atoms: make([]fusedAtom, len(atoms))}
-			for i, a := range atoms {
-				fa.atoms[i] = newFusedAtom(c.varIndex(a.Var), a.Op, a.Threshold)
-			}
-			return fa, nil
-		}
-		cs, err := c.compileChildren(n.Children)
-		if err != nil {
-			return nil, err
-		}
-		return &andNode{children: cs}, nil
-	case *Or:
-		cs, err := c.compileChildren(n.Children)
-		if err != nil {
-			return nil, err
-		}
-		return &orNode{children: cs}, nil
-	case *Implies:
-		l, err := c.compile(n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compile(n.R)
-		if err != nil {
-			return nil, err
-		}
-		return &impliesNode{l: l, r: r}, nil
-	case *Once:
-		child, err := c.compile(n.Child)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi, err := pastWindow(n.Bounds, c.dt)
-		if err != nil {
-			return nil, err
-		}
-		return newWindowNode(child, lo, hi, false), nil
-	case *Historically:
-		child, err := c.compile(n.Child)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi, err := pastWindow(n.Bounds, c.dt)
-		if err != nil {
-			return nil, err
-		}
-		return newWindowNode(child, lo, hi, true), nil
-	case *Since:
-		l, err := c.compile(n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compile(n.R)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi, err := pastWindow(n.Bounds, c.dt)
-		if err != nil {
-			return nil, err
-		}
-		return newSinceNode(l, r, lo, hi), nil
-	default:
-		return nil, fmt.Errorf("stl: cannot stream %T", f)
-	}
-}
-
-func (c *compiler) compileChildren(children []Formula) ([]streamNode, error) {
-	out := make([]streamNode, len(children))
-	for i, child := range children {
-		n, err := c.compile(child)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = n
-	}
-	return out, nil
-}
-
-// memoNode guards a node shared between formulas of one group: the
-// first step of a push advances the inner node, later steps within the
-// same push return the cached verdict, so shared stateful operators
-// consume each sample exactly once.
-type memoNode struct {
-	inner   streamNode
-	seq     uint64
-	sat     bool
-	rob     float64
-	visited bool // StateSamples dedup walk marker
-}
-
-//fleetvet:noalloc
-func (m *memoNode) step(ctx *stepCtx) (bool, float64) {
-	if m.seq == ctx.seq {
-		return m.sat, m.rob
-	}
-	m.seq = ctx.seq
-	m.sat, m.rob = m.inner.step(ctx)
-	return m.sat, m.rob
-}
-
-// state counts the subtree once per dedup walk: the owning group clears
-// every memo's visited flag before walking its roots.
-func (m *memoNode) state() int {
-	if m.visited {
-		return 0
-	}
-	m.visited = true
-	return m.inner.state()
-}
-
-func (m *memoNode) reset() {
-	m.seq = 0
-	m.inner.reset()
-}
-
-// StreamGroup evaluates many past-only formulas over one shared sample
-// stream with a hash-consed node DAG: identical subformulas (same
-// atoms, same windows) compile to a single stateful node shared by
-// every formula that contains it, cutting both per-push work and
-// retained operator state by the overlap factor. All formulas advance
-// together — one Push moves the whole group one sample — which is what
-// keeps sharing sound.
-type StreamGroup struct {
-	comp     *compiler
-	formulas []Formula
-	roots    []streamNode
-	vals     []float64
-	sats     []bool
-	robs     []float64
-	n        int
-	ctx      stepCtx
-}
-
-// NewStreamGroup creates an empty group at sampling period dtMin
-// minutes.
-func NewStreamGroup(dtMin float64) (*StreamGroup, error) {
-	if dtMin <= 0 {
-		return nil, fmt.Errorf("stl: non-positive sampling period %v", dtMin)
-	}
-	return &StreamGroup{comp: newCompiler(dtMin, true)}, nil
-}
-
-// Add compiles a past-only formula into the group and returns its
-// index. Formulas may only be added before the first Push (operator
-// state of shared nodes would otherwise be mid-stream).
-func (g *StreamGroup) Add(f Formula) (int, error) {
-	if f == nil {
-		return 0, fmt.Errorf("stl: nil formula")
-	}
-	if g.n > 0 {
-		return 0, fmt.Errorf("stl: cannot add formulas to a running group")
-	}
-	if !PastOnly(f) {
-		return 0, fmt.Errorf("stl: formula %q needs future knowledge; cannot monitor online", f)
-	}
-	root, err := g.comp.compile(f)
-	if err != nil {
-		return 0, err
-	}
-	g.formulas = append(g.formulas, f)
-	g.roots = append(g.roots, root)
-	g.sats = append(g.sats, false)
-	g.robs = append(g.robs, 0)
-	for len(g.vals) < len(g.comp.vars) {
-		g.vals = append(g.vals, 0)
-	}
-	return len(g.roots) - 1, nil
-}
-
-// Size returns the number of formulas in the group.
-func (g *StreamGroup) Size() int { return len(g.roots) }
-
-// Len returns the number of samples pushed.
-func (g *StreamGroup) Len() int { return g.n }
-
-// Dt returns the sampling period in minutes.
-func (g *StreamGroup) Dt() float64 { return g.comp.dt }
-
-// Vars returns the variable table: PushVector values are indexed by
-// this order. The table grows only in Add, never during pushes.
-func (g *StreamGroup) Vars() []string { return g.comp.vars }
-
-// VarIndex resolves a variable name to its PushVector slot.
-func (g *StreamGroup) VarIndex(name string) (int, bool) {
-	i, ok := g.comp.varIdx[name]
-	return i, ok
-}
-
-// Push consumes one sample for every formula in the group. A sample
-// missing a referenced variable is rejected before any operator state
-// advances.
-//
-//fleetvet:noalloc
-func (g *StreamGroup) Push(sample map[string]float64) error {
-	for i, name := range g.comp.vars {
-		v, ok := sample[name]
-		if !ok {
-			return fmt.Errorf("stl: unknown variable %q", name)
-		}
-		g.vals[i] = v
-	}
-	return g.PushVector(g.vals)
-}
-
-// PushVector is the allocation- and map-free push: vals must hold one
-// value per Vars() entry, in table order. It is the hot path for
-// callers with a fixed vocabulary (e.g. the per-monitor rule sets).
-//
-//fleetvet:noalloc
-func (g *StreamGroup) PushVector(vals []float64) error {
-	if len(vals) != len(g.comp.vars) {
-		return fmt.Errorf("stl: value vector has %d entries, group reads %d variables",
-			len(vals), len(g.comp.vars))
-	}
-	g.ctx.vals = vals
-	g.ctx.seq = uint64(g.n) + 1
-	for i, r := range g.roots {
-		g.sats[i], g.robs[i] = r.step(&g.ctx)
-	}
-	g.ctx.vals = nil
-	g.n++
-	return nil
-}
-
-// Sat returns formula i's satisfaction at the newest sample.
-func (g *StreamGroup) Sat(i int) bool { return g.sats[i] }
-
-// Rob returns formula i's robustness margin at the newest sample.
-func (g *StreamGroup) Rob(i int) float64 { return g.robs[i] }
-
-// Results returns the satisfaction and robustness of every formula at
-// the newest sample, indexed by Add order. The slices are reused by the
-// next Push; callers that retain them must copy.
-func (g *StreamGroup) Results() (sats []bool, robs []float64) { return g.sats, g.robs }
-
-// StateSamples returns the total buffered per-sample entries across the
-// group's unique operator nodes: shared windows count once, which is
-// the hash-consing saving the boundedness tests assert.
-func (g *StreamGroup) StateSamples() int {
-	for _, m := range g.comp.memos {
-		m.visited = false
-	}
-	t := 0
-	for _, r := range g.roots {
-		t += r.state()
-	}
-	return t
-}
-
-// Reset clears all operator state, as if no samples had been pushed.
-func (g *StreamGroup) Reset() {
-	for _, r := range g.roots {
-		r.reset()
-	}
-	g.n = 0
-	for i := range g.sats {
-		g.sats[i], g.robs[i] = false, 0
-	}
-}
-
 // pastWindow converts minute bounds to inclusive sample offsets; hi < 0
 // encodes an unbounded window (back to the first sample). It delegates
 // to the same Bounds.window conversion the offline evaluator uses —
@@ -513,63 +47,6 @@ func (g *StreamGroup) Reset() {
 func pastWindow(b Bounds, dt float64) (lo, hi int, err error) {
 	return b.window(dt, -1)
 }
-
-// --- stateless nodes -------------------------------------------------
-
-type atomNode struct {
-	varIdx    int
-	op        CmpOp
-	threshold float64
-}
-
-//fleetvet:noalloc
-func (a *atomNode) step(ctx *stepCtx) (bool, float64) {
-	v := ctx.vals[a.varIdx]
-	var sat bool
-	var rob float64
-	switch a.op {
-	case OpLT:
-		sat, rob = v < a.threshold, a.threshold-v
-	case OpLE:
-		sat, rob = v <= a.threshold, a.threshold-v
-	case OpGT:
-		sat, rob = v > a.threshold, v-a.threshold
-	case OpGE:
-		sat, rob = v >= a.threshold, v-a.threshold
-	case OpEQ:
-		sat, rob = v == a.threshold, -math.Abs(v-a.threshold)
-	case OpNE:
-		sat, rob = v != a.threshold, math.Abs(v-a.threshold)
-	}
-	return sat, rob
-}
-
-func (a *atomNode) state() int { return 0 }
-func (a *atomNode) reset()     {}
-
-type constNode struct{ value bool }
-
-//fleetvet:noalloc
-func (c *constNode) step(*stepCtx) (bool, float64) {
-	if c.value {
-		return true, math.Inf(1)
-	}
-	return false, math.Inf(-1)
-}
-
-func (c *constNode) state() int { return 0 }
-func (c *constNode) reset()     {}
-
-type notNode struct{ child streamNode }
-
-//fleetvet:noalloc
-func (n *notNode) step(ctx *stepCtx) (bool, float64) {
-	sat, rob := n.child.step(ctx)
-	return !sat, -rob
-}
-
-func (n *notNode) state() int { return n.child.state() }
-func (n *notNode) reset()     { n.child.reset() }
 
 // flatOrderAtoms reports whether every child is an ordering predicate
 // (<, <=, >, >=) — the shapes that reduce to a linear robustness form.
@@ -587,7 +64,7 @@ func flatOrderAtoms(children []Formula) ([]*Atom, bool) {
 
 // fusedAtom is an ordering predicate precompiled to rob = v·mul + add:
 // mul = -1, add = θ for v < θ / v <= θ (rob = θ - v) and mul = 1,
-// add = -θ for v > θ / v >= θ (rob = v - θ), exactly the atomNode
+// add = -θ for v > θ / v >= θ (rob = v - θ), exactly the batchAtomNode
 // arithmetic with the comparison switch folded away. strict
 // distinguishes satisfaction rob > 0 from rob >= 0.
 type fusedAtom struct {
@@ -602,101 +79,6 @@ func newFusedAtom(varIdx int, op CmpOp, threshold float64) fusedAtom {
 		f.mul, f.add = -1, threshold
 	}
 	return f
-}
-
-// flatAndNode is a conjunction of ordering predicates fused into one
-// node: the common Safety Context Specification antecedent shape, hot
-// enough in per-cycle monitoring to deserve a dispatch- and branch-lean
-// loop. Semantics are exactly andNode over the same atoms.
-type flatAndNode struct{ atoms []fusedAtom }
-
-//fleetvet:noalloc
-func (a *flatAndNode) step(ctx *stepCtx) (bool, float64) {
-	sat := true
-	rob := math.Inf(1)
-	for i := range a.atoms {
-		at := &a.atoms[i]
-		cr := ctx.vals[at.varIdx]*at.mul + at.add
-		// Negated comparisons so a NaN input reads unsatisfied, exactly
-		// like the unfused atom's direct v-vs-θ comparison.
-		if at.strict {
-			if !(cr > 0) {
-				sat = false
-			}
-		} else if !(cr >= 0) {
-			sat = false
-		}
-		// Compare-based min with explicit NaN propagation: equal to the
-		// math.Min fold of andNode (a NaN input poisons the conjunction's
-		// robustness there too), minus its ±0 branches.
-		if cr < rob || cr != cr {
-			rob = cr
-		}
-	}
-	return sat, rob
-}
-
-func (a *flatAndNode) state() int { return 0 }
-func (a *flatAndNode) reset()     {}
-
-type andNode struct{ children []streamNode }
-
-//fleetvet:noalloc
-func (a *andNode) step(ctx *stepCtx) (bool, float64) {
-	sat := true
-	rob := math.Inf(1)
-	for _, c := range a.children {
-		cs, cr := c.step(ctx)
-		sat = sat && cs
-		rob = math.Min(rob, cr)
-	}
-	return sat, rob
-}
-
-func (a *andNode) state() int { return childrenState(a.children) }
-func (a *andNode) reset()     { resetChildren(a.children) }
-
-type orNode struct{ children []streamNode }
-
-//fleetvet:noalloc
-func (o *orNode) step(ctx *stepCtx) (bool, float64) {
-	sat := false
-	rob := math.Inf(-1)
-	for _, c := range o.children {
-		cs, cr := c.step(ctx)
-		sat = sat || cs
-		rob = math.Max(rob, cr)
-	}
-	return sat, rob
-}
-
-func (o *orNode) state() int { return childrenState(o.children) }
-func (o *orNode) reset()     { resetChildren(o.children) }
-
-type impliesNode struct{ l, r streamNode }
-
-//fleetvet:noalloc
-func (im *impliesNode) step(ctx *stepCtx) (bool, float64) {
-	ls, lr := im.l.step(ctx)
-	rs, rr := im.r.step(ctx)
-	return !ls || rs, math.Max(-lr, rr)
-}
-
-func (im *impliesNode) state() int { return im.l.state() + im.r.state() }
-func (im *impliesNode) reset()     { im.l.reset(); im.r.reset() }
-
-func childrenState(cs []streamNode) int {
-	t := 0
-	for _, c := range cs {
-		t += c.state()
-	}
-	return t
-}
-
-func resetChildren(cs []streamNode) {
-	for _, c := range cs {
-		c.reset()
-	}
 }
 
 // --- shared stateful machinery ---------------------------------------
@@ -833,7 +215,7 @@ func (q *monoDeque) reset() {
 
 // extremumCore computes the sliding extremum of one float64 stream over
 // the past window [lo, hi] in sample offsets (hi < 0: unbounded). It is
-// instantiated twice per temporal node: once over robustness values and
+// instantiated twice per temporal node and lane: once over robustness values and
 // once over satisfaction encoded as 0/1 (min = and, max = or), so both
 // semantics stream through identical machinery.
 type extremumCore struct {
@@ -912,39 +294,6 @@ func (c *extremumCore) reset() {
 		c.dq.reset()
 	}
 	c.resetAgg()
-}
-
-// windowNode is Once (max) or Historically (min) over its child.
-type windowNode struct {
-	child streamNode
-	rob   *extremumCore
-	sat   *extremumCore
-}
-
-func newWindowNode(child streamNode, lo, hi int, isMin bool) *windowNode {
-	return &windowNode{
-		child: child,
-		rob:   newExtremumCore(lo, hi, isMin),
-		sat:   newExtremumCore(lo, hi, isMin),
-	}
-}
-
-//fleetvet:noalloc
-func (w *windowNode) step(ctx *stepCtx) (bool, float64) {
-	cs, cr := w.child.step(ctx)
-	rob := w.rob.push(cr)
-	sat := w.sat.push(boolToFloat(cs))
-	return sat > 0.5, rob
-}
-
-func (w *windowNode) state() int {
-	return w.child.state() + w.rob.state() + w.sat.state()
-}
-
-func (w *windowNode) reset() {
-	w.child.reset()
-	w.rob.reset()
-	w.sat.reset()
 }
 
 func boolToFloat(b bool) float64 {
@@ -1077,39 +426,4 @@ func (c *sinceCore) reset() {
 		c.cand.reset()
 	}
 	c.z = math.Inf(-1)
-}
-
-// sinceNode is  L S[a,b] R  over its children.
-type sinceNode struct {
-	l, r streamNode
-	rob  *sinceCore
-	sat  *sinceCore
-}
-
-func newSinceNode(l, r streamNode, lo, hi int) *sinceNode {
-	return &sinceNode{
-		l: l, r: r,
-		rob: newSinceCore(lo, hi),
-		sat: newSinceCore(lo, hi),
-	}
-}
-
-//fleetvet:noalloc
-func (s *sinceNode) step(ctx *stepCtx) (bool, float64) {
-	ls, lr := s.l.step(ctx)
-	rs, rr := s.r.step(ctx)
-	rob := s.rob.push(lr, rr)
-	sat := s.sat.push(boolToFloat(ls), boolToFloat(rs))
-	return sat > 0.5, rob
-}
-
-func (s *sinceNode) state() int {
-	return s.l.state() + s.r.state() + s.rob.state() + s.sat.state()
-}
-
-func (s *sinceNode) reset() {
-	s.l.reset()
-	s.r.reset()
-	s.rob.reset()
-	s.sat.reset()
 }

@@ -5,63 +5,93 @@ import (
 	"testing"
 )
 
-func TestStreamRejectsInvalid(t *testing.T) {
-	if _, err := NewStream(nil, 5); err == nil {
-		t.Error("nil formula should be rejected")
+// The per-session stream tests drive the batched engine at width 1,
+// mostly through OnlineMonitor, its per-session form.
+
+// pushLane pushes one sample (values in g.Vars order) into lane 0 of a
+// one-lane group.
+func pushLane(t *testing.T, g *BatchStreamGroup, vals ...float64) {
+	t.Helper()
+	if err := g.PushLanes([]int{0}, vals); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewStream(MustParse("x > 1"), 0); err == nil {
+}
+
+// pushSample pushes one sample into an OnlineMonitor and returns its
+// verdict and robustness.
+func pushSample(t *testing.T, m *OnlineMonitor, sample map[string]float64) (bool, float64) {
+	t.Helper()
+	sat, err := m.Push(sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rob, err := m.Robustness()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sat, rob
+}
+
+func newOnline(t *testing.T, f Formula, dt float64) *OnlineMonitor {
+	t.Helper()
+	m, err := NewOnlineMonitor(f, dt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func TestStreamRejectsInvalid(t *testing.T) {
+	if _, err := NewBatchStreamGroup(0, 1); err == nil {
 		t.Error("zero dt should be rejected")
 	}
-	if _, err := NewStream(MustParse("F (x > 1)"), 5); err == nil {
+	g, err := NewBatchStreamGroup(5, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Add(nil); err == nil {
+		t.Error("nil formula should be rejected")
+	}
+	if _, err := g.Add(MustParse("F (x > 1)")); err == nil {
 		t.Error("future formula should be rejected")
 	}
-	if _, err := NewStream(MustParse("G (x > 1)"), 5); err == nil {
+	if _, err := g.Add(MustParse("G (x > 1)")); err == nil {
 		t.Error("future formula should be rejected")
 	}
-	if _, err := NewStream(&Since{Bounds: Bounds{A: 3, B: 1}, L: Const(true), R: Const(true)}, 5); err == nil {
+	if _, err := g.Add(&Since{Bounds: Bounds{A: 3, B: 1}, L: Const(true), R: Const(true)}); err == nil {
 		t.Error("invalid bounds should be rejected")
+	}
+	if g.Size() != 0 {
+		t.Errorf("rejected formulas were added: size %d", g.Size())
 	}
 }
 
 func TestStreamMissingVariable(t *testing.T) {
-	s, err := NewStream(MustParse("O[0,30] (x > 1 and y < 2)"), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Push(map[string]float64{"x": 3}); err == nil {
+	m := newOnline(t, MustParse("O[0,30] (x > 1 and y < 2)"), 5)
+	if _, err := m.Push(map[string]float64{"x": 3}); err == nil {
 		t.Error("missing variable should error")
 	}
 	// The rejected sample must not have advanced any operator state:
 	// a corrected push behaves as the first sample of the stream.
-	if s.Len() != 0 {
-		t.Errorf("Len after rejected push = %d, want 0", s.Len())
+	if m.Len() != 0 {
+		t.Errorf("Len after rejected push = %d, want 0", m.Len())
 	}
-	sat, rob, err := s.Push(map[string]float64{"x": 3, "y": 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sat, rob := pushSample(t, m, map[string]float64{"x": 3, "y": 1})
 	if !sat || rob != 1 {
 		t.Errorf("corrected push: sat=%v rob=%v, want true/1 (state was poisoned)", sat, rob)
 	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
+	if m.Len() != 1 {
+		t.Errorf("Len = %d, want 1", m.Len())
 	}
 }
 
 func TestStreamOnceBounded(t *testing.T) {
 	// O[5,10] (x > 0) at dt=5: sample offsets [1,2].
-	s, err := NewStream(MustParse("O[5,10] (x > 0)"), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := newOnline(t, MustParse("O[5,10] (x > 0)"), 5)
 	xs := []float64{1, -1, -1, -1, 1, -1, -1}
 	want := []bool{false, true, true, false, false, true, true}
 	for i, x := range xs {
-		sat, _, err := s.Push(map[string]float64{"x": x})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sat != want[i] {
+		if sat, _ := pushSample(t, m, map[string]float64{"x": x}); sat != want[i] {
 			t.Errorf("step %d: sat=%v, want %v", i, sat, want[i])
 		}
 	}
@@ -71,60 +101,38 @@ func TestStreamEmptyFractionalWindow(t *testing.T) {
 	// [1.2,1.4] minutes at dt=1 has no sample offsets: Once is always
 	// false (-Inf), Historically always true (+Inf) — exactly the
 	// offline empty-window semantics.
-	once, err := NewStream(&Once{Bounds: Bounds{A: 1.2, B: 1.4}, Child: MustParse("x > 0")}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hist, err := NewStream(&Historically{Bounds: Bounds{A: 1.2, B: 1.4}, Child: MustParse("x > 0")}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	since, err := NewStream(&Since{Bounds: Bounds{A: 1.2, B: 1.4}, L: MustParse("x > 0"), R: MustParse("x > 0")}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	once := newOnline(t, &Once{Bounds: Bounds{A: 1.2, B: 1.4}, Child: MustParse("x > 0")}, 1)
+	hist := newOnline(t, &Historically{Bounds: Bounds{A: 1.2, B: 1.4}, Child: MustParse("x > 0")}, 1)
+	since := newOnline(t, &Since{Bounds: Bounds{A: 1.2, B: 1.4}, L: MustParse("x > 0"), R: MustParse("x > 0")}, 1)
 	for i := 0; i < 5; i++ {
 		sample := map[string]float64{"x": 1}
-		if sat, rob, _ := once.Push(sample); sat || !math.IsInf(rob, -1) {
+		if sat, rob := pushSample(t, once, sample); sat || !math.IsInf(rob, -1) {
 			t.Errorf("once over empty window: sat=%v rob=%v", sat, rob)
 		}
-		if sat, rob, _ := hist.Push(sample); !sat || !math.IsInf(rob, 1) {
+		if sat, rob := pushSample(t, hist, sample); !sat || !math.IsInf(rob, 1) {
 			t.Errorf("historically over empty window: sat=%v rob=%v", sat, rob)
 		}
-		if sat, rob, _ := since.Push(sample); sat || !math.IsInf(rob, -1) {
+		if sat, rob := pushSample(t, since, sample); sat || !math.IsInf(rob, -1) {
 			t.Errorf("since over empty window: sat=%v rob=%v", sat, rob)
 		}
 	}
 }
 
 func TestStreamReset(t *testing.T) {
-	s, err := NewStream(MustParse("(x > 5) S (y == 1)"), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := s.Push(map[string]float64{"x": 9, "y": 1}); err != nil {
-		t.Fatal(err)
-	}
-	sat, _, err := s.Push(map[string]float64{"x": 9, "y": 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sat {
+	m := newOnline(t, MustParse("(x > 5) S (y == 1)"), 1)
+	pushSample(t, m, map[string]float64{"x": 9, "y": 1})
+	if sat, _ := pushSample(t, m, map[string]float64{"x": 9, "y": 0}); !sat {
 		t.Fatal("since should hold before reset")
 	}
-	s.Reset()
-	if s.Len() != 0 {
-		t.Errorf("Len after reset = %d", s.Len())
+	m.Reset()
+	if m.Len() != 0 {
+		t.Errorf("Len after reset = %d", m.Len())
 	}
-	if _, _, err := s.Last(); err == nil {
-		t.Error("Last after reset should error")
+	if _, err := m.Robustness(); err == nil {
+		t.Error("Robustness after reset should error")
 	}
 	// The witness from before the reset must be gone.
-	sat, _, err = s.Push(map[string]float64{"x": 9, "y": 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sat {
+	if sat, _ := pushSample(t, m, map[string]float64{"x": 9, "y": 0}); sat {
 		t.Error("since held across Reset: stale operator state")
 	}
 }
@@ -239,15 +247,15 @@ var groupFormulas = []string{
 	"H[0,30] (y < 8)",
 }
 
-// TestStreamGroupMatchesIndividualStreams: hash-consing must not change
-// a single verdict or margin — every group member must equal its own
-// standalone Stream at every pushed sample.
-func TestStreamGroupMatchesIndividualStreams(t *testing.T) {
-	g, err := NewStreamGroup(5)
+// newGroupAndSolo compiles groupFormulas into one one-lane group and
+// into one OnlineMonitor each.
+func newGroupAndSolo(t *testing.T) (*BatchStreamGroup, []*OnlineMonitor) {
+	t.Helper()
+	g, err := NewBatchStreamGroup(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var solo []*Stream
+	var solo []*OnlineMonitor
 	for _, src := range groupFormulas {
 		f := MustParse(src)
 		idx, err := g.Add(f)
@@ -257,28 +265,36 @@ func TestStreamGroupMatchesIndividualStreams(t *testing.T) {
 		if idx != len(solo) {
 			t.Fatalf("Add returned %d, want %d", idx, len(solo))
 		}
-		s, err := NewStream(f, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		solo = append(solo, s)
+		solo = append(solo, newOnline(t, f, 5))
 	}
+	return g, solo
+}
+
+// groupVals lays a sample out in the group's variable order.
+func groupVals(g *BatchStreamGroup, sample map[string]float64) []float64 {
+	vals := make([]float64, len(g.Vars()))
+	for i, name := range g.Vars() {
+		vals[i] = sample[name]
+	}
+	return vals
+}
+
+// TestStreamGroupMatchesIndividualStreams: hash-consing must not change
+// a single verdict or margin — every group member must equal its own
+// standalone stream at every pushed sample.
+func TestStreamGroupMatchesIndividualStreams(t *testing.T) {
+	g, solo := newGroupAndSolo(t)
 	for i := 0; i < 500; i++ {
 		sample := map[string]float64{
 			"x": float64((i*7919)%23) - 10,
 			"y": float64((i*104729)%19) - 9,
 		}
-		if err := g.Push(sample); err != nil {
-			t.Fatal(err)
-		}
+		pushLane(t, g, groupVals(g, sample)...)
 		for k, s := range solo {
-			wantSat, wantRob, err := s.Push(sample)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g.Sat(k) != wantSat || g.Rob(k) != wantRob {
+			wantSat, wantRob := pushSample(t, s, sample)
+			if gotSat, gotRob := g.Sats(k)[0], g.Robs(k)[0]; gotSat != wantSat || gotRob != wantRob {
 				t.Fatalf("step %d formula %d: group (%v, %v), solo (%v, %v)",
-					i, k, g.Sat(k), g.Rob(k), wantSat, wantRob)
+					i, k, gotSat, gotRob, wantSat, wantRob)
 			}
 		}
 	}
@@ -288,33 +304,16 @@ func TestStreamGroupMatchesIndividualStreams(t *testing.T) {
 // well below the sum of the standalone streams' — identical windowed
 // subformulas hold one stateful node (ROADMAP "Multi-formula sharing").
 func TestStreamGroupSharesState(t *testing.T) {
-	g, err := NewStreamGroup(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var solo []*Stream
-	for _, src := range groupFormulas {
-		f := MustParse(src)
-		if _, err := g.Add(f); err != nil {
-			t.Fatal(err)
-		}
-		s, err := NewStream(f, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		solo = append(solo, s)
-	}
+	g, solo := newGroupAndSolo(t)
 	sample := make(map[string]float64, 2)
+	var vals []float64
 	for i := 0; i < 200; i++ { // saturate every window
 		sample["x"] = float64((i*31)%17) - 8
 		sample["y"] = float64((i*17)%13) - 6
-		if err := g.Push(sample); err != nil {
-			t.Fatal(err)
-		}
+		vals = groupVals(g, sample)
+		pushLane(t, g, vals...)
 		for _, s := range solo {
-			if _, _, err := s.Push(sample); err != nil {
-				t.Fatal(err)
-			}
+			pushSample(t, s, sample)
 		}
 	}
 	soloTotal := 0
@@ -333,8 +332,9 @@ func TestStreamGroupSharesState(t *testing.T) {
 	}
 	// And the group must stay allocation-free and bounded like a single
 	// stream.
+	lane := []int{0}
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := g.Push(sample); err != nil {
+		if err := g.PushLanes(lane, vals); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -343,12 +343,12 @@ func TestStreamGroupSharesState(t *testing.T) {
 	}
 }
 
-// TestStreamGroupValidation covers the group's error paths.
+// TestStreamGroupValidation covers the one-lane group's error paths.
 func TestStreamGroupValidation(t *testing.T) {
-	if _, err := NewStreamGroup(0); err == nil {
+	if _, err := NewBatchStreamGroup(0, 1); err == nil {
 		t.Error("zero dt should be rejected")
 	}
-	g, err := NewStreamGroup(5)
+	g, err := NewBatchStreamGroup(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,15 +361,13 @@ func TestStreamGroupValidation(t *testing.T) {
 	if _, err := g.Add(MustParse("x > 1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Push(map[string]float64{"y": 1}); err == nil {
-		t.Error("missing variable should error")
-	}
-	if err := g.PushVector([]float64{1, 2}); err == nil {
+	if err := g.PushLanes([]int{0}, []float64{1, 2}); err == nil {
 		t.Error("wrong vector width should error")
 	}
-	if err := g.Push(map[string]float64{"x": 2}); err != nil {
-		t.Fatal(err)
+	if err := g.PushLanes([]int{1}, []float64{1}); err == nil {
+		t.Error("lane beyond the width should error")
 	}
+	pushLane(t, g, 2)
 	if _, err := g.Add(MustParse("x > 2")); err == nil {
 		t.Error("Add after Push should be rejected")
 	}
@@ -378,7 +376,7 @@ func TestStreamGroupValidation(t *testing.T) {
 // TestStreamGroupReset: reset must clear shared operator state exactly
 // once and leave the group replayable from scratch.
 func TestStreamGroupReset(t *testing.T) {
-	g, err := NewStreamGroup(5)
+	g, err := NewBatchStreamGroup(5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,20 +387,19 @@ func TestStreamGroupReset(t *testing.T) {
 	if _, err := g.Add(MustParse("not ((x > 5) S (y == 1))")); err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Push(map[string]float64{"x": 9, "y": 1}); err != nil {
-		t.Fatal(err)
-	}
-	if !g.Sat(0) || g.Sat(1) {
+	pushLane(t, g, 9, 1) // x, y
+	if !g.Sats(0)[0] || g.Sats(1)[0] {
 		t.Fatal("since should hold before reset")
 	}
 	g.Reset()
-	if g.Len() != 0 {
-		t.Errorf("Len after reset = %d", g.Len())
+	if g.Len() != 0 || g.LaneLen(0) != 0 {
+		t.Errorf("Len after reset = %d, lane %d", g.Len(), g.LaneLen(0))
 	}
-	if err := g.Push(map[string]float64{"x": 9, "y": 0}); err != nil {
-		t.Fatal(err)
+	if len(g.Sats(0)) != 0 {
+		t.Errorf("Sats after reset = %v, want empty", g.Sats(0))
 	}
-	if g.Sat(0) {
+	pushLane(t, g, 9, 0)
+	if g.Sats(0)[0] {
 		t.Error("since held across Reset: stale shared operator state")
 	}
 }
