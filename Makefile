@@ -27,8 +27,9 @@ bench:
 ## bench-smoke: the fast hot-path benchmarks CI tracks per commit — the
 ## streaming-vs-legacy STL push (internal/stl), the one-lane CAWOT step
 ## vs the legacy eager evaluator (internal/monitor; the per-session cost
-## of the shard-batched rule kernel), the rule-evaluation kernel as 128
-## one-lane sets vs one 128-lane set,
+## of the shard-batched rule kernel), building one CAWOT monitor (the
+## Table I compile a falsifier evaluation pays), the rule-evaluation
+## kernel as 128 one-lane sets vs one 128-lane set,
 ## the per-session-vs-batched patient stepping kernel (the SoA speedup
 ## guard; fewer iterations — each op steps a 128-lane bank), the
 ## closed-loop kernels (one session cycle of IOB tracker work on full
@@ -45,9 +46,13 @@ bench:
 ## ~5.5k windows), and one epoch of MLP and LSTM training at the paper
 ## workload's shapes (the per-sample oracle vs the batched trainer on
 ## one worker and on GOMAXPROCS workers; two iterations — each op trains
-## a whole epoch). Output lands in bench-smoke.txt for the CI artifact.
+## a whole epoch), and drawing the paper workload's ML training sets
+## (10,000 rows and 2,000 windows from a thin-32 campaign's training
+## folds: the build-all-then-subsample oracle vs the sampler that builds
+## only what it keeps; five iterations). Output lands in bench-smoke.txt
+## for the CI artifact.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSTLOnlinePush|BenchmarkCAWTStep|BenchmarkSCSBatchPush' \
+	$(GO) test -run '^$$' -bench 'BenchmarkSTLOnlinePush|BenchmarkCAWTStep|BenchmarkNewCAWOT|BenchmarkSCSBatchPush' \
 		-benchtime 1000x -benchmem ./internal/stl ./internal/monitor . > bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkIOBTracker|BenchmarkLabel' \
 		-benchtime 1000x -benchmem ./internal/control ./internal/risk >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
@@ -63,6 +68,8 @@ bench-smoke:
 		-benchtime 2x -benchmem ./internal/experiment >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainLSTM|BenchmarkTrainMLP' \
 		-benchtime 2x -benchmem ./internal/ml >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
+	$(GO) test -run '^$$' -bench 'BenchmarkDrawTrainingSet' \
+		-benchtime 5x -benchmem ./internal/experiment >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	@cat bench-smoke.txt
 
 ## smoke-fleetd: end-to-end control-plane smoke — start fleetd, admit a

@@ -145,8 +145,10 @@ func BuildSuite(platform Platform, training, faultFree []*trace.Trace, cfg Suite
 
 	// ML monitors.
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	X, y := monitor.TrainingData(training, cfg.MultiClass)
-	X, y = subsample(X, y, cfg.MaxMLSamples, rng)
+	X, y, err := monitor.DrawRows(training, cfg.MultiClass, cfg.MaxMLSamples, rng)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: ML training set: %w", err)
+	}
 	classes := 2
 	if cfg.MultiClass {
 		classes = 3
@@ -159,8 +161,10 @@ func BuildSuite(platform Platform, training, faultFree []*trace.Trace, cfg Suite
 	}, rng); err != nil {
 		return nil, fmt.Errorf("experiment: MLP training: %w", err)
 	}
-	XSeq, ySeq := monitor.SequenceTrainingData(training, cfg.LSTMWindow, cfg.MultiClass)
-	XSeq, ySeq = subsampleSeq(XSeq, ySeq, cfg.MaxLSTMWindows, rng)
+	XSeq, ySeq, err := monitor.DrawWindows(training, cfg.LSTMWindow, cfg.MultiClass, cfg.MaxLSTMWindows, rng)
+	if err != nil {
+		return nil, fmt.Errorf("experiment: LSTM training set: %w", err)
+	}
 	if s.LSTM, err = ml.FitLSTM(XSeq, ySeq, ml.LSTMConfig{
 		Units: cfg.LSTMUnits, Classes: classes, Window: cfg.LSTMWindow,
 		Epochs: cfg.LSTMEpochs,
@@ -231,31 +235,3 @@ func (s *Suite) NewBatchMonitor(name string) (monitor.BatchMonitor, error) {
 // errNoBatch is NewBatchMonitor's error for a monitor that has no
 // batched variant.
 var errNoBatch = errors.New("experiment: no batched variant of monitor")
-
-func subsample(X [][]float64, y []int, limit int, rng *rand.Rand) ([][]float64, []int) {
-	if len(X) <= limit {
-		return X, y
-	}
-	idx := rng.Perm(len(X))[:limit]
-	outX := make([][]float64, limit)
-	outY := make([]int, limit)
-	for i, j := range idx {
-		outX[i] = X[j]
-		outY[i] = y[j]
-	}
-	return outX, outY
-}
-
-func subsampleSeq(X [][][]float64, y []int, limit int, rng *rand.Rand) ([][][]float64, []int) {
-	if len(X) <= limit {
-		return X, y
-	}
-	idx := rng.Perm(len(X))[:limit]
-	outX := make([][][]float64, limit)
-	outY := make([]int, limit)
-	for i, j := range idx {
-		outX[i] = X[j]
-		outY[i] = y[j]
-	}
-	return outX, outY
-}

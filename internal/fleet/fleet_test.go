@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -273,7 +274,10 @@ func trainFleetMLP(t *testing.T, scenarios []fault.Program) *ml.MLP {
 	if err != nil {
 		t.Fatal(err)
 	}
-	X, y := monitor.TrainingData(res.Traces, false)
+	X, y, err := monitor.DrawRows(res.Traces, false, math.MaxInt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mlp, err := ml.FitMLP(X, y, ml.MLPConfig{Hidden: []int{16}, Epochs: 3}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)

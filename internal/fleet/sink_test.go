@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -136,7 +137,9 @@ var jsonSweepGroups = []string{
 // fields).
 func TestAppendJSONMatchesEncodingJSON(t *testing.T) {
 	floats := jsonSweepFloats()
-	ints := []int{0, 1, -1, 7, 1 << 40, math.MaxInt64, math.MinInt64}
+	// 1 << (bits.UintSize - 24) is 2^40 on 64-bit hosts and stays in
+	// range where int is 32 bits.
+	ints := []int{0, 1, -1, 7, 1 << (bits.UintSize - 24), math.MaxInt, math.MinInt}
 	hazards := []trace.HazardType{trace.HazardNone, trace.HazardH1, trace.HazardH2, trace.HazardType(9)}
 	var n int
 	check := func(ev Event) {

@@ -149,3 +149,15 @@ func TestBatchCAWTRecompilesAtObservedCycle(t *testing.T) {
 		t.Fatal("fresh lane reports a streaming verdict")
 	}
 }
+
+// BenchmarkNewCAWOT builds the one-lane CAWOT monitor a falsifier
+// evaluation or a fresh session builds: Table I compiled into the
+// hash-consed rule-stream DAG.
+func BenchmarkNewCAWOT(b *testing.B) {
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := NewCAWOT(scs.TableI(), scs.Params{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,6 +1,10 @@
 package monitor
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
+
 	"repro/internal/ml"
 	"repro/internal/trace"
 )
@@ -8,20 +12,6 @@ import (
 // FeatureDim is the length of the Eq. 7 feature vector: the observable
 // state xt plus the issued control action ut.
 const FeatureDim = 6
-
-// FeaturesFromSample extracts the Eq. 7 features from a recorded sample
-// (for training-set construction), in the order featuresInto writes
-// them for a live observation.
-func FeaturesFromSample(s *trace.Sample) []float64 {
-	return []float64{
-		s.CGM,
-		s.BGPrime,
-		s.IOB,
-		s.IOBPrime,
-		s.Rate,
-		float64(s.Action),
-	}
-}
 
 // classToHazard maps a classifier output to a hazard verdict. Binary
 // classifiers emit class 1 = unsafe (hazard type unknown: report H2's
@@ -83,60 +73,116 @@ func NewSequenceMonitor(name string, clf ml.BatchSequenceClassifier, window int)
 	return &l, nil
 }
 
-// TrainingData assembles point-in-time training matrices from labeled
-// traces per Eq. 7: a sample is positive when a hazard occurs at any
-// future time of its trace. With multiClass, positives carry the hazard
-// type (1=H1, 2=H2).
-func TrainingData(traces []*trace.Trace, multiClass bool) (X [][]float64, y []int) {
-	for _, tr := range traces {
-		hazType := tr.DominantHazard()
-		for i := range tr.Samples {
-			s := &tr.Samples[i]
-			label := 0
-			// Positive when a hazard happens at any t' >= t (Eq. 7).
-			if anyHazardAtOrAfter(tr, s.Step) {
-				if multiClass {
-					label = int(hazType)
-				} else {
-					label = 1
-				}
-			}
-			X = append(X, FeaturesFromSample(s))
-			y = append(y, label)
-		}
+// DrawRows draws the point-in-time training set of Eq. 7 from labeled
+// traces: one feature row per sample, positive when a hazard occurs at
+// that sample or later in its trace. With multiClass, positives carry
+// the trace's dominant hazard type (1=H1, 2=H2). When the traces hold
+// more than limit samples, the rows kept are those at rng.Perm(n)[:limit]
+// of the n samples in trace-major order, in that order; otherwise every
+// row is kept in order and rng is not drawn from. Only kept rows are
+// built, and they share one backing array.
+func DrawRows(traces []*trace.Trace, multiClass bool, limit int, rng *rand.Rand) ([][]float64, []int, error) {
+	frames, y, err := drawTrainingSet(traces, 1, multiClass, limit, rng)
+	if err != nil {
+		return nil, nil, err
 	}
-	return X, y
+	return frameViews(frames), y, nil
 }
 
-// SequenceTrainingData assembles windowed training data per Eq. 8.
-func SequenceTrainingData(traces []*trace.Trace, window int, multiClass bool) (X [][][]float64, y []int) {
-	for _, tr := range traces {
-		hazType := tr.DominantHazard()
-		for end := window; end <= tr.Len(); end++ {
-			win := make([][]float64, window)
-			for k := 0; k < window; k++ {
-				win[k] = FeaturesFromSample(&tr.Samples[end-window+k])
-			}
-			label := 0
-			if anyHazardAtOrAfter(tr, tr.Samples[end-1].Step) {
-				if multiClass {
-					label = int(hazType)
-				} else {
-					label = 1
-				}
-			}
-			X = append(X, win)
-			y = append(y, label)
-		}
+// DrawWindows draws the windowed training set of Eq. 8: every run of
+// window consecutive samples in a trace, labeled like its last sample
+// under Eq. 7, kept and ordered exactly as DrawRows keeps rows. Each
+// window is a view of window frames in one shared backing array.
+func DrawWindows(traces []*trace.Trace, window int, multiClass bool, limit int, rng *rand.Rand) ([][][]float64, []int, error) {
+	frames, y, err := drawTrainingSet(traces, window, multiClass, limit, rng)
+	if err != nil {
+		return nil, nil, err
 	}
-	return X, y
+	views := frameViews(frames)
+	X := make([][][]float64, len(y))
+	for i := range X {
+		X[i] = views[i*window : (i+1)*window : (i+1)*window]
+	}
+	return X, y, nil
 }
 
-func anyHazardAtOrAfter(tr *trace.Trace, step int) bool {
-	for i := step; i < tr.Len(); i++ {
+// frameViews cuts a frame-major feature array into FeatureDim-long
+// rows.
+func frameViews(frames []float64) [][]float64 {
+	views := make([][]float64, len(frames)/FeatureDim)
+	for i := range views {
+		views[i] = frames[i*FeatureDim : (i+1)*FeatureDim : (i+1)*FeatureDim]
+	}
+	return views
+}
+
+// drawTrainingSet is the sampler behind DrawRows and DrawWindows. It
+// numbers the training positions — every full window, trace by trace —
+// draws the kept positions first, and builds features and labels only
+// for those: the frames of kept window i fill
+// frames[i*window*FeatureDim:], oldest first, each the features of the
+// cycle's replayed observation, as the monitor reads them online. Labels take one scan per
+// trace instead of a rescan of its tail per window: a window is
+// positive exactly when its last sample is at or before the trace's
+// last hazard.
+func drawTrainingSet(traces []*trace.Trace, window int, multiClass bool, limit int, rng *rand.Rand) ([]float64, []int, error) {
+	if window < 1 {
+		return nil, nil, fmt.Errorf("monitor: training window %d, want at least 1", window)
+	}
+	if limit < 0 {
+		return nil, nil, fmt.Errorf("monitor: negative training-set limit %d", limit)
+	}
+	spans := make([]positionSpan, len(traces)+1)
+	for t, tr := range traces {
+		spans[t].last, spans[t].positive = lastHazard(tr, multiClass)
+		spans[t+1].first = spans[t].first + max(tr.Len()-window+1, 0)
+	}
+	n := spans[len(traces)].first
+	var pick []int
+	if n > limit {
+		pick = rng.Perm(n)[:limit]
+		n = limit
+	}
+	frames := make([]float64, n*window*FeatureDim)
+	y := make([]int, n)
+	for i := range y {
+		p := i
+		if pick != nil {
+			p = pick[i]
+		}
+		// The owning trace: the first whose positions end after p.
+		t := sort.Search(len(traces), func(t int) bool { return spans[t+1].first > p })
+		end := p - spans[t].first + window - 1
+		if end <= spans[t].last {
+			y[i] = spans[t].positive
+		}
+		dst := frames[i*window*FeatureDim : (i+1)*window*FeatureDim]
+		for k := 0; k < window; k++ {
+			featuresInto(dst[k*FeatureDim:], observation(traces[t], end-window+1+k))
+		}
+	}
+	return frames, y, nil
+}
+
+// positionSpan is one trace's share of the training positions, which
+// start at first (the next span's first ends them), with the index of
+// its last hazard-labeled sample (-1 when there is none) and the label
+// of its positives.
+type positionSpan struct {
+	first, last, positive int
+}
+
+// lastHazard scans a trace from its end for the last hazard-labeled
+// sample and returns its index (-1 when there is none) and the label
+// of Eq. 7's positives in that trace.
+func lastHazard(tr *trace.Trace, multiClass bool) (last, positive int) {
+	for i := tr.Len() - 1; i >= 0; i-- {
 		if tr.Samples[i].Hazard != trace.HazardNone {
-			return true
+			if multiClass {
+				return i, int(tr.DominantHazard())
+			}
+			return i, 1
 		}
 	}
-	return false
+	return -1, 0
 }

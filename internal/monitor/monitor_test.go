@@ -336,7 +336,10 @@ func TestTrainingDataLabels(t *testing.T) {
 		}
 		tr.Samples = append(tr.Samples, s)
 	}
-	X, y := TrainingData([]*trace.Trace{tr}, false)
+	X, y, err := DrawRows([]*trace.Trace{tr}, false, 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(X) != 10 || len(y) != 10 {
 		t.Fatalf("sizes %d/%d", len(X), len(y))
 	}
@@ -346,10 +349,22 @@ func TestTrainingDataLabels(t *testing.T) {
 			t.Errorf("sample %d label %d, want 1 (hazard at t'>=t)", i, y[i])
 		}
 	}
+	// A hazard sample is positive itself (t' = t).
+	if y[8] != 1 || y[9] != 1 {
+		t.Errorf("hazard samples labeled %d, %d, want 1", y[8], y[9])
+	}
 	// Multi-class labels carry the hazard type.
-	_, ym := TrainingData([]*trace.Trace{tr}, true)
+	_, ym, err := DrawRows([]*trace.Trace{tr}, true, 10, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ym[0] != int(trace.HazardH2) {
 		t.Errorf("multi-class label %d, want %d", ym[0], int(trace.HazardH2))
+	}
+	for _, bad := range []struct{ window, limit int }{{0, 10}, {1, -1}} {
+		if _, _, err := DrawWindows([]*trace.Trace{tr}, bad.window, false, bad.limit, nil); err == nil {
+			t.Errorf("window %d, limit %d: want an error", bad.window, bad.limit)
+		}
 	}
 }
 
@@ -358,7 +373,10 @@ func TestSequenceTrainingDataShape(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		tr.Samples = append(tr.Samples, trace.Sample{Step: i, CGM: 120})
 	}
-	X, y := SequenceTrainingData([]*trace.Trace{tr}, 6, false)
+	X, y, err := DrawWindows([]*trace.Trace{tr}, 6, false, 100, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(X) != 15 { // 20 - 6 + 1
 		t.Fatalf("%d windows, want 15", len(X))
 	}

@@ -26,15 +26,51 @@ func randBoundaryState(rng *rand.Rand) State {
 		s.BGPrime = rng.NormFloat64() * DefaultBGDerivEps
 		s.IOBPrime = rng.NormFloat64() * DefaultIOBDerivEps
 	}
+	return snapToGrid(rng, s)
+}
+
+// Table I's comparison points: BGT and rule 10's β candidates for BG,
+// and IOB β candidates, the defaults 0.5 and 2 among them. The trend
+// atoms compare the derivatives with ±eps. States and thresholds draw
+// part of their values from these grids, so a state sits exactly on a
+// threshold, where strict and non-strict atoms differ.
+var (
+	bgGrid  = []float64{DefaultBGT, 70, 90}
+	iobGrid = []float64{-1, 0.5, 2, 4}
+)
+
+// snapToGrid moves each field of s onto a comparison point with
+// probability 1/4.
+func snapToGrid(rng *rand.Rand, s State) State {
+	if rng.Intn(4) == 0 {
+		s.BG = bgGrid[rng.Intn(len(bgGrid))]
+	}
+	if rng.Intn(4) == 0 {
+		s.BGPrime = DefaultBGDerivEps * float64(rng.Intn(3)-1)
+	}
+	if rng.Intn(4) == 0 {
+		s.IOB = iobGrid[rng.Intn(len(iobGrid))]
+	}
+	if rng.Intn(4) == 0 {
+		s.IOBPrime = DefaultIOBDerivEps * float64(rng.Intn(3)-1)
+	}
 	return s
 }
 
 // randThresholds perturbs the default β table within each rule's
-// learnable bounds.
+// learnable bounds, half of the rules onto the grids' β candidates.
 func randThresholds(rng *rand.Rand, rules []Rule) Thresholds {
 	th := make(Thresholds, len(rules))
 	for _, r := range rules {
-		th[r.ID] = r.Lo + (r.Hi-r.Lo)*rng.Float64()
+		grid := iobGrid
+		if r.LearnVar == "BG" {
+			grid = bgGrid[1:] // rule 10's β lies in [40, 110]; BGT does not
+		}
+		if rng.Intn(2) == 0 {
+			th[r.ID] = grid[rng.Intn(len(grid))]
+		} else {
+			th[r.ID] = r.Lo + (r.Hi-r.Lo)*rng.Float64()
+		}
 	}
 	return th
 }

@@ -39,14 +39,16 @@ func (o *oneLane) Fired() []int { return o.bs.Fired(0) }
 // Reset clears the lane, as a session restarting in place.
 func (o *oneLane) Reset() { o.bs.ResetLane(0) }
 
+// randState draws a context state, part of it on Table I's comparison
+// points (snapToGrid).
 func randState(rng *rand.Rand) State {
-	return State{
+	return snapToGrid(rng, State{
 		BG:       40 + 300*rng.Float64(),
 		BGPrime:  -6 + 12*rng.Float64(),
 		IOB:      -2 + 10*rng.Float64(),
 		IOBPrime: -0.05 + 0.1*rng.Float64(),
 		Action:   trace.Action(1 + rng.Intn(4)),
-	}
+	})
 }
 
 // TestStreamSetMatchesRuleSemantics checks the streamed Table I bodies,

@@ -42,7 +42,8 @@ type batchCompiler struct {
 	width  int
 	vars   []string
 	varIdx map[string]int
-	cache  map[string]batchNode
+	ids    map[internKey]int
+	nodes  []batchNode // by intern ID; nil until compiled
 	memos  []*batchMemoNode
 }
 
@@ -50,7 +51,7 @@ func newBatchCompiler(dt float64, width int) *batchCompiler {
 	return &batchCompiler{
 		dt: dt, width: width,
 		varIdx: make(map[string]int),
-		cache:  make(map[string]batchNode),
+		ids:    make(map[internKey]int),
 	}
 }
 
@@ -64,20 +65,75 @@ func (c *batchCompiler) varIndex(name string) int {
 	return i
 }
 
-// compile lowers one formula with hash-consed sharing. The canonical
-// key is the parser syntax rendering, which is injective on the AST
-// (thresholds print at shortest-round-trip precision). Only stateful
+// internKind tags an interned subformula's operator.
+type internKind int
+
+const (
+	internAtom internKind = iota
+	internConst
+	internNot
+	internOne // a conjunction or disjunction of one child, which is the child
+	internAnd
+	internOr
+	internImplies
+	internOnce
+	internHistorically
+	internSince
+	internList // a child-list cell: child x after cell y, the children before it (-1: none)
+)
+
+// internKey identifies a subformula for hash-consing without rendering
+// it: the operator, the intern IDs of its children (for an atom, its
+// variable's index and its op), and the bits of an atom's threshold or
+// of a window's bounds. Two subformulas get one key exactly when
+// their parser renderings (String) are equal, so the DAG, and with it
+// the snapshot layout, is the one that keying on String built — with
+// one deliberate exception: an empty conjunction (true) and an empty
+// disjunction (false) both render as "" but no longer share a node.
+type internKey struct {
+	kind   internKind
+	x, y   int
+	lo, hi uint64
+}
+
+// floatKey is a float's intern bits: every NaN payload is one key, as
+// every NaN renders "NaN", while -0 and +0 render, and key, apart.
+func floatKey(v float64) uint64 {
+	if v != v {
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(v)
+}
+
+// id interns a key, returning its dense ID.
+func (c *batchCompiler) id(k internKey) int {
+	if i, ok := c.ids[k]; ok {
+		return i
+	}
+	i := len(c.nodes)
+	c.ids[k] = i
+	c.nodes = append(c.nodes, nil)
+	return i
+}
+
+// compile lowers one formula with hash-consed sharing and returns its
+// node and intern ID. Children compile first, so a node is keyed on
+// its children's IDs and nodes are created in post-order. Only stateful
 // subtrees are wrapped in the per-push memo: sharing one delay line or
 // window deque between formulas is what must not double-advance, while
 // a repeated stateless comparison is cheaper than a memo check.
-func (c *batchCompiler) compile(f Formula) (batchNode, error) {
-	key := f.String()
-	if n, ok := c.cache[key]; ok {
-		return n, nil
-	}
-	inner, err := c.lower(f)
+func (c *batchCompiler) compile(f Formula) (batchNode, int, error) {
+	k, kids, err := c.key(f)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
+	}
+	id := c.id(k)
+	if n := c.nodes[id]; n != nil {
+		return n, id, nil
+	}
+	inner, err := c.lower(f, kids)
+	if err != nil {
+		return nil, 0, err
 	}
 	out := inner
 	if hasState(f) {
@@ -85,20 +141,111 @@ func (c *batchCompiler) compile(f Formula) (batchNode, error) {
 		c.memos = append(c.memos, m)
 		out = m
 	}
-	c.cache[key] = out
-	return out, nil
+	c.nodes[id] = out
+	return out, id, nil
 }
 
-// lower compiles one operator, recursing through compile so every
-// subformula takes part in sharing. Minute bounds convert to inclusive
-// sample offsets exactly as Bounds.window does, so streaming and offline
-// evaluation agree on window edges (including empty fractional windows).
-func (c *batchCompiler) lower(f Formula) (batchNode, error) {
+// key compiles f's children and returns f's intern key with the
+// children's nodes. A conjunction of ordering atoms is fused into one
+// node, so its atoms are interned for their IDs but not compiled.
+func (c *batchCompiler) key(f Formula) (internKey, []batchNode, error) {
 	switch n := f.(type) {
 	case *Atom:
 		if n.Op < OpLT || n.Op > OpNE {
-			return nil, fmt.Errorf("stl: invalid comparison op %d", int(n.Op))
+			return internKey{}, nil, fmt.Errorf("stl: invalid comparison op %d", int(n.Op))
 		}
+		return c.atomKey(n), nil, nil
+	case Const:
+		k := internKey{kind: internConst}
+		if n {
+			k.x = 1
+		}
+		return k, nil, nil
+	case *Not:
+		return c.opKey(internNot, Bounds{}, n.Child)
+	case *And:
+		if atoms, ok := flatOrderAtoms(n.Children); ok {
+			var g group
+			for _, a := range atoms {
+				g.add(c, c.id(c.atomKey(a)))
+			}
+			return g.key(internAnd), nil, nil
+		}
+		return c.opKey(internAnd, Bounds{}, n.Children...)
+	case *Or:
+		return c.opKey(internOr, Bounds{}, n.Children...)
+	case *Implies:
+		return c.opKey(internImplies, Bounds{}, n.L, n.R)
+	case *Once:
+		return c.opKey(internOnce, n.Bounds, n.Child)
+	case *Historically:
+		return c.opKey(internHistorically, n.Bounds, n.Child)
+	case *Since:
+		return c.opKey(internSince, n.Bounds, n.L, n.R)
+	default:
+		return internKey{}, nil, fmt.Errorf("stl: cannot stream %T", f)
+	}
+}
+
+func (c *batchCompiler) atomKey(a *Atom) internKey {
+	return internKey{kind: internAtom, x: c.varIndex(a.Var), y: int(a.Op), lo: floatKey(a.Threshold)}
+}
+
+// opKey compiles an operator's children in order and keys it on their
+// ID list and its window. The window [0, inf) renders as no bounds at
+// all, whatever the sign of its zero.
+func (c *batchCompiler) opKey(kind internKind, b Bounds, children ...Formula) (internKey, []batchNode, error) {
+	var g group
+	kids := make([]batchNode, len(children))
+	for i, child := range children {
+		n, id, err := c.compile(child)
+		if err != nil {
+			return internKey{}, nil, err
+		}
+		kids[i] = n
+		g.add(c, id)
+	}
+	k := g.key(kind)
+	if b.A == 0 && math.IsInf(b.B, 1) {
+		b.A = 0
+	}
+	k.lo, k.hi = floatKey(b.A), floatKey(b.B)
+	return k, kids, nil
+}
+
+// group accumulates an operator's child IDs as interned list cells,
+// each cell holding one child and the cell before it.
+type group struct {
+	n, first, list int
+}
+
+func (g *group) add(c *batchCompiler, id int) {
+	if g.n == 0 {
+		g.first, g.list = id, -1
+	}
+	g.list = c.id(internKey{kind: internList, x: id, y: g.list})
+	g.n++
+}
+
+// key keys an operator on its child list. A conjunction or disjunction
+// of one child renders "(child)" either way, so both take one key.
+func (g *group) key(kind internKind) internKey {
+	if g.n == 1 && (kind == internAnd || kind == internOr) {
+		return internKey{kind: internOne, x: g.first}
+	}
+	if g.n == 0 {
+		return internKey{kind: kind, x: -1}
+	}
+	return internKey{kind: kind, x: g.list}
+}
+
+// lower builds one operator's node over its compiled children. Minute
+// bounds convert to inclusive sample offsets exactly as Bounds.window
+// does, so streaming and offline evaluation agree on window edges
+// (including empty fractional windows).
+func (c *batchCompiler) lower(f Formula, kids []batchNode) (batchNode, error) {
+	switch n := f.(type) {
+	case *Atom:
 		return &batchAtomNode{
 			varIdx: c.varIndex(n.Var), op: n.Op, threshold: n.Threshold,
 			batchOut: newBatchOut(c.width),
@@ -115,92 +262,45 @@ func (c *batchCompiler) lower(f Formula) (batchNode, error) {
 		}
 		return bc, nil
 	case *Not:
-		child, err := c.compile(n.Child)
-		if err != nil {
-			return nil, err
-		}
-		return &batchNotNode{child: child, batchOut: newBatchOut(c.width)}, nil
+		return &batchNotNode{child: kids[0], batchOut: newBatchOut(c.width)}, nil
 	case *And:
-		if atoms, ok := flatOrderAtoms(n.Children); ok {
+		if kids == nil { // fused: key interned the atoms without compiling them
 			fa := &batchFlatAndNode{
-				atoms:    make([]fusedAtom, len(atoms)),
+				atoms:    make([]fusedAtom, len(n.Children)),
 				batchOut: newBatchOut(c.width),
 			}
-			for i, a := range atoms {
+			for i, child := range n.Children {
+				a := child.(*Atom)
 				fa.atoms[i] = newFusedAtom(c.varIndex(a.Var), a.Op, a.Threshold)
 			}
 			return fa, nil
 		}
-		cs, err := c.compileChildren(n.Children)
-		if err != nil {
-			return nil, err
-		}
-		return &batchAndNode{children: cs, batchOut: newBatchOut(c.width)}, nil
+		return &batchAndNode{children: kids, batchOut: newBatchOut(c.width)}, nil
 	case *Or:
-		cs, err := c.compileChildren(n.Children)
-		if err != nil {
-			return nil, err
-		}
-		return &batchOrNode{children: cs, batchOut: newBatchOut(c.width)}, nil
+		return &batchOrNode{children: kids, batchOut: newBatchOut(c.width)}, nil
 	case *Implies:
-		l, err := c.compile(n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compile(n.R)
-		if err != nil {
-			return nil, err
-		}
-		return &batchImpliesNode{l: l, r: r, batchOut: newBatchOut(c.width)}, nil
+		return &batchImpliesNode{l: kids[0], r: kids[1], batchOut: newBatchOut(c.width)}, nil
 	case *Once:
-		child, err := c.compile(n.Child)
-		if err != nil {
-			return nil, err
-		}
 		lo, hi, err := pastWindow(n.Bounds, c.dt)
 		if err != nil {
 			return nil, err
 		}
-		return newBatchWindowNode(child, lo, hi, false, c.width), nil
+		return newBatchWindowNode(kids[0], lo, hi, false, c.width), nil
 	case *Historically:
-		child, err := c.compile(n.Child)
-		if err != nil {
-			return nil, err
-		}
 		lo, hi, err := pastWindow(n.Bounds, c.dt)
 		if err != nil {
 			return nil, err
 		}
-		return newBatchWindowNode(child, lo, hi, true, c.width), nil
+		return newBatchWindowNode(kids[0], lo, hi, true, c.width), nil
 	case *Since:
-		l, err := c.compile(n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compile(n.R)
-		if err != nil {
-			return nil, err
-		}
 		lo, hi, err := pastWindow(n.Bounds, c.dt)
 		if err != nil {
 			return nil, err
 		}
-		return newBatchSinceNode(l, r, lo, hi, c.width), nil
+		return newBatchSinceNode(kids[0], kids[1], lo, hi, c.width), nil
 	default:
 		return nil, fmt.Errorf("stl: cannot stream %T", f)
 	}
-}
-
-func (c *batchCompiler) compileChildren(children []Formula) ([]batchNode, error) {
-	out := make([]batchNode, len(children))
-	for i, child := range children {
-		n, err := c.compile(child)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = n
-	}
-	return out, nil
 }
 
 // batchOut is a node's output vector pair, sized to the group width at
@@ -684,7 +784,7 @@ func (g *BatchStreamGroup) Add(f Formula) (int, error) {
 	if !PastOnly(f) {
 		return 0, fmt.Errorf("stl: formula %q needs future knowledge; cannot monitor online", f)
 	}
-	root, err := g.comp.compile(f)
+	root, _, err := g.comp.compile(f)
 	if err != nil {
 		return 0, err
 	}

@@ -17,8 +17,10 @@
 //   - Offline: Formula.Sat / Formula.Robustness over a recorded Trace —
 //     the reference semantics.
 //   - Batched (BatchStreamGroup): past-only formulas compile into one
-//     hash-consed DAG, keyed on the canonical formula rendering, whose
-//     stateful nodes hold per-lane operator cores (delay lines, Lemire
+//     hash-consed DAG, keyed on each node's operator, children and
+//     constants (subformulas share a node exactly when their parser
+//     renderings are equal, TestInternMatchesString), whose stateful
+//     nodes hold per-lane operator cores (delay lines, Lemire
 //     window-extremum deques, clamp-merge Since deques) for a whole
 //     shard of independent sessions (lanes), all advanced by one
 //     struct-of-arrays push. Each push is O(1) amortized per lane with

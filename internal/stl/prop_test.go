@@ -13,23 +13,42 @@ import (
 // propVars are the signal names the generators draw from.
 var propVars = []string{"x", "y"}
 
-// randPropTrace builds a random 2-variable trace.
-func randPropTrace(rng *rand.Rand) *Trace {
+// propGrid is a small grid that thresholds and samples share: drawing
+// part of both from it puts samples exactly at thresholds, where strict
+// and non-strict comparisons differ and == and != atoms can flip, and
+// makes equal samples that window extrema must tie-break.
+var propGrid = []float64{-5, -2, 0, 1, 3}
+
+// randPropValue draws a signal sample or threshold: from propGrid half
+// the time, otherwise uniform on [-10, 10).
+func randPropValue(rng *rand.Rand) float64 {
+	if rng.Intn(2) == 0 {
+		return propGrid[rng.Intn(len(propGrid))]
+	}
+	return -10 + 20*rng.Float64()
+}
+
+// randPropSeries builds an n-sample 2-variable trace.
+func randPropSeries(rng *rand.Rand, n int) *Trace {
 	tr, err := NewTrace(1)
 	if err != nil {
 		panic(err)
 	}
-	n := 8 + rng.Intn(12)
 	for _, v := range propVars {
 		series := make([]float64, n)
 		for i := range series {
-			series[i] = -10 + 20*rng.Float64()
+			series[i] = randPropValue(rng)
 		}
 		if err := tr.Set(v, series); err != nil {
 			panic(err)
 		}
 	}
 	return tr
+}
+
+// randPropTrace builds a random 2-variable trace of 8 to 19 samples.
+func randPropTrace(rng *rand.Rand) *Trace {
+	return randPropSeries(rng, 8+rng.Intn(12))
 }
 
 // shiftTrace returns a copy with every sample of every variable moved by
@@ -67,7 +86,7 @@ func randAtom(rng *rand.Rand, ops []CmpOp) *Atom {
 	return &Atom{
 		Var:       propVars[rng.Intn(len(propVars))],
 		Op:        ops[rng.Intn(len(ops))],
-		Threshold: -10 + 20*rng.Float64(),
+		Threshold: randPropValue(rng),
 	}
 }
 
@@ -158,13 +177,93 @@ func randPastFormula(rng *rand.Rand, depth int) Formula {
 	}
 }
 
+// memoFormula is an offline oracle node that caches its Sat and
+// Robustness per trace index, so nested windows cost one evaluation per
+// node and index instead of one per path through the windows. Both are
+// pure in (trace, index), so the cached values are the uncached ones.
+type memoFormula struct {
+	Formula        // the node, its children memoized in turn
+	sat     []int8 // 0 not yet evaluated, 1 false, 2 true
+	rob     []float64
+	robSet  []bool
+}
+
+// memoize copies a past-only formula for offline evaluation on traces
+// of n samples, caching every operator node; atoms and constants are
+// shared as they are.
+func memoize(f Formula, n int) Formula {
+	m := func(c Formula) Formula { return memoize(c, n) }
+	var node Formula
+	switch x := f.(type) {
+	case *Not:
+		node = &Not{Child: m(x.Child)}
+	case *And:
+		node = &And{Children: memoizeAll(x.Children, n)}
+	case *Or:
+		node = &Or{Children: memoizeAll(x.Children, n)}
+	case *Implies:
+		node = &Implies{L: m(x.L), R: m(x.R)}
+	case *Once:
+		node = &Once{Bounds: x.Bounds, Child: m(x.Child)}
+	case *Historically:
+		node = &Historically{Bounds: x.Bounds, Child: m(x.Child)}
+	case *Since:
+		node = &Since{Bounds: x.Bounds, L: m(x.L), R: m(x.R)}
+	default:
+		return f
+	}
+	return &memoFormula{Formula: node, sat: make([]int8, n), rob: make([]float64, n), robSet: make([]bool, n)}
+}
+
+func memoizeAll(fs []Formula, n int) []Formula {
+	out := make([]Formula, len(fs))
+	for i, f := range fs {
+		out[i] = memoize(f, n)
+	}
+	return out
+}
+
+func (m *memoFormula) Sat(tr *Trace, i int) (bool, error) {
+	if i < 0 || i >= len(m.sat) {
+		return m.Formula.Sat(tr, i)
+	}
+	if m.sat[i] != 0 {
+		return m.sat[i] == 2, nil
+	}
+	s, err := m.Formula.Sat(tr, i)
+	if err != nil {
+		return s, err
+	}
+	m.sat[i] = 1
+	if s {
+		m.sat[i] = 2
+	}
+	return s, nil
+}
+
+func (m *memoFormula) Robustness(tr *Trace, i int) (float64, error) {
+	if i < 0 || i >= len(m.rob) {
+		return m.Formula.Robustness(tr, i)
+	}
+	if m.robSet[i] {
+		return m.rob[i], nil
+	}
+	r, err := m.Formula.Robustness(tr, i)
+	if err != nil {
+		return r, err
+	}
+	m.rob[i], m.robSet[i] = r, true
+	return r, nil
+}
+
 // streamTrace pushes every sample of tr through a fresh one-lane
 // BatchStreamGroup for f, comparing verdict and robustness against the
-// offline Sat/Robustness at every index. Equality is exact (==), not
-// approximate: the streaming engine reorders min/max folds but never
-// changes operands.
+// offline Sat/Robustness at every index, evaluated on a memoized copy
+// of f. Equality is exact (==), not approximate: the streaming engine
+// reorders min/max folds but never changes operands.
 func streamTrace(t *testing.T, trial int, f Formula, tr *Trace) {
 	t.Helper()
+	oracle := memoize(f, tr.Len())
 	g, err := NewBatchStreamGroup(tr.Dt(), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -184,11 +283,11 @@ func streamTrace(t *testing.T, trial int, f Formula, tr *Trace) {
 			t.Fatalf("trial %d: push %d of %s: %v", trial, i, f, err)
 		}
 		gotSat, gotRob := g.Sats(0)[0], g.Robs(0)[0]
-		wantSat, err := f.Sat(tr, i)
+		wantSat, err := oracle.Sat(tr, i)
 		if err != nil {
 			t.Fatalf("trial %d: offline sat of %s at %d: %v", trial, f, i, err)
 		}
-		wantRob, err := f.Robustness(tr, i)
+		wantRob, err := oracle.Robustness(tr, i)
 		if err != nil {
 			t.Fatalf("trial %d: offline robustness of %s at %d: %v", trial, f, i, err)
 		}
@@ -222,21 +321,7 @@ func TestPropStreamingMatchesOfflineLongTraces(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	for trial := 0; trial < 60; trial++ {
 		f := randPastFormula(rng, 2+rng.Intn(2))
-		tr, err := NewTrace(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 200 + rng.Intn(200)
-		for _, v := range propVars {
-			series := make([]float64, n)
-			for i := range series {
-				series[i] = -10 + 20*rng.Float64()
-			}
-			if err := tr.Set(v, series); err != nil {
-				t.Fatal(err)
-			}
-		}
-		streamTrace(t, trial, f, tr)
+		streamTrace(t, trial, f, randPropSeries(rng, 200+rng.Intn(200)))
 	}
 }
 
