@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke smoke-fleetd smoke-snapshot smoke-falsify fuzz-snapshot fuzz-scenario fuzz-events short vet fmt lint docs ci
+.PHONY: build test race bench bench-smoke smoke-fleetd smoke-snapshot smoke-falsify smoke-examples fuzz-snapshot fuzz-scenario fuzz-events short vet fmt lint docs ci
 
 ## build: compile every package and command
 build:
@@ -123,6 +123,12 @@ fuzz-events:
 ## corpus.
 smoke-falsify:
 	$(GO) run ./cmd/falsify -steps 60 -samples 8 -refine 2 -sweeps 1 -seed 1 -polish -out falsify-corpus.json
+
+## smoke-examples: run every example program under examples/ and fail
+## on the first non-zero exit, so the walkthroughs keep working as the
+## APIs they call change (each runs in well under a second)
+smoke-examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
 ## vet: static checks
 vet:

@@ -140,7 +140,9 @@ func ParsePrograms(text string) ([]Program, error) { return fault.ParsePrograms(
 type (
 	// Platform couples a patient cohort with its controller.
 	Platform = experiment.Platform
-	// CampaignConfig describes a fault-injection campaign.
+	// CampaignConfig describes a fault-injection campaign; its
+	// NewBatchMonitor attaches one batch monitor per fleet shard (e.g.
+	// NewBatchCAWTMonitor) for every session of the campaign.
 	CampaignConfig = experiment.CampaignConfig
 	// Suite holds the trained monitor collection for one platform.
 	Suite = experiment.Suite
@@ -219,8 +221,8 @@ type (
 	FleetAdmissions = fleet.Admissions
 	// FleetAdmitSpec describes one session to admit into a running
 	// fleet: its coordinates, group tag and mitigation, or a captured
-	// session to resume (Restore). Every admitted session runs the
-	// fleet's own monitor (FleetConfig.NewMonitor or NewBatchMonitor).
+	// session to resume (Restore). Every admitted session runs on a
+	// lane of the fleet's own monitor (FleetConfig.NewBatchMonitor).
 	FleetAdmitSpec = fleet.AdmitSpec
 	// FleetLiveSession is one live slot of an admission-controlled
 	// fleet.

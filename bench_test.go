@@ -450,7 +450,7 @@ func BenchmarkFleetMonitorInference100(b *testing.B) {
 
 // BenchmarkFleetEngine100Sessions measures end-to-end engine throughput
 // (steps/s) for a 100-session fleet with the MLP monitor attached,
-// per-session versus batched per shard.
+// batched per shard.
 func BenchmarkFleetEngine100Sessions(b *testing.B) {
 	mlp := benchPaperMLP(b)
 	platform := experiment.Glucosym()
@@ -473,13 +473,6 @@ func BenchmarkFleetEngine100Sessions(b *testing.B) {
 		}
 		b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
 	}
-	b.Run("per-session", func(b *testing.B) {
-		cfg := base
-		cfg.NewMonitor = func(int) (monitor.Monitor, error) {
-			return monitor.NewMLMonitor("MLP", mlp.NewBatch())
-		}
-		run(b, cfg)
-	})
 	b.Run("batched", func(b *testing.B) {
 		cfg := base
 		cfg.NewBatchMonitor = func() (monitor.BatchMonitor, error) {

@@ -52,8 +52,8 @@ func main() {
 	mitigatedCfg := apsmonitor.CampaignConfig{
 		Platform: platform, Patients: patients, Scenarios: scenarios,
 		Mitigate: true,
-		NewMonitor: func(int) (apsmonitor.Monitor, error) {
-			return apsmonitor.NewCAWTMonitor(rules, thresholds)
+		NewBatchMonitor: func() (apsmonitor.BatchMonitor, error) {
+			return apsmonitor.NewBatchCAWTMonitor(rules, thresholds)
 		},
 	}
 	fmt.Println("rerunning with CAWT monitor + Algorithm 1 mitigation (fixed)...")

@@ -429,7 +429,7 @@ func TestMitigationRejectsNegativeMarginRef(t *testing.T) {
 
 // TestDeferredSteppingMatchesStep: driving a stepper through the
 // batched-engine protocol — CleanCGM + external sensor transform,
-// BeginStepSensed, MonitorVerdict, FinishStepDeferred, then advancing
+// BeginStepSensed, the monitor, FinishStepDeferred, then advancing
 // the patient outside the stepper — must reproduce the plain Step loop
 // sample for sample, including under margin-scaled mitigation.
 func TestDeferredSteppingMatchesStep(t *testing.T) {
@@ -470,7 +470,7 @@ func TestDeferredSteppingMatchesStep(t *testing.T) {
 			t.Fatalf("CycleTime %v at step %d", now, stB.StepIndex())
 		}
 		obs := stB.BeginStepSensed(cgm)
-		delivered := stB.FinishStepDeferred(stB.MonitorVerdict(obs))
+		delivered := stB.FinishStepDeferred(cfgB.Monitor.Step(obs))
 		cfgB.Patient.Step(delivered, 0, 5)
 	}
 	got := stB.Finish()

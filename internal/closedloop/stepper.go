@@ -334,20 +334,14 @@ func (st *Stepper) FinishStepDeferred(v Verdict) float64 {
 	return applied
 }
 
-// MonitorVerdict evaluates the attached monitor (if any) on the
-// observation, for engines that drive BeginStepSensed/FinishStepDeferred
-// directly instead of Step.
-func (st *Stepper) MonitorVerdict(obs Observation) Verdict {
-	if st.cfg.Monitor == nil {
-		return Verdict{}
-	}
-	return st.cfg.Monitor.Step(obs)
-}
-
 // Step runs one full cycle, consulting cfg.Monitor when attached.
 func (st *Stepper) Step() {
 	obs := st.BeginStep()
-	st.FinishStep(st.MonitorVerdict(obs))
+	var v Verdict
+	if st.cfg.Monitor != nil {
+		v = st.cfg.Monitor.Step(obs)
+	}
+	st.FinishStep(v)
 }
 
 // Finish labels the trace and returns it, releasing the fault-injection

@@ -2,9 +2,9 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
-	"repro/internal/metrics"
 	"repro/internal/monitor"
 	"repro/internal/scs"
 	"repro/internal/stllearn"
@@ -169,29 +169,14 @@ func RenderFaultFreeGeneralization(rows []FaultFreeGeneralization) string {
 }
 
 // evaluatePerPatient scores patient-specific CAWT monitors built from a
-// per-patient threshold map. Patients without a learned table fall back
-// to the rule defaults.
+// per-patient threshold map, replayed as EvaluateMonitor replays CAWT.
+// Patients without a learned table fall back to the rule defaults.
 func evaluatePerPatient(name string, rules []scs.Rule, per map[string]scs.Thresholds, traces []*trace.Trace) (Eval, error) {
-	ev := Eval{Monitor: name}
-	monitors := make(map[string]monitor.Monitor, len(per))
-	for _, tr := range traces {
-		m, ok := monitors[tr.PatientID]
-		if !ok {
-			th, found := per[tr.PatientID]
-			if !found {
-				th = scs.Defaults(rules)
-			}
-			var err error
-			m, err = monitor.NewCAWT(rules, th, scs.Params{})
-			if err != nil {
-				return Eval{}, err
-			}
-			monitors[tr.PatientID] = m
+	return evaluate(name, traces, runtime.GOMAXPROCS(0), true, func(patientID string) (monitor.BatchMonitor, error) {
+		th, found := per[patientID]
+		if !found {
+			th = scs.Defaults(rules)
 		}
-		monitor.Annotate(m, tr)
-		ev.Sample.Add(metrics.SampleLevel(tr, 0))
-		ev.Simulation.Add(metrics.SimulationLevel(tr))
-	}
-	ev.Reaction = metrics.ReactionTime(traces)
-	return ev, nil
+		return monitor.NewBatchCAWT(rules, th, scs.Params{})
+	})
 }

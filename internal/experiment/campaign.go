@@ -21,9 +21,12 @@ type CampaignConfig struct {
 	Scenarios []fault.Scenario
 	// Steps per simulation (default 150 = 12.5 h of 5-minute cycles).
 	Steps int
-	// NewMonitor optionally builds a per-run safety monitor (it must be
-	// a fresh instance per concurrent runner); nil runs without one.
-	NewMonitor func(patientIdx int) (monitor.Monitor, error)
+	// NewBatchMonitor optionally builds the safety monitor, one batch
+	// monitor per fleet shard (fleet.Config.NewBatchMonitor); nil runs
+	// without one. Every patient's sessions share it, so a monitor with
+	// patient-specific parameters needs one campaign per patient, as
+	// Suite.EvaluateMitigation runs.
+	NewBatchMonitor func() (monitor.BatchMonitor, error)
 	// Mitigate enables Algorithm 1 when a monitor is attached.
 	Mitigate bool
 	// Mitigation tunes the enabled mitigation (e.g. ScaleByMargin); the
@@ -41,14 +44,14 @@ type CampaignConfig struct {
 // to the enum path — the fleet golden differential pins it).
 func (c CampaignConfig) FleetConfig() fleet.Config {
 	return fleet.Config{
-		Platform:   fleet.Platform(c.Platform),
-		Patients:   c.Patients,
-		Scenarios:  fault.Programs(c.Scenarios),
-		Steps:      c.Steps,
-		Parallel:   c.Parallel,
-		NewMonitor: c.NewMonitor,
-		Mitigate:   c.Mitigate,
-		Mitigation: c.Mitigation,
+		Platform:        fleet.Platform(c.Platform),
+		Patients:        c.Patients,
+		Scenarios:       fault.Programs(c.Scenarios),
+		Steps:           c.Steps,
+		Parallel:        c.Parallel,
+		NewBatchMonitor: c.NewBatchMonitor,
+		Mitigate:        c.Mitigate,
+		Mitigation:      c.Mitigation,
 	}
 }
 

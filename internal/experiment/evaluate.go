@@ -19,10 +19,8 @@ type Eval struct {
 	Simulation metrics.Confusion
 	Reaction   metrics.ReactionStats
 	// StepTime is the monitor's replay busy time summed over replay
-	// workers, divided by the replayed steps. For DT, MLP and LSTM,
-	// which replay as batched lanes, that is the amortized per-step
-	// cost of batched inference; for the other monitors it is the mean
-	// cost of one per-session step. The per-session Section V-E6
+	// workers, divided by the replayed steps: the amortized per-step
+	// cost of batched evaluation. The per-session Section V-E6
 	// comparison is BenchmarkMonitorOverhead.
 	StepTime time.Duration
 
@@ -45,22 +43,29 @@ type Eval struct {
 // in place, and aggregates the paper's accuracy and timeliness metrics
 // plus the rule/margin attribution the richer verdicts carry.
 //
-// Monitors with a batched variant (Suite.NewBatchMonitor: DT, MLP,
-// LSTM) replay as lanes: the traces split into GOMAXPROCS contiguous
-// chunks, each stepped by its own batch monitor on its own goroutine
-// (monitor.ReplayBatch). The others replay one trace at a time through
-// a per-patient monitor (monitor.Replay). Either way the verdicts are
-// the per-session monitor's, bit for bit, and the metrics, attribution
-// and annotation run afterwards on the calling goroutine in trace
-// order.
+// Every monitor replays as batched lanes (Suite.NewBatchMonitor): the
+// traces split into GOMAXPROCS contiguous chunks, each stepped by its
+// own batch monitor on its own goroutine (monitor.ReplayBatch). CAWT and
+// MPC, whose parameters are the patient's, build one batch monitor per
+// run of one patient's traces within a chunk. The verdicts are the
+// per-session monitor's, bit for bit, and the metrics, attribution and
+// annotation run afterwards on the calling goroutine in trace order.
 func (s *Suite) EvaluateMonitor(name string, traces []*trace.Trace) (Eval, error) {
 	return s.evaluateMonitor(name, traces, runtime.GOMAXPROCS(0))
 }
 
-// evaluateMonitor is EvaluateMonitor with an explicit batched-replay
-// worker count.
+// evaluateMonitor is EvaluateMonitor with an explicit replay worker
+// count.
 func (s *Suite) evaluateMonitor(name string, traces []*trace.Trace, workers int) (Eval, error) {
-	verdicts, busy, err := s.replay(name, traces, workers)
+	return evaluate(name, traces, workers, patientSpecific(name), func(patientID string) (monitor.BatchMonitor, error) {
+		return s.NewBatchMonitor(name, patientID)
+	})
+}
+
+// evaluate scores the monitors newBatch builds, replayed over traces by
+// replay, as EvaluateMonitor describes.
+func evaluate(name string, traces []*trace.Trace, workers int, perPatient bool, newBatch func(patientID string) (monitor.BatchMonitor, error)) (Eval, error) {
+	verdicts, busy, err := replay(name, traces, workers, perPatient, newBatch)
 	if err != nil {
 		return Eval{}, err
 	}
@@ -105,55 +110,39 @@ func (s *Suite) evaluateMonitor(name string, traces []*trace.Trace, workers int)
 }
 
 // replay returns every trace's replayed verdicts, in trace order, and
-// the replay busy time summed over workers.
-func (s *Suite) replay(name string, traces []*trace.Trace, workers int) ([][]monitor.Verdict, time.Duration, error) {
+// the replay busy time summed over workers. The traces split into at
+// most workers contiguous chunks, each replayed by monitor.ReplayBatch
+// on its own goroutine. A chunk builds one batch monitor, or — when
+// perPatient — one for each run of consecutive traces of one patient.
+func replay(name string, traces []*trace.Trace, workers int, perPatient bool, newBatch func(patientID string) (monitor.BatchMonitor, error)) ([][]monitor.Verdict, time.Duration, error) {
 	verdicts := make([][]monitor.Verdict, len(traces))
-	if _, err := s.NewBatchMonitor(name); err == nil {
-		busy, err := s.replayBatched(name, traces, verdicts, workers)
-		return verdicts, busy, err
-	} else if !errors.Is(err, errNoBatch) {
-		return nil, 0, fmt.Errorf("experiment: batched %s: %w", name, err)
-	}
-	monitors := make(map[string]monitor.Monitor)
-	var busy time.Duration
-	for k, tr := range traces {
-		m, ok := monitors[tr.PatientID]
-		if !ok {
-			var err error
-			m, err = s.NewMonitor(name, tr.PatientID)
-			if err != nil {
-				return nil, 0, fmt.Errorf("experiment: %s for %s: %w", name, tr.PatientID, err)
-			}
-			monitors[tr.PatientID] = m
-		}
-		start := time.Now()
-		verdicts[k] = monitor.Replay(m, tr)
-		busy += time.Since(start)
-	}
-	return verdicts, busy, nil
-}
-
-// replayBatched fills verdicts by splitting traces into at most workers
-// contiguous chunks, each replayed by its own batch monitor on its own
-// goroutine. It returns the workers' busy times summed.
-func (s *Suite) replayBatched(name string, traces []*trace.Trace, verdicts [][]monitor.Verdict, workers int) (time.Duration, error) {
-	monitors := make([]monitor.BatchMonitor, max(1, min(workers, len(traces))))
-	for w := range monitors {
-		var err error
-		if monitors[w], err = s.NewBatchMonitor(name); err != nil {
-			return 0, err
-		}
-	}
-	busy := make([]time.Duration, len(monitors))
+	chunks := max(1, min(workers, len(traces)))
+	busy := make([]time.Duration, chunks)
+	errs := make([]error, chunks)
 	var wg sync.WaitGroup
-	for w, b := range monitors {
-		lo, hi := w*len(traces)/len(monitors), (w+1)*len(traces)/len(monitors)
+	for w := range chunks {
+		lo, hi := w*len(traces)/chunks, (w+1)*len(traces)/chunks
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			start := time.Now()
-			copy(verdicts[lo:hi], monitor.ReplayBatch(b, traces[lo:hi]))
-			busy[w] = time.Since(start)
+			var b monitor.BatchMonitor
+			for lo < hi {
+				end := lo + 1
+				for end < hi && (!perPatient || traces[end].PatientID == traces[lo].PatientID) {
+					end++
+				}
+				if b == nil || perPatient {
+					var err error
+					if b, err = newBatch(traces[lo].PatientID); err != nil {
+						errs[w] = fmt.Errorf("experiment: %s for %s: %w", name, traces[lo].PatientID, err)
+						return
+					}
+				}
+				start := time.Now()
+				copy(verdicts[lo:end], monitor.ReplayBatch(b, traces[lo:end]))
+				busy[w] += time.Since(start)
+				lo = end
+			}
 		}()
 	}
 	wg.Wait()
@@ -161,7 +150,7 @@ func (s *Suite) replayBatched(name string, traces []*trace.Trace, verdicts [][]m
 	for _, d := range busy {
 		total += d
 	}
-	return total, nil
+	return verdicts, total, errors.Join(errs...)
 }
 
 // EvaluateAll runs every named monitor over the trace set.
@@ -188,18 +177,13 @@ type MitigationResult struct {
 
 // EvaluateMitigation reruns the campaign scenarios with the monitor in
 // the loop and Algorithm 1 enabled, comparing against the baseline
-// (no-monitor) traces of the same scenarios.
+// (no-monitor) traces of the same scenarios. Each patient runs as a
+// campaign of its own with that patient's monitor, and the traces join
+// in patient order, as one campaign orders them. Trace i of the
+// baseline must be the same patient, fault and initial BG as trace i of
+// the rerun.
 func (s *Suite) EvaluateMitigation(name string, baseline []*trace.Trace, cfg CampaignConfig) (MitigationResult, error) {
-	cfg.Platform = s.Platform
-	cfg.Mitigate = true
-	cfg.NewMonitor = func(patientIdx int) (monitor.Monitor, error) {
-		p, err := s.Platform.NewPatient(patientIdx)
-		if err != nil {
-			return nil, err
-		}
-		return s.NewMonitor(name, p.ID())
-	}
-	mitigated, err := Run(cfg)
+	mitigated, err := s.mitigationRuns(name, cfg)
 	if err != nil {
 		return MitigationResult{}, err
 	}
@@ -207,8 +191,49 @@ func (s *Suite) EvaluateMitigation(name string, baseline []*trace.Trace, cfg Cam
 		return MitigationResult{}, fmt.Errorf("experiment: mitigated %d traces vs baseline %d — configs must match",
 			len(mitigated), len(baseline))
 	}
+	for i, m := range mitigated {
+		if b := baseline[i]; b.PatientID != m.PatientID || b.Fault != m.Fault || b.InitialBG != m.InitialBG {
+			return MitigationResult{}, fmt.Errorf("experiment: trace %d: baseline %s %s from %v mg/dL vs mitigated %s %s from %v mg/dL — configs must match",
+				i, b.PatientID, b.Fault.Name, b.InitialBG, m.PatientID, m.Fault.Name, m.InitialBG)
+		}
+	}
 	return MitigationResult{
 		Monitor: name,
 		Outcome: metrics.Mitigation(baseline, mitigated),
 	}, nil
+}
+
+// mitigationRuns runs EvaluateMitigation's campaigns and returns their
+// traces in patient order.
+func (s *Suite) mitigationRuns(name string, cfg CampaignConfig) ([]*trace.Trace, error) {
+	cfg.Platform = s.Platform
+	cfg.Mitigate = true
+	// The per-patient campaigns below each see one patient, so the
+	// campaign as a whole (a patient listed twice) is checked here.
+	if err := cfg.FleetConfig().Validate(); err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
+	}
+	patients := cfg.Patients
+	if len(patients) == 0 {
+		patients = make([]int, s.Platform.NumPatients)
+		for i := range patients {
+			patients[i] = i
+		}
+	}
+	var out []*trace.Trace
+	for _, idx := range patients {
+		p, err := s.Platform.NewPatient(idx)
+		if err != nil {
+			return nil, fmt.Errorf("experiment: patient %d: %w", idx, err)
+		}
+		run := cfg
+		run.Patients = []int{idx}
+		run.NewBatchMonitor = func() (monitor.BatchMonitor, error) { return s.NewBatchMonitor(name, p.ID()) }
+		traces, err := Run(run)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, traces...)
+	}
+	return out, nil
 }

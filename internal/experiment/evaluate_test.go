@@ -1,10 +1,17 @@
 package experiment
 
 import (
+	"bytes"
+	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
+	"repro/internal/closedloop"
+	"repro/internal/fault"
 	"repro/internal/monitor"
+	"repro/internal/scs"
 	"repro/internal/stllearn"
 	"repro/internal/trace"
 )
@@ -29,10 +36,11 @@ func ragged(traces []*trace.Trace) []*trace.Trace {
 	return out
 }
 
-// TestEvaluateMonitorBatchedMatchesReplay: DT, MLP and LSTM replay as
-// batched lanes split over workers, and every per-sample verdict (and
-// so every annotated alarm and every metric) must equal a per-session
-// monitor.Replay at any worker count.
+// TestEvaluateMonitorBatchedMatchesReplay: every suite monitor replays
+// as batched lanes split over workers (CAWT and MPC one batch per
+// patient run within a chunk), and every per-sample verdict (and so
+// every annotated alarm and every metric) must equal a per-session
+// monitor.Replay of the patient's one-lane monitor at any worker count.
 func TestEvaluateMonitorBatchedMatchesReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("suite training is seconds-long")
@@ -42,7 +50,14 @@ func TestEvaluateMonitorBatchedMatchesReplay(t *testing.T) {
 	if len(traces)%4 == 0 {
 		t.Fatalf("%d lanes: want a lane count that is not a multiple of 4", len(traces))
 	}
-	for _, name := range []string{"DT", "MLP", "LSTM"} {
+	patients := make(map[string]bool)
+	for _, tr := range traces {
+		patients[tr.PatientID] = true
+	}
+	if len(patients) < 2 {
+		t.Fatalf("test traces cover %d patients; the per-patient monitors need two", len(patients))
+	}
+	for _, name := range append(MonitorNames, "CAWT-pop") {
 		want := make([][]monitor.Verdict, len(traces))
 		for k, tr := range traces {
 			m, err := fx.suite.NewMonitor(name, tr.PatientID)
@@ -53,7 +68,9 @@ func TestEvaluateMonitorBatchedMatchesReplay(t *testing.T) {
 		}
 		var first Eval
 		for _, workers := range []int{1, 2, 3} {
-			got, _, err := fx.suite.replay(name, traces, workers)
+			got, _, err := replay(name, traces, workers, patientSpecific(name), func(patientID string) (monitor.BatchMonitor, error) {
+				return fx.suite.NewBatchMonitor(name, patientID)
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +137,7 @@ func BenchmarkReplayLSTM(b *testing.B) {
 		}
 	})
 	b.Run("batch", func(b *testing.B) {
-		m, err := suite.NewBatchMonitor("LSTM")
+		m, err := suite.NewBatchMonitor("LSTM", "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,4 +154,123 @@ func BenchmarkReplayLSTM(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestMitigationCampaignMatchesClosedLoop: Table VII's campaigns (one
+// per patient, each session's monitor a lane of that patient's shard
+// monitors) must reproduce, trace for trace, a closedloop.Run of every
+// session alone with the patient's one-lane monitor — for the
+// threshold-per-patient CAWT, the basal-per-patient MPC and the shared
+// DT, on two patients.
+func TestMitigationCampaignMatchesClosedLoop(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite training is seconds-long")
+	}
+	fx := quickSuite(t)
+	scen := ScenarioSubset(60)
+	patients := []int{0, 4}
+	for _, name := range []string{"CAWT", "MPC", "DT"} {
+		got, err := fx.suite.mitigationRuns(name, CampaignConfig{Patients: patients, Scenarios: scen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(patients)*len(scen) {
+			t.Fatalf("%s: %d traces, want %d", name, len(got), len(patients)*len(scen))
+		}
+		k, mitigated := 0, 0
+		for _, idx := range patients {
+			for _, sc := range scen {
+				p, err := fx.plat.NewPatient(idx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctrl, err := fx.plat.NewController(p.Basal())
+				if err != nil {
+					t.Fatal(err)
+				}
+				m, err := fx.suite.NewMonitor(name, p.ID())
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := sc.Fault
+				want, err := closedloop.Run(closedloop.Config{
+					Platform: fx.plat.Name + "/" + ctrl.Name(), InitialBG: sc.InitialBG,
+					Patient: p, Controller: ctrl, Fault: &f, Monitor: m,
+					Mitigation: closedloop.MitigationConfig{Enabled: true},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(traceCSV(t, got[k]), traceCSV(t, want)) {
+					t.Fatalf("%s: trace %d (%s, %s from %v mg/dL) differs from the per-session closed loop",
+						name, k, p.ID(), sc.Fault.Name(), sc.InitialBG)
+				}
+				for _, s := range want.Samples {
+					if s.Mitigated {
+						mitigated++
+					}
+				}
+				k++
+			}
+		}
+		if mitigated == 0 {
+			t.Fatalf("%s never mitigated — comparison is vacuous", name)
+		}
+	}
+}
+
+// traceCSV serializes one trace.
+func traceCSV(t *testing.T, tr *trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestEvaluateMitigationRejectsMismatchedBaseline: Table VII pairs
+// trace i of the baseline with trace i of the rerun, so a baseline of
+// the same size from another patient or another scenario order must
+// fail, naming the first trace that differs; and a campaign that lists
+// a patient twice is rejected although each per-patient campaign lists
+// it once.
+func TestEvaluateMitigationRejectsMismatchedBaseline(t *testing.T) {
+	plat := Glucosym()
+	s := &Suite{Platform: plat, PopThresholds: scs.Defaults(scs.TableI())}
+	scen := ScenarioSubset(90)
+	baseline := func(patient int, scen []fault.Scenario) []*trace.Trace {
+		traces, err := Run(CampaignConfig{Platform: plat, Patients: []int{patient}, Scenarios: scen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return traces
+	}
+	cfg := CampaignConfig{Patients: []int{0}, Scenarios: scen}
+	if _, err := s.EvaluateMitigation("CAWT", baseline(0, scen), cfg); err != nil {
+		t.Fatalf("matching baseline: %v", err)
+	}
+	reversed := slices.Clone(scen)
+	slices.Reverse(reversed)
+	n := len(scen)
+	swapped := slices.Clone(scen)
+	swapped[n-2], swapped[n-1] = swapped[n-1], swapped[n-2]
+	for _, c := range []struct {
+		name  string
+		base  []*trace.Trace
+		trace string
+	}{
+		{"patient 4 baseline", baseline(4, scen), "trace 0:"},
+		{"reversed scenarios", baseline(0, reversed), "trace 0:"},
+		{"last two scenarios swapped", baseline(0, swapped), fmt.Sprintf("trace %d:", n-2)},
+	} {
+		_, err := s.EvaluateMitigation("CAWT", c.base, cfg)
+		if err == nil || !strings.Contains(err.Error(), c.trace) {
+			t.Errorf("%s: err %v, want a mismatch naming %q", c.name, err, c.trace)
+		}
+	}
+	dup := CampaignConfig{Patients: []int{0, 4, 0}, Scenarios: scen}
+	if _, err := s.EvaluateMitigation("CAWT", nil, dup); err == nil || !strings.Contains(err.Error(), "duplicate patient") {
+		t.Errorf("patient listed twice: err %v, want a duplicate-patient rejection", err)
+	}
 }

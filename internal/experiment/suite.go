@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
@@ -177,25 +176,27 @@ func BuildSuite(platform Platform, training, faultFree []*trace.Trace, cfg Suite
 // MonitorNames lists the suite's monitors in the paper's order.
 var MonitorNames = []string{"Guideline", "MPC", "CAWOT", "CAWT", "DT", "MLP", "LSTM"}
 
-// NewMonitor instantiates a fresh monitor for a patient. CAWT uses the
-// patient-specific thresholds (population fallback); CAWT-pop forces the
-// population table (Table VIII comparison). CAWT, CAWOT, DT, MLP and
-// LSTM are one-lane views of the monitors NewBatchMonitor and
-// monitor.NewBatchCAWT build, each with scratch of its own.
-func (s *Suite) NewMonitor(name, patientID string) (monitor.Monitor, error) {
+// NewBatchMonitor instantiates a batch monitor for a patient's
+// sessions, one per fleet shard or replay worker; the ML monitors share
+// this suite's trained weights. CAWT uses the patient-specific
+// thresholds (population fallback) and MPC the patient's basal, so
+// every lane of those two must replay or run that patient; CAWT-pop
+// forces the population table (Table VIII comparison). Every other
+// monitor ignores patientID.
+func (s *Suite) NewBatchMonitor(name, patientID string) (monitor.BatchMonitor, error) {
 	switch name {
 	case "CAWT":
 		th, ok := s.PatientThresholds[patientID]
 		if !ok {
 			th = s.PopThresholds
 		}
-		return monitor.NewCAWT(scs.TableI(), th, scs.Params{})
+		return monitor.NewBatchCAWT(scs.TableI(), th, scs.Params{})
 	case "CAWT-pop":
-		return monitor.NewCAWT(scs.TableI(), s.PopThresholds, scs.Params{})
+		return monitor.NewBatchCAWT(scs.TableI(), s.PopThresholds, scs.Params{})
 	case "CAWOT":
-		return monitor.NewCAWOT(scs.TableI(), scs.Params{})
+		return monitor.NewBatchCAWOT(scs.TableI(), scs.Params{})
 	case "Guideline":
-		return monitor.NewGuideline(monitor.GuidelineConfig{
+		return monitor.NewBatchGuideline(monitor.GuidelineConfig{
 			Lambda10: s.Lambda10, Lambda90: s.Lambda90,
 		})
 	case "MPC":
@@ -203,24 +204,7 @@ func (s *Suite) NewMonitor(name, patientID string) (monitor.Monitor, error) {
 		if !ok || basal <= 0 {
 			basal = 1.3
 		}
-		return monitor.NewMPC(monitor.MPCConfig{Basal: basal})
-	case "DT":
-		return monitor.NewMLMonitor("DT", s.DT)
-	case "MLP":
-		return monitor.NewMLMonitor("MLP", s.MLP.NewBatch())
-	case "LSTM":
-		return monitor.NewSequenceMonitor("LSTM", s.LSTM.NewBatch(), s.Config.LSTMWindow)
-	default:
-		return nil, fmt.Errorf("experiment: unknown monitor %q", name)
-	}
-}
-
-// NewBatchMonitor instantiates a batched-inference monitor for the ML
-// baselines (DT, MLP, LSTM): one per fleet shard, sharing this suite's
-// trained weights. A lane's verdicts equal those of the per-session
-// monitor NewMonitor builds.
-func (s *Suite) NewBatchMonitor(name string) (monitor.BatchMonitor, error) {
-	switch name {
+		return monitor.NewBatchMPC(monitor.MPCConfig{Basal: basal})
 	case "DT":
 		return monitor.NewBatchML("DT", s.DT)
 	case "MLP":
@@ -228,10 +212,20 @@ func (s *Suite) NewBatchMonitor(name string) (monitor.BatchMonitor, error) {
 	case "LSTM":
 		return monitor.NewBatchSequence("LSTM", s.LSTM.NewBatch(), s.Config.LSTMWindow)
 	default:
-		return nil, fmt.Errorf("%w %q", errNoBatch, name)
+		return nil, fmt.Errorf("experiment: unknown monitor %q", name)
 	}
 }
 
-// errNoBatch is NewBatchMonitor's error for a monitor that has no
-// batched variant.
-var errNoBatch = errors.New("experiment: no batched variant of monitor")
+// patientSpecific reports whether NewBatchMonitor builds the named
+// monitor from the patient's own parameters.
+func patientSpecific(name string) bool { return name == "CAWT" || name == "MPC" }
+
+// NewMonitor instantiates a fresh per-session monitor for a patient:
+// the one-lane view of NewBatchMonitor's.
+func (s *Suite) NewMonitor(name, patientID string) (monitor.Monitor, error) {
+	b, err := s.NewBatchMonitor(name, patientID)
+	if err != nil {
+		return nil, err
+	}
+	return monitor.NewLane(b)
+}

@@ -76,9 +76,9 @@ type AdmitSpec struct {
 	// bit-exactly on a fresh slot. The snapshot header supplies
 	// PatientIdx, ScenIdx, Replica, and Mitigate (the fields above are
 	// ignored); Group keeps the snapshot's tag unless overridden here.
-	// The session's monitor state restores into the fleet's own monitor
-	// (Config.NewMonitor or NewBatchMonitor), whichever variant wrote
-	// it: scalar and batched monitors snapshot to the same bytes.
+	// The session's monitor state restores into its lane of the fleet's
+	// own monitor (Config.NewBatchMonitor); a one-lane view of the same
+	// monitor snapshots to the same bytes.
 	Restore []byte
 }
 

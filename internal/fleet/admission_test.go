@@ -25,8 +25,8 @@ func admissionFleetConfig() Config {
 		Steps:     5,
 		Seed:      3,
 		Sensor:    &sensor.Config{NoiseSD: 2},
-		NewMonitor: func(int) (monitor.Monitor, error) {
-			return monitor.NewCAWOT(scs.TableI(), scs.Params{})
+		NewBatchMonitor: func() (monitor.BatchMonitor, error) {
+			return monitor.NewBatchCAWOT(scs.TableI(), scs.Params{})
 		},
 		Telemetry:     &TelemetryConfig{FromMonitor: true},
 		Continuous:    true,
@@ -146,7 +146,7 @@ func TestFleetAdmissionCapacityAndSpecRejects(t *testing.T) {
 	cfg := admissionFleetConfig()
 	cfg.Telemetry = nil
 	cfg.Sensor = nil
-	cfg.NewMonitor = nil
+	cfg.NewBatchMonitor = nil
 	cfg.MaxSessions = 3 // 2 static slots + 1 free
 	cfg.AdmitEvery = 2
 	cfg.ProgressEvery = 0
@@ -199,7 +199,7 @@ func TestFleetAdmissionGrowShrinkIdle(t *testing.T) {
 	cfg := admissionFleetConfig()
 	cfg.Telemetry = nil
 	cfg.Sensor = nil
-	cfg.NewMonitor = nil
+	cfg.NewBatchMonitor = nil
 	cfg.Sessions = 0 // start empty
 	cfg.MaxSessions = 4
 	cfg.AdmitEvery = 2
@@ -290,10 +290,6 @@ func TestFleetConfigValidate(t *testing.T) {
 		{"negative parallel", func(c *Config) { c.Parallel = -2 }, "negative Parallel"},
 		{"negative window", func(c *Config) { c.MaxLivePerShard = -1 }, "negative MaxLivePerShard"},
 		{"negative progress", func(c *Config) { c.ProgressEvery = -1 }, "negative ProgressEvery"},
-		{"both monitors", func(c *Config) {
-			c.NewMonitor = func(int) (monitor.Monitor, error) { return nil, nil }
-			c.NewBatchMonitor = func() (monitor.BatchMonitor, error) { return nil, nil }
-		}, "mutually exclusive"},
 		{"negative sink epoch", func(c *Config) {
 			c.Sinks = []Sink{ring}
 			c.SinkEpoch = -1
@@ -358,7 +354,7 @@ func TestFleetAdmissionsRebindRejected(t *testing.T) {
 	adm := NewAdmissions()
 	cfg := admissionFleetConfig()
 	cfg.Telemetry = nil
-	cfg.NewMonitor = nil
+	cfg.NewBatchMonitor = nil
 	cfg.Sensor = nil
 	cfg.ProgressEvery = 0
 	cfg.Admissions = adm

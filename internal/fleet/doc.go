@@ -13,7 +13,11 @@
 // admission barriers, so the engine is race-free by construction. Each
 // session is driven by a closedloop.Stepper — the single implementation
 // of the simulation loop — with a per-session deterministic RNG and a
-// pooled trace buffer.
+// pooled trace buffer. A fleet has one monitor path: each shard builds
+// one batch monitor (Config.NewBatchMonitor) and every session is a
+// lane of it, so a per-session monitor is the one-lane case of the
+// same kernel. Its parameters are the fleet's; a monitor with
+// per-patient parameters runs one fleet per patient.
 //
 // # Invariants
 //
@@ -31,18 +35,18 @@
 // (Config.Telemetry's default). Each batched path produces exactly what
 // its per-session reference produces — not statistically, bit-for-bit:
 // the scalar stepping a Platform without NewBatchPatient runs
-// (TestFleetBatchedSteppingMatchesPerSession), a per-session monitor
-// (TestFleetBatchedMonitorMatchesPerSession), and a retained trace
-// replayed through a fresh one-lane scs.BatchStreamSet
+// (TestFleetBatchedSteppingMatchesPerSession), every session run alone
+// through closedloop with a one-lane monitor, the reference the tests
+// keep (TestFleetBatchedMonitorMatchesPerSession,
+// TestFleetFromMonitorBatchedCAWT), and a retained trace replayed
+// through a fresh one-lane scs.BatchStreamSet
 // (TestFleetBatchedTelemetryMatchesPerSession) — so batching is purely
-// a throughput decision. The per-session context-aware and ML monitors
-// are themselves one-lane views of the batched ones, so those two
-// monitor paths run the same kernels.
+// a throughput decision.
 //
 // One evaluation per cycle: with TelemetryConfig.FromMonitor, telemetry
-// reads the monitor's own streaming verdict (per-session or per-lane),
-// so alarm, Algorithm 1 mitigation, and telemetry never evaluate the
-// rules twice for the same cycle.
+// reads the shard monitor's own streaming verdict at the session's
+// lane, so alarm, Algorithm 1 mitigation, and telemetry never evaluate
+// the rules twice for the same cycle.
 //
 // Event order is canonical everywhere: events leave the engine only
 // through Config.Sinks, and per-worker buffers merge in canonical

@@ -30,10 +30,9 @@ import (
 // per cycle, bit-identical per lane to replaying the session's trace
 // through a dedicated one-lane set (the reference the differential
 // tests compare against). With FromMonitor the verdicts instead come
-// from the session monitor's own single streaming evaluation, so a
-// fleet serving margin-carrying monitors (the streaming CAWT/CAWOT,
-// per-session or shard-batched) pays for exactly one rule evaluation
-// per cycle.
+// from the shard monitor's own single streaming evaluation at the
+// session's lane, so a fleet serving the streaming CAWT/CAWOT pays for
+// exactly one rule evaluation per cycle.
 type TelemetryConfig struct {
 	// Rules is the Safety Context Specification to stream; nil selects
 	// the paper's Table I. Ignored with FromMonitor.
@@ -47,41 +46,19 @@ type TelemetryConfig struct {
 	// Every emits a robustness event every k cycles per session
 	// (default 1: every cycle).
 	Every int
-	// FromMonitor emits the session monitor's own streaming verdict
-	// instead of attaching a separate telemetry rule set — the
-	// one-evaluation invariant for serving fleets. Requires NewMonitor
-	// building margin-carrying monitors (monitors exposing
-	// StreamVerdict, e.g. monitor.ContextAwareLane) or NewBatchMonitor
-	// building lane-margin monitors (monitor.BatchContextAware).
+	// FromMonitor emits the shard monitor's own streaming verdict at
+	// each session's lane instead of attaching a separate telemetry rule
+	// set — the one-evaluation invariant for serving fleets. Requires
+	// NewBatchMonitor building lane-margin monitors
+	// (monitor.BatchContextAware).
 	FromMonitor bool
 }
 
-// marginMonitor is the capability FromMonitor telemetry needs: access
-// to the monitor's full streaming verdict for the last step.
-// monitor.ContextAwareLane implements it; the ML monitors' one-lane
-// views do not.
-type marginMonitor interface {
-	StreamVerdict() (scs.StreamVerdict, bool)
-}
-
-// laneMarginMonitor is the batched counterpart of marginMonitor: a
-// BatchMonitor exposing each lane's full streaming verdict.
-// monitor.BatchContextAware implements it.
+// laneMarginMonitor is the capability FromMonitor telemetry needs: a
+// BatchMonitor exposing each lane's full streaming verdict for the
+// last step. monitor.BatchContextAware implements it.
 type laneMarginMonitor interface {
 	StreamVerdictLane(lane int) (scs.StreamVerdict, bool)
-}
-
-// laneMargin adapts one lane of a laneMarginMonitor to the per-session
-// marginMonitor surface, so FromMonitor telemetry reads batched and
-// per-session monitors through one code path.
-type laneMargin struct {
-	m    laneMarginMonitor
-	lane int
-}
-
-// StreamVerdict implements marginMonitor for one lane.
-func (a laneMargin) StreamVerdict() (scs.StreamVerdict, bool) {
-	return a.m.StreamVerdictLane(a.lane)
 }
 
 // Platform couples a patient cohort with its controller. It is
@@ -138,12 +115,11 @@ type Config struct {
 	// Sensor optionally attaches a CGM error model per session, driven
 	// by the session RNG. Nil reads the clean CGM.
 	Sensor *sensor.Config
-	// NewMonitor optionally builds a per-session safety monitor.
-	NewMonitor func(patientIdx int) (monitor.Monitor, error)
-	// NewBatchMonitor optionally builds one batched monitor per shard;
-	// the shard then evaluates all its sessions' observations in a
-	// single inference call per cycle. Mutually exclusive with
-	// NewMonitor.
+	// NewBatchMonitor optionally builds the safety monitor, one batched
+	// monitor per shard: the shard evaluates all its sessions'
+	// observations in a single call per cycle, each session on its own
+	// lane. Every session shares its parameters; a per-session monitor
+	// is a one-lane batch.
 	NewBatchMonitor func() (monitor.BatchMonitor, error)
 	// Mitigate enables Algorithm 1 when a monitor is attached.
 	Mitigate bool
@@ -246,9 +222,6 @@ func (c Config) Validate() error {
 	if c.ProgressEvery < 0 {
 		return fmt.Errorf("fleet: negative ProgressEvery %d", c.ProgressEvery)
 	}
-	if c.NewMonitor != nil && c.NewBatchMonitor != nil {
-		return fmt.Errorf("fleet: NewMonitor and NewBatchMonitor are mutually exclusive")
-	}
 	// Duplicate entries in either axis of the patient x scenario matrix
 	// would run indistinguishable sessions on distinct slots — almost
 	// always a config bug (a tenant admitting the same pair twice), and
@@ -283,8 +256,8 @@ func (c Config) Validate() error {
 		if len(c.Sinks) == 0 {
 			return fmt.Errorf("fleet: Telemetry requires Sinks")
 		}
-		if c.Telemetry.FromMonitor && c.NewMonitor == nil && c.NewBatchMonitor == nil {
-			return fmt.Errorf("fleet: Telemetry.FromMonitor requires NewMonitor or NewBatchMonitor")
+		if c.Telemetry.FromMonitor && c.NewBatchMonitor == nil {
+			return fmt.Errorf("fleet: Telemetry.FromMonitor requires NewBatchMonitor")
 		}
 	}
 	for i, s := range c.Sinks {
@@ -641,6 +614,9 @@ func (e *engine) runShard(shard int) {
 	var telemStates []scs.State
 	var telemLanes []int
 	var telemVerdicts []scs.StreamVerdict
+	if cfg.Telemetry != nil {
+		telemVerdicts = make([]scs.StreamVerdict, capLanes)
+	}
 	if t := cfg.Telemetry; t != nil && !t.FromMonitor {
 		var err error
 		batchTelem, err = scs.NewBatchStreamSet(t.Rules, t.Thresholds, t.Params, cfg.CycleMin, capLanes)
@@ -651,7 +627,6 @@ func (e *engine) runShard(shard int) {
 		telemSamples = make([]trace.Sample, 0, capLanes)
 		telemStates = make([]scs.State, 0, capLanes)
 		telemLanes = make([]int, 0, capLanes)
-		telemVerdicts = make([]scs.StreamVerdict, capLanes)
 	}
 
 	// laneUsed tracks the free lanes of an admission-controlled shard;
@@ -681,11 +656,6 @@ func (e *engine) runShard(shard int) {
 			}
 		}
 		laneUsed[lane] = true
-		if laneMargins != nil {
-			// FromMonitor telemetry reads the shard's batched monitor at
-			// this session's lane.
-			s.margin = laneMargin{m: laneMargins, lane: lane}
-		}
 		if sp.restore == nil {
 			e.emit(shard, Event{Kind: EventSessionStart, Session: s.Index, PatientIdx: s.PatientIdx, Replica: s.Replica, Group: s.group})
 		}
@@ -829,11 +799,11 @@ func (e *engine) runShard(shard int) {
 			// clock (and the sink barriers below) so it stays lock-step
 			// with the fleet.
 		case batchPat != nil:
-			// Fully batched round: one sensor sweep, the monitor decision
-			// (batched or per-session), then one struct-of-arrays ODE step
-			// advances every live session's physiology together. Each
-			// stage runs per lane in the same order with the same
-			// arithmetic as the scalar cycle, so traces stay identical.
+			// Fully batched round: one sensor sweep, the shard monitor's
+			// decision, then one struct-of-arrays ODE step advances every
+			// live session's physiology together. Each stage runs per lane
+			// in the same order with the same arithmetic as the scalar
+			// cycle, so traces stay identical.
 			lanes = lanes[:0]
 			for _, s := range live {
 				lanes = append(lanes, s.lane)
@@ -856,10 +826,6 @@ func (e *engine) runShard(shard int) {
 			}
 			if bm != nil {
 				bm.StepBatch(lanes, obs, verdicts[:len(live)])
-			} else {
-				for i, s := range live {
-					verdicts[i] = s.st.MonitorVerdict(obs[i])
-				}
 			}
 			for i, s := range live {
 				// The plan's scheduled meal for this cycle rides the same
@@ -869,19 +835,20 @@ func (e *engine) runShard(shard int) {
 				delivered[i] = s.st.FinishStepDeferred(verdicts[i])
 			}
 			batchPat.StepLanes(lanes, delivered[:len(live)], carbs[:len(live)], cfg.CycleMin)
-		case bm != nil:
+		default:
+			// Scalar physiology: each session steps its own patient, split
+			// at the shard monitor's decision; without a monitor every
+			// verdict stays zero.
 			lanes, obs = lanes[:0], obs[:0]
 			for _, s := range live {
 				lanes = append(lanes, s.lane)
-				obs = append(obs, s.BeginStep())
+				obs = append(obs, s.st.BeginStep())
 			}
-			bm.StepBatch(lanes, obs, verdicts[:len(live)])
+			if bm != nil {
+				bm.StepBatch(lanes, obs, verdicts[:len(live)])
+			}
 			for i, s := range live {
-				s.FinishStep(verdicts[i])
-			}
-		default:
-			for _, s := range live {
-				s.Step()
+				s.st.FinishStep(verdicts[i])
 			}
 		}
 		if batchTelem != nil && len(live) > 0 {
@@ -909,8 +876,18 @@ func (e *engine) runShard(shard int) {
 		for i, s := range live {
 			var sample *trace.Sample
 			var bv *scs.StreamVerdict
-			if batchTelem != nil {
+			switch {
+			case batchTelem != nil:
 				sample, bv = &telemSamples[i], &telemVerdicts[i]
+			case laneMargins != nil:
+				// FromMonitor telemetry reads the shard monitor's verdict at
+				// this session's lane.
+				var ok bool
+				if telemVerdicts[i], ok = laneMargins.StreamVerdictLane(s.lane); !ok {
+					e.errs[shard] = fmt.Errorf("fleet: session %d: monitor produced no streaming verdict", s.Index)
+					return
+				}
+				bv = &telemVerdicts[i]
 			}
 			if err := e.noteStep(shard, s, sample, bv); err != nil {
 				e.errs[shard] = err
@@ -989,14 +966,13 @@ func (e *engine) runShard(shard int) {
 }
 
 // noteStep emits the session's first monitor alarm and, when telemetry
-// is attached, the cycle's robustness margin — from the shard-batched
-// push (bv) or (FromMonitor) the monitor's single evaluation, so alarm
-// and telemetry never evaluate the rules twice. A non-nil sample is the
+// is attached, the cycle's robustness margin bv — from the shard-batched
+// push or (FromMonitor) the monitor's single evaluation, so alarm and
+// telemetry never evaluate the rules twice. A non-nil sample is the
 // cycle's already-copied last sample (the batched path shares the copy
 // it made for the rule push); nil makes noteStep fetch it.
 func (e *engine) noteStep(shard int, s *Session, preSample *trace.Sample, bv *scs.StreamVerdict) error {
-	hasTelemetry := bv != nil || s.margin != nil
-	if !hasTelemetry && s.alarmed {
+	if bv == nil && s.alarmed {
 		return nil // nothing left to observe: skip the sample copy
 	}
 	sample := preSample
@@ -1014,25 +990,15 @@ func (e *engine) noteStep(shard int, s *Session, preSample *trace.Sample, bv *sc
 			Replica: s.Replica, Group: s.group, Step: sample.Step, Hazard: sample.AlarmHazard,
 		})
 	}
-	if !hasTelemetry {
+	if bv == nil {
 		return nil
-	}
-	var v scs.StreamVerdict
-	if bv != nil {
-		v = *bv
-	} else {
-		sv, ok := s.margin.StreamVerdict()
-		if !ok {
-			return fmt.Errorf("fleet: session %d: monitor produced no streaming verdict", s.Index)
-		}
-		v = sv
 	}
 	if every := e.cfg.Telemetry.Every; every == 1 || (sample.Step+1)%every == 0 {
 		e.emit(shard, Event{
 			Kind: EventRobustness, Session: s.Index, PatientIdx: s.PatientIdx,
 			Replica: s.Replica, Group: s.group, Step: sample.Step,
-			Robustness: v.MinRobust, Rule: v.WorstRule,
-			Margin: v.Margin, MarginRule: v.Rule, Hazard: v.Hazard,
+			Robustness: bv.MinRobust, Rule: bv.WorstRule,
+			Margin: bv.Margin, MarginRule: bv.Rule, Hazard: bv.Hazard,
 		})
 	}
 	return nil
@@ -1067,12 +1033,12 @@ func (e *engine) finalize(shard int, s *Session) {
 	}
 }
 
-// newSession builds the patient, controller, monitor, sensor, and
-// stepper for one session slot. With a batched patient bank the
-// session's physiology is its lane of the bank (configured here) and
-// its sensor joins the shard's batched sensor sweep; the session RNG
-// seeds the lane's noise stream exactly as the scalar path would, so
-// the two paths draw identical noise.
+// newSession builds the patient, controller, sensor, and stepper for
+// one session slot; its monitor is its lane of the shard's. With a
+// batched patient bank the session's physiology is its lane of the bank
+// (configured here) and its sensor joins the shard's batched sensor
+// sweep; the session RNG seeds the lane's noise stream exactly as the
+// scalar path would, so the two paths draw identical noise.
 func (e *engine) newSession(sp spec, lane int, batchPat sim.BatchPatient, batchSensor *sensor.BatchModel) (*Session, error) {
 	cfg := &e.cfg
 
@@ -1112,12 +1078,6 @@ func (e *engine) newSession(sp spec, lane int, batchPat sim.BatchPatient, batchS
 	if err != nil {
 		return nil, wrap(err)
 	}
-	var mon monitor.Monitor
-	if cfg.NewMonitor != nil {
-		if mon, err = cfg.NewMonitor(sp.patientIdx); err != nil {
-			return nil, wrap(err)
-		}
-	}
 	seed := sessionSeed(cfg.Seed, sp)
 	if sp.restore != nil {
 		// A restored session keeps the seed its stream was built from —
@@ -1145,34 +1105,19 @@ func (e *engine) newSession(sp spec, lane int, batchPat sim.BatchPatient, batchS
 		}
 	}
 	mitigation := cfg.Mitigation
-	mitigation.Enabled = (cfg.Mitigate || sp.mitigate) && (mon != nil || cfg.NewBatchMonitor != nil)
+	mitigation.Enabled = (cfg.Mitigate || sp.mitigate) && cfg.NewBatchMonitor != nil
 	loopCfg := closedloop.Config{
 		Platform:   cfg.Platform.Name + "/" + ctrl.Name(),
 		Steps:      cfg.Steps,
 		CycleMin:   cfg.CycleMin,
 		Patient:    patient,
 		Controller: ctrl,
-		Monitor:    mon,
 		Mitigation: mitigation,
 		Plan:       plan, // InitialBG resolves from the plan
 	}
 	st, err := closedloop.NewStepper(loopCfg, opts)
 	if err != nil {
 		return nil, wrap(err)
-	}
-	var margin marginMonitor
-	if t := cfg.Telemetry; t != nil && t.FromMonitor && cfg.NewMonitor != nil {
-		// One-evaluation invariant: telemetry reads the monitor's own
-		// streaming verdicts instead of attaching a second rule set. With
-		// a batched monitor the shard assigns the lane adapter after
-		// construction; default telemetry is batched across the shard's
-		// whole live window, with nothing to attach per session.
-		mm, ok := mon.(marginMonitor)
-		if !ok {
-			return nil, wrap(fmt.Errorf(
-				"fleet: Telemetry.FromMonitor requires a margin-carrying monitor, got %T", mon))
-		}
-		margin = mm
 	}
 	if sp.restore != nil {
 		// Fast-forward the fresh stream to the captured draw position: no
@@ -1186,8 +1131,8 @@ func (e *engine) newSession(sp spec, lane int, batchPat sim.BatchPatient, batchS
 	return &Session{
 		Index: sp.index, PatientIdx: sp.patientIdx, Replica: sp.replica,
 		Program: prog, scenIdx: sp.scenIdx, program: sp.program, group: sp.group,
-		mitigate: sp.mitigate, lane: lane, rng: rng, seed: seed, src: src,
-		mon: mon, sensorModel: sensorModel, st: st, margin: margin,
+		mitigate: sp.mitigate, lane: lane, seed: seed, src: src,
+		sensorModel: sensorModel, st: st,
 	}, nil
 }
 

@@ -89,6 +89,112 @@ func runEvents(t *testing.T, cfg Config) ([]Event, Result) {
 	return events, res
 }
 
+// perSessionTraces is the per-session reference of a monitored fleet:
+// every slot of cfg's patient x scenario matrix (Sessions zero) runs
+// alone through a closedloop.Stepper with its own monitor from newMon,
+// its scalar patient and, with a sensor model, the session RNG the
+// fleet derives from the slot's coordinates; mitigation follows
+// cfg.Mitigate. The fleet's shard-batched monitors must reproduce it.
+func perSessionTraces(t *testing.T, cfg Config, newMon func() (monitor.Monitor, error)) []*trace.Trace {
+	t.Helper()
+	steps, cycle := cfg.Steps, cfg.CycleMin
+	if steps == 0 {
+		steps = 150
+	}
+	if cycle == 0 {
+		cycle = 5
+	}
+	mitigation := cfg.Mitigation
+	mitigation.Enabled = cfg.Mitigate
+	var out []*trace.Trace
+	for _, p := range cfg.Patients {
+		for j, prog := range cfg.Scenarios {
+			patient, err := cfg.Platform.NewPatient(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctrl, err := cfg.Platform.NewController(patient.Basal())
+			if err != nil {
+				t.Fatal(err)
+			}
+			mon, err := newMon()
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := prog.Compile(steps, cycle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var opts closedloop.StepperOptions
+			if cfg.Sensor != nil {
+				seed := sessionSeed(cfg.Seed, spec{index: len(out), patientIdx: p, scenIdx: j})
+				sm, err := sensor.New(*cfg.Sensor, rand.New(rand.NewSource(seed)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Sensor = sm.Read
+			}
+			st, err := closedloop.NewStepper(closedloop.Config{
+				Platform: cfg.Platform.Name + "/" + ctrl.Name(), Steps: steps, CycleMin: cycle,
+				Patient: patient, Controller: ctrl, Monitor: mon, Mitigation: mitigation, Plan: plan,
+			}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for !st.Done() {
+				st.Step()
+			}
+			out = append(out, st.Finish())
+		}
+	}
+	return out
+}
+
+// alarmedAndHazardous counts the traces with an alarm and the traces
+// with a hazard, as Result.Alarmed and Result.Hazardous count sessions.
+func alarmedAndHazardous(traces []*trace.Trace) (alarmed, hazardous int64) {
+	for _, tr := range traces {
+		for _, s := range tr.Samples {
+			if s.Alarm {
+				alarmed++
+				break
+			}
+		}
+		if tr.DominantHazard() != trace.HazardNone {
+			hazardous++
+		}
+	}
+	return alarmed, hazardous
+}
+
+// streamRecorder records a one-lane context-aware monitor's streaming
+// verdict after every step.
+type streamRecorder struct {
+	*monitor.ContextAwareLane
+	seen []scs.StreamVerdict
+}
+
+// Step implements monitor.Monitor.
+func (r *streamRecorder) Step(obs monitor.Observation) monitor.Verdict {
+	v := r.ContextAwareLane.Step(obs)
+	sv, _ := r.StreamVerdict()
+	r.seen = append(r.seen, sv)
+	return v
+}
+
+// replayStreaming replays a trace through a fresh one-lane CAWOT and
+// returns its verdicts and the streaming verdict of every cycle: what
+// FromMonitor telemetry must have emitted for the trace.
+func replayStreaming(t *testing.T, tr *trace.Trace) ([]monitor.Verdict, []scs.StreamVerdict) {
+	t.Helper()
+	m, err := monitor.NewCAWOT(scs.TableI(), scs.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &streamRecorder{ContextAwareLane: m}
+	return monitor.Replay(rec, tr), rec.seen
+}
+
 // TestSessionMatchesClosedLoopRun pins the fleet session to the one-shot
 // simulator: a single session must reproduce closedloop.Run exactly.
 func TestSessionMatchesClosedLoopRun(t *testing.T) {
@@ -285,46 +391,44 @@ func trainFleetMLP(t *testing.T, scenarios []fault.Program) *ml.MLP {
 	return mlp
 }
 
-// TestFleetBatchedMonitorMatchesPerSession runs the same fleet with a
-// per-session MLP monitor (a one-lane view per session) and with
-// per-shard batched inference; the traces must be identical: a lane's
+// TestFleetBatchedMonitorMatchesPerSession runs a fleet with per-shard
+// batched MLP inference under mitigation and compares it with the
+// per-session reference, every session alone with a one-lane MLP
+// monitor; the traces must be identical at any parallelism: a lane's
 // verdicts do not depend on the batch width or its neighbours.
 func TestFleetBatchedMonitorMatchesPerSession(t *testing.T) {
 	scenarios := thinScenarios(30)
 	mlp := trainFleetMLP(t, scenarios[:10])
 
-	base := Config{
+	cfg := Config{
 		Platform:  glucosymPlatform(),
 		Patients:  []int{0, 1},
 		Scenarios: scenarios,
 		Steps:     50,
 		Mitigate:  true,
+		NewBatchMonitor: func() (monitor.BatchMonitor, error) {
+			return monitor.NewBatchML("MLP", mlp.NewBatch())
+		},
 	}
-	perCfg := base
-	perCfg.NewMonitor = func(int) (monitor.Monitor, error) {
+	want := perSessionTraces(t, cfg, func() (monitor.Monitor, error) {
 		return monitor.NewMLMonitor("MLP", mlp.NewBatch())
-	}
-	batchCfg := base
-	batchCfg.NewBatchMonitor = func() (monitor.BatchMonitor, error) {
-		return monitor.NewBatchML("MLP", mlp.NewBatch())
-	}
-
-	per, err := Run(context.Background(), perCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := Run(context.Background(), batchCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if per.Alarmed == 0 {
+	})
+	alarmed, hazardous := alarmedAndHazardous(want)
+	if alarmed == 0 {
 		t.Fatal("monitor never alarmed — comparison is vacuous")
 	}
-	if !bytes.Equal(tracesCSV(t, per.Traces), tracesCSV(t, batch.Traces)) {
-		t.Fatal("batched-inference traces differ from per-session traces")
-	}
-	if per.Alarmed != batch.Alarmed || per.Hazardous != batch.Hazardous {
-		t.Fatalf("counters differ: per %+v batch %+v", per, batch)
+	for _, parallel := range []int{1, 3} {
+		cfg.Parallel = parallel
+		batch, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(tracesCSV(t, want), tracesCSV(t, batch.Traces)) {
+			t.Fatalf("Parallel=%d: batched-inference traces differ from per-session traces", parallel)
+		}
+		if batch.Alarmed != alarmed || batch.Hazardous != hazardous {
+			t.Fatalf("Parallel=%d: counters %+v, per-session alarmed %d hazardous %d", parallel, batch, alarmed, hazardous)
+		}
 	}
 }
 
@@ -526,14 +630,6 @@ func TestFleetValidation(t *testing.T) {
 	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Error("out-of-cohort patient should fail")
 	}
-	both := Config{
-		Platform:        glucosymPlatform(),
-		NewMonitor:      func(int) (monitor.Monitor, error) { return nil, nil },
-		NewBatchMonitor: func() (monitor.BatchMonitor, error) { return nil, nil },
-	}
-	if _, err := Run(context.Background(), both); err == nil {
-		t.Error("NewMonitor + NewBatchMonitor should fail")
-	}
 	ring, err := NewRingSink(8)
 	if err != nil {
 		t.Fatal(err)
@@ -640,8 +736,8 @@ func TestFleetBatchedTelemetryMatchesPerSession(t *testing.T) {
 		cfg := base
 		every := 1
 		if mitigate {
-			cfg.NewMonitor = func(int) (monitor.Monitor, error) {
-				return monitor.NewCAWOT(scs.TableI(), scs.Params{})
+			cfg.NewBatchMonitor = func() (monitor.BatchMonitor, error) {
+				return monitor.NewBatchCAWOT(scs.TableI(), scs.Params{})
 			}
 			cfg.Mitigate = true
 			cfg.Mitigation = closedloop.MitigationConfig{ScaleByMargin: true}
@@ -690,11 +786,13 @@ func TestFleetBatchedTelemetryMatchesPerSession(t *testing.T) {
 
 // TestFleetFromMonitorBatchedCAWT: FromMonitor telemetry served by the
 // shard-batched context-aware monitor must reproduce the per-session
-// CAWT fleet exactly — traces and robustness events alike — including
-// under margin-scaled mitigation, where verdict margins feed back into
+// reference exactly — the traces of every session run alone with a
+// one-lane CAWOT, and the robustness events that monitor's streaming
+// verdicts give over each trace — including under margin-scaled
+// mitigation with sensor noise, where verdict margins feed back into
 // insulin delivery.
 func TestFleetFromMonitorBatchedCAWT(t *testing.T) {
-	base := Config{
+	cfg := Config{
 		Platform:   glucosymPlatform(),
 		Patients:   []int{0, 3},
 		Scenarios:  allKindScenarios(2),
@@ -704,38 +802,38 @@ func TestFleetFromMonitorBatchedCAWT(t *testing.T) {
 		Mitigate:   true,
 		Mitigation: closedloop.MitigationConfig{ScaleByMargin: true},
 		Telemetry:  &TelemetryConfig{FromMonitor: true},
+		NewBatchMonitor: func() (monitor.BatchMonitor, error) {
+			return monitor.NewBatchCAWOT(scs.TableI(), scs.Params{})
+		},
 	}
-	perCfg := base
-	perCfg.NewMonitor = func(int) (monitor.Monitor, error) {
+	want := perSessionTraces(t, cfg, func() (monitor.Monitor, error) {
 		return monitor.NewCAWOT(scs.TableI(), scs.Params{})
-	}
-	batchCfg := base
-	batchCfg.NewBatchMonitor = func() (monitor.BatchMonitor, error) {
-		return monitor.NewBatchCAWOT(scs.TableI(), scs.Params{})
-	}
-
-	runOne := func(cfg Config) (map[robKey]robVal, []byte, Result) {
-		got, res := collectRobustness(t, cfg)
-		return got, tracesCSV(t, res.Traces), res
-	}
-	gotPer, tracesPer, resPer := runOne(perCfg)
-	gotBatch, tracesBatch, resBatch := runOne(batchCfg)
-	if resPer.Alarmed == 0 {
+	})
+	alarmed, hazardous := alarmedAndHazardous(want)
+	if alarmed == 0 {
 		t.Fatal("monitor never alarmed — comparison is vacuous")
 	}
-	if resPer.Alarmed != resBatch.Alarmed || resPer.Hazardous != resBatch.Hazardous {
-		t.Fatalf("counters differ: per %+v batch %+v", resPer, resBatch)
+	got, res := collectRobustness(t, cfg)
+	if res.Alarmed != alarmed || res.Hazardous != hazardous {
+		t.Fatalf("counters %+v, per-session alarmed %d hazardous %d", res, alarmed, hazardous)
 	}
-	if !bytes.Equal(tracesPer, tracesBatch) {
+	if !bytes.Equal(tracesCSV(t, want), tracesCSV(t, res.Traces)) {
 		t.Fatal("batched-CAWT traces differ from per-session CAWT traces")
 	}
-	if len(gotPer) == 0 || len(gotPer) != len(gotBatch) {
-		t.Fatalf("event counts differ: %d vs %d", len(gotPer), len(gotBatch))
-	}
-	for k, v := range gotPer {
-		if bv, ok := gotBatch[k]; !ok || bv != v {
-			t.Fatalf("event %+v differs: per-session %+v vs batched %+v", k, v, bv)
+	events := 0
+	for sess, tr := range want {
+		_, streamed := replayStreaming(t, tr)
+		for i, sv := range streamed {
+			k := robKey{sess, 0, tr.Samples[i].Step}
+			wv := robVal{rob: sv.MinRobust, margin: sv.Margin, rule: sv.WorstRule, mrule: sv.Rule, hazard: sv.Hazard}
+			if gv, ok := got[k]; !ok || gv != wv {
+				t.Fatalf("event %+v differs: batched %+v vs per-session %+v", k, gv, wv)
+			}
+			events++
 		}
+	}
+	if events == 0 || events != len(got) {
+		t.Fatalf("event counts differ: batched %d vs per-session %d", len(got), events)
 	}
 }
 
@@ -760,8 +858,8 @@ func TestFleetBatchedSteppingMatchesPerSession(t *testing.T) {
 	for _, mitigate := range []bool{false, true} {
 		cfg := base
 		if mitigate {
-			cfg.NewMonitor = func(int) (monitor.Monitor, error) {
-				return monitor.NewCAWOT(scs.TableI(), scs.Params{})
+			cfg.NewBatchMonitor = func() (monitor.BatchMonitor, error) {
+				return monitor.NewBatchCAWOT(scs.TableI(), scs.Params{})
 			}
 			cfg.Mitigate = true
 			cfg.Mitigation = closedloop.MitigationConfig{ScaleByMargin: true}

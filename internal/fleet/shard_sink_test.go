@@ -53,8 +53,8 @@ func epochFleetConfig() Config {
 		Steps:     30,
 		Seed:      3,
 		Sensor:    &sensor.Config{NoiseSD: 2},
-		NewMonitor: func(int) (monitor.Monitor, error) {
-			return monitor.NewCAWOT(scs.TableI(), scs.Params{})
+		NewBatchMonitor: func() (monitor.BatchMonitor, error) {
+			return monitor.NewBatchCAWOT(scs.TableI(), scs.Params{})
 		},
 		Telemetry:     &TelemetryConfig{FromMonitor: true},
 		ProgressEvery: 7,

@@ -518,20 +518,20 @@ func TestTelemetryRequiresEventsOrSinks(t *testing.T) {
 }
 
 // TestTelemetryFromMonitor: with FromMonitor the robustness events must
-// equal the monitor's own replayed streaming verdicts — one rule
-// evaluation per cycle feeding alarm, mitigation, and telemetry alike.
+// equal the monitor's own streaming verdicts, replayed over each trace
+// by a one-lane view of the shard monitor — one rule evaluation per
+// cycle feeding alarm, mitigation, and telemetry alike.
 func TestTelemetryFromMonitor(t *testing.T) {
-	newMon := func(int) (monitor.Monitor, error) {
-		return monitor.NewCAWOT(scs.TableI(), scs.Params{})
-	}
 	cfg := Config{
-		Platform:   glucosymPlatform(),
-		Patients:   []int{0, 2},
-		Scenarios:  thinScenarios(60),
-		Steps:      40,
-		Seed:       3,
-		NewMonitor: newMon,
-		Telemetry:  &TelemetryConfig{FromMonitor: true},
+		Platform:  glucosymPlatform(),
+		Patients:  []int{0, 2},
+		Scenarios: thinScenarios(60),
+		Steps:     40,
+		Seed:      3,
+		NewBatchMonitor: func() (monitor.BatchMonitor, error) {
+			return monitor.NewBatchCAWOT(scs.TableI(), scs.Params{})
+		},
+		Telemetry: &TelemetryConfig{FromMonitor: true},
 	}
 	got, res := collectRobustness(t, cfg)
 	if len(got) != len(res.Traces)*cfg.Steps {
@@ -539,20 +539,18 @@ func TestTelemetryFromMonitor(t *testing.T) {
 	}
 	var violations int
 	for sess, tr := range res.Traces {
-		m, err := newMon(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		verdicts := monitor.Replay(m, tr)
+		verdicts, streamed := replayStreaming(t, tr)
 		for i, v := range verdicts {
+			sv := streamed[i]
 			ev, ok := got[robKey{sess, 0, i}]
 			if !ok {
 				t.Fatalf("session %d step %d: no robustness event", sess, i)
 			}
-			if ev.rob == 0 && ev.rule == 0 {
-				t.Fatalf("session %d step %d: empty telemetry", sess, i)
+			// The emitted event is the monitor's own streaming verdict.
+			want := robVal{rob: sv.MinRobust, margin: sv.Margin, rule: sv.WorstRule, mrule: sv.Rule, hazard: sv.Hazard}
+			if ev != want {
+				t.Fatalf("session %d step %d: event %+v, replayed monitor %+v", sess, i, ev, want)
 			}
-			// The emitted margin is the monitor's own verdict margin.
 			if tr.Samples[i].Alarm != v.Alarm {
 				t.Fatalf("session %d step %d: replay alarm %v, trace %v", sess, i, v.Alarm, tr.Samples[i].Alarm)
 			}
@@ -565,9 +563,8 @@ func TestTelemetryFromMonitor(t *testing.T) {
 		t.Fatal("no violations across a fault campaign — comparison is vacuous")
 	}
 
-	// A monitor without margins must be rejected at session build: a
-	// scalar monitor, and a one-lane DT view — the per-session view
-	// exposes StreamVerdict only over the context-aware batch monitor.
+	// A batch monitor without lane margins must be rejected at shard
+	// start: the Guideline rules and a DT.
 	rng := rand.New(rand.NewSource(4))
 	X := make([][]float64, 64)
 	y := make([]int, len(X))
@@ -586,24 +583,24 @@ func TestTelemetryFromMonitor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, marginless := range []func(int) (monitor.Monitor, error){
-		func(int) (monitor.Monitor, error) { return monitor.NewGuideline(monitor.GuidelineConfig{}) },
-		func(int) (monitor.Monitor, error) { return monitor.NewMLMonitor("DT", tree) },
+	for _, marginless := range []func() (monitor.BatchMonitor, error){
+		func() (monitor.BatchMonitor, error) { return monitor.NewBatchGuideline(monitor.GuidelineConfig{}) },
+		func() (monitor.BatchMonitor, error) { return monitor.NewBatchML("DT", tree) },
 	} {
 		bad := cfg
-		bad.NewMonitor = marginless
+		bad.NewBatchMonitor = marginless
 		bad.Sinks = []Sink{ring}
 		_, err := Run(context.Background(), bad)
-		if err == nil || !strings.Contains(err.Error(), "margin-carrying monitor") {
-			t.Fatalf("FromMonitor with a margin-less monitor: err %v, want a margin-carrying rejection", err)
+		if err == nil || !strings.Contains(err.Error(), "lane-margin batch monitor") {
+			t.Fatalf("FromMonitor with a margin-less monitor: err %v, want a lane-margin rejection", err)
 		}
 	}
-	// And FromMonitor without NewMonitor is a config error.
+	// And FromMonitor without NewBatchMonitor is a config error.
 	noMon := cfg
-	noMon.NewMonitor = nil
+	noMon.NewBatchMonitor = nil
 	noMon.Sinks = []Sink{ring}
 	if _, err := Run(context.Background(), noMon); err == nil {
-		t.Fatal("FromMonitor without NewMonitor should fail")
+		t.Fatal("FromMonitor without NewBatchMonitor should fail")
 	}
 }
 
@@ -613,12 +610,14 @@ func TestTelemetryFromMonitor(t *testing.T) {
 // interchangeable; FromMonitor just avoids paying for the second one).
 func TestFromMonitorMarginsMatchSeparateStreamSet(t *testing.T) {
 	base := Config{
-		Platform:   glucosymPlatform(),
-		Patients:   []int{0},
-		Scenarios:  thinScenarios(80),
-		Steps:      40,
-		Seed:       7,
-		NewMonitor: func(int) (monitor.Monitor, error) { return monitor.NewCAWOT(scs.TableI(), scs.Params{}) },
+		Platform:  glucosymPlatform(),
+		Patients:  []int{0},
+		Scenarios: thinScenarios(80),
+		Steps:     40,
+		Seed:      7,
+		NewBatchMonitor: func() (monitor.BatchMonitor, error) {
+			return monitor.NewBatchCAWOT(scs.TableI(), scs.Params{})
+		},
 	}
 	fromMon := base
 	fromMon.Telemetry = &TelemetryConfig{FromMonitor: true}
@@ -655,8 +654,8 @@ func TestFleetMarginDeterministicAcrossParallelism(t *testing.T) {
 			Seed:      42,
 			Parallel:  parallel,
 			Sensor:    &sensor.Config{NoiseSD: 2},
-			NewMonitor: func(int) (monitor.Monitor, error) {
-				return monitor.NewCAWOT(scs.TableI(), scs.Params{})
+			NewBatchMonitor: func() (monitor.BatchMonitor, error) {
+				return monitor.NewBatchCAWOT(scs.TableI(), scs.Params{})
 			},
 			Mitigate:   true,
 			Mitigation: closedloop.MitigationConfig{ScaleByMargin: true},
@@ -876,8 +875,8 @@ func TestShardedSinksDeterministicAcrossParallelism(t *testing.T) {
 			Seed:      3,
 			Parallel:  parallel,
 			Sensor:    &sensor.Config{NoiseSD: 2},
-			NewMonitor: func(int) (monitor.Monitor, error) {
-				return monitor.NewCAWOT(scs.TableI(), scs.Params{})
+			NewBatchMonitor: func() (monitor.BatchMonitor, error) {
+				return monitor.NewBatchCAWOT(scs.TableI(), scs.Params{})
 			},
 			Telemetry:     &TelemetryConfig{FromMonitor: true},
 			Sinks:         []Sink{sink},

@@ -331,8 +331,8 @@ func restoredSpec(ss *SessionSnapshot) (spec, error) {
 }
 
 // snapshotSession serializes one live session at a cycle boundary. The
-// shard-batched banks are read at the session's lane; per-session
-// components are read directly.
+// shard-batched banks and monitor are read at the session's lane;
+// per-session components are read directly.
 func (e *engine) snapshotSession(s *Session, bm monitor.BatchMonitor, batchTelem *scs.BatchStreamSet, batchSensor *sensor.BatchModel) (SessionSnapshot, error) {
 	enc := snapshot.NewEncoder()
 	if err := s.st.Snapshot(enc); err != nil {
@@ -351,21 +351,13 @@ func (e *engine) snapshotSession(s *Session, bm monitor.BatchMonitor, batchTelem
 		}
 	}
 
-	hasMon := bm != nil || s.mon != nil
-	enc.Bool(hasMon)
-	switch {
-	case bm != nil:
+	enc.Bool(bm != nil)
+	if bm != nil {
 		ls, ok := bm.(snapshot.LaneSnapshotter)
 		if !ok {
 			return SessionSnapshot{}, fmt.Errorf("fleet: batch monitor %T does not support snapshot", bm)
 		}
 		ls.SnapshotLane(s.lane, enc)
-	case s.mon != nil:
-		sn, ok := s.mon.(snapshot.Snapshotter)
-		if !ok {
-			return SessionSnapshot{}, fmt.Errorf("fleet: monitor %T does not support snapshot", s.mon)
-		}
-		sn.SnapshotState(enc)
 	}
 
 	enc.Bool(batchTelem != nil)
@@ -430,26 +422,15 @@ func (e *engine) restoreSessionState(s *Session, ss *SessionSnapshot, bm monitor
 	if err := dec.Err(); err != nil {
 		return wrap(err)
 	}
-	hasMon := bm != nil || s.mon != nil
-	if hadMon != hasMon {
+	if hasMon := bm != nil; hadMon != hasMon {
 		return wrap(fmt.Errorf("monitor presence mismatch: snapshot %v, config %v", hadMon, hasMon))
 	}
 	if hadMon {
-		var err error
-		if bm != nil {
-			ls, ok := bm.(snapshot.LaneSnapshotter)
-			if !ok {
-				return wrap(fmt.Errorf("batch monitor %T does not support snapshot", bm))
-			}
-			err = ls.RestoreLane(s.lane, dec)
-		} else {
-			sn, ok := s.mon.(snapshot.Snapshotter)
-			if !ok {
-				return wrap(fmt.Errorf("monitor %T does not support snapshot", s.mon))
-			}
-			err = sn.RestoreState(dec)
+		ls, ok := bm.(snapshot.LaneSnapshotter)
+		if !ok {
+			return wrap(fmt.Errorf("batch monitor %T does not support snapshot", bm))
 		}
-		if err != nil {
+		if err := ls.RestoreLane(s.lane, dec); err != nil {
 			return wrap(fmt.Errorf("monitor: %w", err))
 		}
 	}

@@ -68,17 +68,6 @@ func snapshotFleetConfig(noise bool) Config {
 	return cfg
 }
 
-// perSessionCAWOT swaps the golden fleet's shard-batched monitor for a
-// per-session one: the one-lane CAWOT view NewCAWOT builds, which
-// snapshots to the same bytes as a batched lane.
-func perSessionCAWOT(cfg Config) Config {
-	cfg.NewBatchMonitor = nil
-	cfg.NewMonitor = func(int) (monitor.Monitor, error) {
-		return monitor.NewCAWOT(scs.TableI(), scs.Params{})
-	}
-	return cfg
-}
-
 // snapshotSchedule queues the fixed admission schedule shifted left by
 // base rounds: the drained-and-restored half of the differential re-runs
 // the post-drain tail of the same schedule at original-round minus the
@@ -129,11 +118,8 @@ func runEpochs(t *testing.T, cfg Config, adm *Admissions, epochs int) []byte {
 // admission schedule), and the concatenation of the two delivered sink
 // streams must be byte-identical to the uninterrupted run — across
 // parallelism levels, with and without sensor noise, over all six fault
-// kinds with mitigation on. The fleet runs with the shard-batched CAWOT
-// and, as a second config, with per-session CAWOT monitors; both must
-// deliver the same stream and drain to the same snapshot bytes, and a
-// fleet drained with either monitor config must resume byte-identically
-// under the other.
+// kinds with mitigation on; and the drained snapshot bytes must not
+// depend on the draining fleet's parallelism.
 func TestFleetSnapshotResumeGoldenDifferential(t *testing.T) {
 	const (
 		drainRound  = 16 // multiple of AdmitEvery (4) and SinkEpoch (4)
@@ -146,45 +132,33 @@ func TestFleetSnapshotResumeGoldenDifferential(t *testing.T) {
 			name = "clean"
 		}
 		t.Run(name, func(t *testing.T) {
-			config := func(perSession bool) Config {
-				cfg := snapshotFleetConfig(noise)
-				if perSession {
-					cfg = perSessionCAWOT(cfg)
-				}
-				return cfg
-			}
-			uninterrupted := func(perSession bool, parallel int) []byte {
+			uninterrupted := func(parallel int) []byte {
 				adm := NewAdmissions()
 				snapshotSchedule(adm, 0)
-				cfg := config(perSession)
+				cfg := snapshotFleetConfig(noise)
 				cfg.Parallel = parallel
 				return runEpochs(t, cfg, adm, totalEpochs)
 			}
-			golden := uninterrupted(false, 1)
+			golden := uninterrupted(1)
 			if len(golden) == 0 {
 				t.Fatal("no events delivered")
 			}
 			for p := 2; p <= 3; p++ {
-				if got := uninterrupted(false, p); !bytes.Equal(got, golden) {
+				if got := uninterrupted(p); !bytes.Equal(got, golden) {
 					t.Fatalf("uninterrupted Parallel=%d stream differs from Parallel=1", p)
 				}
 			}
-			for _, p := range []int{1, 3} {
-				if got := uninterrupted(true, p); !bytes.Equal(got, golden) {
-					t.Fatalf("uninterrupted per-session CAWOT at Parallel=%d: stream differs from the batched monitor's", p)
-				}
-			}
 
-			// drained records each drain's encoded snapshot by monitor
-			// config and parallelism.
-			drained := make(map[[2]int][]byte)
-			resumed := func(drainPerSession, restorePerSession bool, drainParallel, restoreParallel int) []byte {
+			// drained records each drain's encoded snapshot by
+			// parallelism.
+			drained := make(map[int][]byte)
+			resumed := func(drainParallel, restoreParallel int) []byte {
 				// First half: run to the drain gate and capture the fleet.
 				adm := NewAdmissions()
 				snapshotSchedule(adm, 0)
 				res := adm.DrainAt(drainRound)
 				var firstHalf bytes.Buffer
-				cfg := config(drainPerSession)
+				cfg := snapshotFleetConfig(noise)
 				cfg.Parallel = drainParallel
 				cfg.Admissions = adm
 				cfg.Sinks = []Sink{NewLogSink(&firstHalf)}
@@ -199,11 +173,7 @@ func TestFleetSnapshotResumeGoldenDifferential(t *testing.T) {
 				if len(snap.Sessions) == 0 {
 					t.Fatal("drain captured no sessions")
 				}
-				key := [2]int{0, drainParallel}
-				if drainPerSession {
-					key[0] = 1
-				}
-				drained[key] = snap.Encode()
+				drained[drainParallel] = snap.Encode()
 				midFlight := false
 				for _, ss := range snap.Sessions {
 					if len(ss.State) == 0 {
@@ -224,7 +194,7 @@ func TestFleetSnapshotResumeGoldenDifferential(t *testing.T) {
 				// schedule.
 				adm2 := NewAdmissions()
 				snapshotSchedule(adm2, drainRound)
-				cfg2 := config(restorePerSession)
+				cfg2 := snapshotFleetConfig(noise)
 				cfg2.Parallel = restoreParallel
 				cfg2.Sessions = 0
 				cfg2.Restore = snap
@@ -232,27 +202,14 @@ func TestFleetSnapshotResumeGoldenDifferential(t *testing.T) {
 				return append(firstHalf.Bytes(), secondHalf...)
 			}
 
-			mon := map[bool]string{false: "batched", true: "per-session"}
-			for _, c := range []struct {
-				drainPerSession, restorePerSession bool
-				drainP, restoreP                   int
-			}{
-				{false, false, 1, 1}, {false, false, 2, 2}, {false, false, 3, 3}, {false, false, 2, 3},
-				{true, true, 1, 1}, {true, true, 2, 3},
-				// Cross-restores: a lane's monitor bytes equal a one-lane
-				// view's, so either monitor config resumes the other's drain.
-				{true, false, 1, 1}, {true, false, 3, 2},
-				{false, true, 1, 1}, {false, true, 2, 3},
-			} {
-				got := resumed(c.drainPerSession, c.restorePerSession, c.drainP, c.restoreP)
-				if !bytes.Equal(got, golden) {
-					t.Errorf("drain %s@P=%d restore %s@P=%d: concatenated stream differs from the uninterrupted run",
-						mon[c.drainPerSession], c.drainP, mon[c.restorePerSession], c.restoreP)
+			for _, c := range [][2]int{{1, 1}, {2, 2}, {3, 3}, {2, 3}, {3, 1}} {
+				if got := resumed(c[0], c[1]); !bytes.Equal(got, golden) {
+					t.Errorf("drain@P=%d restore@P=%d: concatenated stream differs from the uninterrupted run", c[0], c[1])
 				}
 			}
-			for _, p := range []int{1, 2, 3} {
-				if !bytes.Equal(drained[[2]int{1, p}], drained[[2]int{0, p}]) {
-					t.Errorf("drain@P=%d: the per-session fleet's snapshot differs from the batched fleet's", p)
+			for p := 2; p <= 3; p++ {
+				if !bytes.Equal(drained[p], drained[1]) {
+					t.Errorf("drain@P=%d: snapshot differs from the drain at P=1", p)
 				}
 			}
 		})

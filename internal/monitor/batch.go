@@ -34,12 +34,11 @@ type laneBatch interface {
 }
 
 // Lane is a one-lane view of a batch monitor: the per-session Monitor
-// form of every batched monitor. NewMLMonitor and NewSequenceMonitor
-// return one; NewCAWT and NewCAWOT return a ContextAwareLane, which adds
-// the rule monitor's streaming verdict. Its snapshot bytes are the
-// lane's SnapshotLane bytes, so a session snapshotted from a
-// per-session fleet restores into any lane of a shard-batched one and
-// back.
+// form of every batched monitor. NewGuideline, NewMPC, NewMLMonitor and
+// NewSequenceMonitor return one; NewCAWT and NewCAWOT return a
+// ContextAwareLane, which adds the rule monitor's streaming verdict. Its
+// snapshot bytes are the lane's SnapshotLane bytes, so a session's
+// monitor state moves between a one-lane view and any lane of a batch.
 type Lane struct {
 	b    laneBatch
 	lane [1]int
@@ -52,9 +51,25 @@ var (
 	_ snapshot.Snapshotter = (*Lane)(nil)
 )
 
-func newLane(b laneBatch) Lane {
+// laneOf returns the one-lane view of a freshly built batch monitor,
+// passing its constructor's error through.
+func laneOf[B laneBatch](b B, err error) (*Lane, error) {
+	if err != nil {
+		return nil, err
+	}
 	b.ResetLanes(1)
-	return Lane{b: b}
+	return &Lane{b: b}, nil
+}
+
+// NewLane returns the one-lane view of a batch monitor. Every batch
+// monitor of this package has one; a monitor that cannot snapshot its
+// lanes is rejected.
+func NewLane(b BatchMonitor) (*Lane, error) {
+	lb, ok := b.(laneBatch)
+	if !ok {
+		return nil, fmt.Errorf("monitor: %s does not snapshot its lanes", b.Name())
+	}
+	return laneOf(lb, nil)
 }
 
 // Name implements Monitor.
@@ -68,6 +83,13 @@ func (l *Lane) Step(obs Observation) Verdict {
 	l.obs[0] = obs
 	l.b.StepBatch(l.lane[:], l.obs[:], l.out[:])
 	return l.out[0]
+}
+
+// UsesBasal implements BasalSensitive for the lanes of basal-sensitive
+// batch monitors.
+func (l *Lane) UsesBasal() bool {
+	bs, ok := l.b.(BasalSensitive)
+	return ok && bs.UsesBasal()
 }
 
 // featuresInto writes the Eq. 7 feature vector into dst (len FeatureDim).

@@ -28,7 +28,7 @@ const DefaultCycleMin = 5
 // evaluation as StreamVerdict, which is what fleet telemetry's
 // FromMonitor mode reads.
 type ContextAwareLane struct {
-	Lane
+	*Lane
 	m *BatchContextAware
 }
 
@@ -43,10 +43,11 @@ func NewCAWOT(rules []scs.Rule, p scs.Params) (*ContextAwareLane, error) {
 }
 
 func newContextAwareLane(m *BatchContextAware, err error) (*ContextAwareLane, error) {
+	l, err := laneOf(m, err)
 	if err != nil {
 		return nil, err
 	}
-	return &ContextAwareLane{Lane: newLane(m), m: m}, nil
+	return &ContextAwareLane{Lane: l, m: m}, nil
 }
 
 // StreamVerdict returns the full streaming verdict of the last step —

@@ -212,4 +212,26 @@ func TestReplayWarnsOnZeroBasal(t *testing.T) {
 	if len(*warned) != 0 {
 		t.Fatalf("unexpected warning for a basal-insensitive monitor: %v", *warned)
 	}
+
+	// The batched replay warns on the same traces: once per pre-basal
+	// trace through the basal-sensitive batch MPC, never for CAWOT.
+	withBasal := *tr
+	withBasal.Basal = 1.3
+	batchMPC, err := monitor.NewBatchMPC(monitor.MPCConfig{Basal: 1.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	monitor.ReplayBatch(batchMPC, []*trace.Trace{tr, &withBasal, tr})
+	if len(*warned) != 2 {
+		t.Fatalf("ReplayBatch of two pre-basal traces through MPC: %d warnings, want 2: %v", len(*warned), *warned)
+	}
+	*warned = (*warned)[:0]
+	batchCAWOT, err := monitor.NewBatchCAWOT(scs.TableI(), scs.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	monitor.ReplayBatch(batchCAWOT, []*trace.Trace{tr, &withBasal})
+	if len(*warned) != 0 {
+		t.Fatalf("unexpected ReplayBatch warning for a basal-insensitive monitor: %v", *warned)
+	}
 }

@@ -21,20 +21,25 @@
 //     (BatchContextAware) evaluates the whole shard's rule streams in
 //     one struct-of-arrays push.
 //
-// CAWT/CAWOT, DT/MLP and LSTM each have one implementation, the batch
-// form: NewCAWT, NewCAWOT, NewMLMonitor and NewSequenceMonitor return
-// its one-lane view (ContextAwareLane, Lane), whose snapshot bytes are
-// the lane's. Guideline and MPC are scalar monitors with per-patient
-// parameters and no batch form.
+// Every monitor has one implementation, the batch form:
+// BatchContextAware (CAWT/CAWOT), BatchGuideline, BatchMPC, BatchML
+// (DT/MLP) and BatchSequence (LSTM). NewCAWT, NewCAWOT, NewGuideline,
+// NewMPC, NewMLMonitor and NewSequenceMonitor return its one-lane view
+// (ContextAwareLane, Lane), whose snapshot bytes are the lane's; NewLane
+// gives any of them one. A batch holds one parameter set for all its
+// lanes — CAWT's thresholds, MPC's basal — so a caller with
+// patient-specific parameters builds one batch per patient. The scalar
+// forms they replaced live on in the tests as oracles.
 //
 // The lane-independence invariant: a lane's StepBatch verdicts — alarms,
 // hazards, margins, rule attributions, and confidences — do not depend
 // on the batch width or on which lanes share a call, so a fleet can
-// switch between shapes without changing a single trace
+// run a session alone or in any shard without changing a single trace
 // (TestFleetBatchedMonitorMatchesPerSession,
-// TestBatchCAWTMatchesPerSession). Offline, Replay and ReplayBatch
-// drive the two shapes over recorded traces with one observation
-// builder, so batched replay returns Replay's verdicts.
+// TestBatchCAWTMatchesPerSession, TestBatchGuidelineMatchesOracle,
+// TestBatchMPCMatchesOracle). Offline, Replay and ReplayBatch drive the
+// two shapes over recorded traces with one observation builder and one
+// pre-basal warning, so batched replay returns Replay's verdicts.
 //
 // The one-evaluation invariant: the streaming context-aware monitors
 // own exactly one rule-stream evaluation per cycle, and alarm, hazard

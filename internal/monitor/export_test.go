@@ -3,6 +3,8 @@ package monitor
 import (
 	"fmt"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // CaptureReplayWarnings redirects Replay's warning hook into a captured
@@ -17,3 +19,7 @@ func CaptureReplayWarnings(t *testing.T) *[]string {
 	t.Cleanup(func() { replayWarnf = prev })
 	return &captured
 }
+
+// ObservationAt is the monitor input of recorded cycle i, as Replay and
+// ReplayBatch build it.
+func ObservationAt(tr *trace.Trace, i int) Observation { return observation(tr, i) }

@@ -50,20 +50,28 @@ func (c GuidelineConfig) withDefaults() GuidelineConfig {
 	return c
 }
 
-// Guideline is the Table III medical-guidelines monitor.
-type Guideline struct {
-	cfg GuidelineConfig
+// BatchGuideline is the Table III medical-guidelines monitor evaluated
+// across many session lanes. Each lane keeps its own CGM history point
+// and φ3/φ4 recovery timers, and every lane runs the same rules in the
+// same order, so a lane's verdicts do not depend on the width.
+// NewGuideline returns its one-lane view.
+type BatchGuideline struct {
+	cfg   GuidelineConfig
+	lanes []guidelineLane
+}
 
+// guidelineLane is one session's Guideline state.
+type guidelineLane struct {
 	prevCGM    float64
 	havePrev   bool
 	belowSince float64 // time BG fell below λ10; NaN when not below
 	aboveSince float64
 }
 
-var _ Monitor = (*Guideline)(nil)
+var _ BatchMonitor = (*BatchGuideline)(nil)
 
-// NewGuideline builds the monitor.
-func NewGuideline(cfg GuidelineConfig) (*Guideline, error) {
+// NewBatchGuideline builds the batched monitor.
+func NewBatchGuideline(cfg GuidelineConfig) (*BatchGuideline, error) {
 	cfg = cfg.withDefaults()
 	if cfg.BGLow >= cfg.BGHigh {
 		return nil, fmt.Errorf("monitor: guideline BG range [%v,%v] empty", cfg.BGLow, cfg.BGHigh)
@@ -71,38 +79,56 @@ func NewGuideline(cfg GuidelineConfig) (*Guideline, error) {
 	if cfg.Lambda10 >= cfg.Lambda90 {
 		return nil, fmt.Errorf("monitor: guideline percentiles λ10=%v ≥ λ90=%v", cfg.Lambda10, cfg.Lambda90)
 	}
-	g := &Guideline{cfg: cfg}
-	g.Reset()
-	return g, nil
+	b := &BatchGuideline{cfg: cfg}
+	b.ResetLanes(1)
+	return b, nil
 }
 
-// Name implements Monitor.
-func (g *Guideline) Name() string { return "Guideline" }
+// NewGuideline builds the per-session monitor: a one-lane
+// BatchGuideline.
+func NewGuideline(cfg GuidelineConfig) (*Lane, error) { return laneOf(NewBatchGuideline(cfg)) }
 
-// Reset implements Monitor.
-func (g *Guideline) Reset() {
-	g.prevCGM = 0
-	g.havePrev = false
-	g.belowSince = math.NaN()
-	g.aboveSince = math.NaN()
+// Name implements BatchMonitor.
+func (b *BatchGuideline) Name() string { return "Guideline" }
+
+// ResetLanes implements BatchMonitor.
+func (b *BatchGuideline) ResetLanes(n int) {
+	if n != len(b.lanes) {
+		b.lanes = make([]guidelineLane, n)
+	}
+	for i := range b.lanes {
+		b.ResetLane(i)
+	}
 }
 
-// Step implements Monitor. Timer bookkeeping for the φ3/φ4 recovery
-// deadlines happens before any rule fires, so an alarm from one rule
-// never desynchronizes another rule's state.
-func (g *Guideline) Step(obs Observation) Verdict {
+// ResetLane implements BatchMonitor.
+func (b *BatchGuideline) ResetLane(lane int) {
+	b.lanes[lane] = guidelineLane{belowSince: math.NaN(), aboveSince: math.NaN()}
+}
+
+// StepBatch implements BatchMonitor.
+func (b *BatchGuideline) StepBatch(lanes []int, obs []Observation, out []Verdict) {
+	for k, o := range obs {
+		out[k] = b.lanes[lanes[k]].step(&b.cfg, o)
+	}
+}
+
+// step runs one cycle of a lane. Timer bookkeeping for the φ3/φ4
+// recovery deadlines happens before any rule fires, so an alarm from
+// one rule never desynchronizes another rule's state.
+func (g *guidelineLane) step(cfg *GuidelineConfig, obs Observation) Verdict {
 	hadPrev, prev := g.havePrev, g.prevCGM
 	g.prevCGM = obs.CGM
 	g.havePrev = true
 
-	if obs.CGM < g.cfg.Lambda10 {
+	if obs.CGM < cfg.Lambda10 {
 		if math.IsNaN(g.belowSince) {
 			g.belowSince = obs.TimeMin
 		}
 	} else {
 		g.belowSince = math.NaN()
 	}
-	if obs.CGM > g.cfg.Lambda90 {
+	if obs.CGM > cfg.Lambda90 {
 		if math.IsNaN(g.aboveSince) {
 			g.aboveSince = obs.TimeMin
 		}
@@ -111,28 +137,28 @@ func (g *Guideline) Step(obs Observation) Verdict {
 	}
 
 	// φ1: hard range.
-	if obs.CGM < g.cfg.BGLow {
+	if obs.CGM < cfg.BGLow {
 		return Verdict{Alarm: true, Hazard: trace.HazardH1}
 	}
-	if obs.CGM > g.cfg.BGHigh {
+	if obs.CGM > cfg.BGHigh {
 		return Verdict{Alarm: true, Hazard: trace.HazardH2}
 	}
 	// φ2: rate of change per cycle.
 	if hadPrev {
 		delta := obs.CGM - prev
-		if delta < g.cfg.DeltaLow {
+		if delta < cfg.DeltaLow {
 			return Verdict{Alarm: true, Hazard: trace.HazardH1}
 		}
-		if delta > g.cfg.DeltaHigh {
+		if delta > cfg.DeltaHigh {
 			return Verdict{Alarm: true, Hazard: trace.HazardH2}
 		}
 	}
 	// φ3: recovery deadline below λ10.
-	if !math.IsNaN(g.belowSince) && obs.TimeMin-g.belowSince >= g.cfg.AlphaMin {
+	if !math.IsNaN(g.belowSince) && obs.TimeMin-g.belowSince >= cfg.AlphaMin {
 		return Verdict{Alarm: true, Hazard: trace.HazardH1}
 	}
 	// φ4: recovery deadline above λ90.
-	if !math.IsNaN(g.aboveSince) && obs.TimeMin-g.aboveSince >= g.cfg.AlphaMin {
+	if !math.IsNaN(g.aboveSince) && obs.TimeMin-g.aboveSince >= cfg.AlphaMin {
 		return Verdict{Alarm: true, Hazard: trace.HazardH2}
 	}
 	return Verdict{}

@@ -51,12 +51,7 @@ func probaToVerdict(proba []float64, classes int) Verdict {
 // scratch belongs to the monitor, so give each monitor its own (e.g.
 // MLP.NewBatch per call); a Tree holds none and may be shared.
 func NewMLMonitor(name string, clf ml.BatchClassifier) (*Lane, error) {
-	b, err := NewBatchML(name, clf)
-	if err != nil {
-		return nil, err
-	}
-	l := newLane(b)
-	return &l, nil
+	return laneOf(NewBatchML(name, clf))
 }
 
 // NewSequenceMonitor wraps a trained windowed classifier (LSTM) with
@@ -65,12 +60,7 @@ func NewMLMonitor(name string, clf ml.BatchClassifier) (*Lane, error) {
 // window, and each monitor needs its own classifier scratch (e.g.
 // LSTM.NewBatch per call).
 func NewSequenceMonitor(name string, clf ml.BatchSequenceClassifier, window int) (*Lane, error) {
-	b, err := NewBatchSequence(name, clf, window)
-	if err != nil {
-		return nil, err
-	}
-	l := newLane(b)
-	return &l, nil
+	return laneOf(NewBatchSequence(name, clf, window))
 }
 
 // DrawRows draws the point-in-time training set of Eq. 7 from labeled

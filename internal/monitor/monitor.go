@@ -18,10 +18,10 @@ type Verdict = closedloop.Verdict
 
 // BasalSensitive is implemented by monitors whose verdicts depend on the
 // loop's scheduled basal — Observation.Basal, or the step-0 PrevRate
-// that Replay seeds from it. Replay warns loudly when such a monitor
-// replays a trace recorded before the basal was persisted (Basal == 0):
-// the observations it feeds then differ from what the live loop fed, and
-// the replayed verdicts are not trustworthy.
+// that Replay seeds from it. Replay and ReplayBatch warn loudly when such
+// a monitor replays a trace recorded before the basal was persisted
+// (Basal == 0): the observations it feeds then differ from what the live
+// loop fed, and the replayed verdicts are not trustworthy.
 type BasalSensitive interface {
 	UsesBasal() bool
 }
@@ -29,6 +29,17 @@ type BasalSensitive interface {
 // replayWarnf is the warning hook for Replay diagnostics; tests override
 // it to assert the warning fires.
 var replayWarnf = log.Printf
+
+// warnZeroBasal warns when a basal-sensitive monitor m (named name)
+// replays a trace recorded before the basal was persisted.
+func warnZeroBasal(m any, name string, tr *trace.Trace) {
+	if bs, ok := m.(BasalSensitive); tr.Basal == 0 && ok && bs.UsesBasal() {
+		replayWarnf("monitor: WARNING: replaying a Basal==0 trace (patient %q, platform %q) "+
+			"through basal-sensitive monitor %q — the trace predates basal persistence; "+
+			"re-record it (trace.WriteCSV now stores the scheduled basal) or expect "+
+			"verdicts to diverge from the live loop", tr.PatientID, tr.Platform, name)
+	}
+}
 
 // Replay drives a monitor over a recorded trace offline, returning the
 // per-sample alarms. It mirrors exactly what the closed loop feeds the
@@ -39,14 +50,7 @@ var replayWarnf = log.Printf
 // the basal was persisted replay with Basal == 0; re-record them for
 // basal-sensitive monitors (Replay warns when one replays such a trace).
 func Replay(m Monitor, tr *trace.Trace) []Verdict {
-	if tr.Basal == 0 {
-		if bs, ok := m.(BasalSensitive); ok && bs.UsesBasal() {
-			replayWarnf("monitor: WARNING: replaying a Basal==0 trace (patient %q, platform %q) "+
-				"through basal-sensitive monitor %q — the trace predates basal persistence; "+
-				"re-record it (trace.WriteCSV now stores the scheduled basal) or expect "+
-				"verdicts to diverge from the live loop", tr.PatientID, tr.Platform, m.Name())
-		}
-	}
+	warnZeroBasal(m, m.Name(), tr)
 	m.Reset()
 	out := make([]Verdict, tr.Len())
 	for i := range tr.Samples {
@@ -60,9 +64,13 @@ func Replay(m Monitor, tr *trace.Trace) []Verdict {
 // call, so lanes drop out as shorter traces end. out[k][i] equals
 // Replay(m, traces[k])[i] for the per-session monitor m that b batches,
 // because both build each observation with the same helper and
-// StepBatch is bit-identical to Step per lane. It resets all of b's
-// lanes first; b must not be shared with a concurrent caller.
+// StepBatch is bit-identical to Step per lane, and it warns on the same
+// pre-basal traces. It resets all of b's lanes first; b must not be
+// shared with a concurrent caller.
 func ReplayBatch(b BatchMonitor, traces []*trace.Trace) [][]Verdict {
+	for _, tr := range traces {
+		warnZeroBasal(b, b.Name(), tr)
+	}
 	out := make([][]Verdict, len(traces))
 	total, steps := 0, 0
 	for _, tr := range traces {

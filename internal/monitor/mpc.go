@@ -66,61 +66,84 @@ func (c MPCConfig) withDefaults() (MPCConfig, error) {
 	return c, nil
 }
 
-// MPC is the model-predictive baseline monitor. It tracks its own copy
-// of the insulin compartments (driven by the actually delivered rates)
-// and forward-simulates the Bergman model each cycle.
-type MPC struct {
-	cfg MPCConfig
-
-	isc, ip, ieff float64 // monitor-side insulin model state
-	initialized   bool
+// BatchMPC is the model-predictive baseline monitor evaluated across
+// many session lanes. Each lane tracks its own copy of the insulin
+// compartments (driven by the issued rates) and forward-simulates the
+// Bergman model each cycle; all lanes share one parameter set, whose
+// Basal sets the steady state every lane starts from. NewMPC returns
+// its one-lane view.
+type BatchMPC struct {
+	cfg   MPCConfig
+	lanes []mpcLane
 }
 
-var _ Monitor = (*MPC)(nil)
+// mpcLane is one session's monitor-side insulin model state.
+type mpcLane struct {
+	isc, ip, ieff float64
+}
 
-// NewMPC builds the monitor.
-func NewMPC(cfg MPCConfig) (*MPC, error) {
+var _ BatchMonitor = (*BatchMPC)(nil)
+
+// NewBatchMPC builds the batched monitor.
+func NewBatchMPC(cfg MPCConfig) (*BatchMPC, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	m := &MPC{cfg: cfg}
-	m.Reset()
-	return m, nil
+	b := &BatchMPC{cfg: cfg}
+	b.ResetLanes(1)
+	return b, nil
 }
 
-// Name implements Monitor.
-func (m *MPC) Name() string { return "MPC" }
+// NewMPC builds the per-session monitor: a one-lane BatchMPC.
+func NewMPC(cfg MPCConfig) (*Lane, error) { return laneOf(NewBatchMPC(cfg)) }
+
+// Name implements BatchMonitor.
+func (b *BatchMPC) Name() string { return "MPC" }
 
 // UsesBasal implements BasalSensitive: the monitor's insulin
 // compartments initialize at the scheduled-basal steady state, so its
 // projections assume the recorded loop ran at that basal — which a
 // pre-basal (Basal == 0) trace cannot confirm.
-func (m *MPC) UsesBasal() bool { return true }
+func (b *BatchMPC) UsesBasal() bool { return true }
 
-// Reset implements Monitor.
-func (m *MPC) Reset() {
-	// Start the insulin compartments at the basal steady state.
-	id := m.cfg.Basal * 1e6 / 60 // µU/min
-	ipStar := id / m.cfg.CI
-	m.isc = ipStar
-	m.ip = ipStar
-	m.ieff = m.cfg.SI * ipStar
-	m.initialized = true
+// ResetLanes implements BatchMonitor.
+func (b *BatchMPC) ResetLanes(n int) {
+	if n != len(b.lanes) {
+		b.lanes = make([]mpcLane, n)
+	}
+	for i := range b.lanes {
+		b.ResetLane(i)
+	}
+}
+
+// ResetLane implements BatchMonitor: the lane's insulin compartments
+// start at the basal steady state.
+func (b *BatchMPC) ResetLane(lane int) {
+	id := b.cfg.Basal * 1e6 / 60 // µU/min
+	ipStar := id / b.cfg.CI
+	b.lanes[lane] = mpcLane{isc: ipStar, ip: ipStar, ieff: b.cfg.SI * ipStar}
+}
+
+// StepBatch implements BatchMonitor.
+func (b *BatchMPC) StepBatch(lanes []int, obs []Observation, out []Verdict) {
+	for k, o := range obs {
+		out[k] = b.lanes[lanes[k]].step(&b.cfg, o)
+	}
 }
 
 // advance integrates the monitor's insulin + glucose model by dtMin under
 // a constant rate, starting from glucose bg; returns the ending glucose
 // and updates the given insulin state in place.
-func (m *MPC) advance(bg *float64, isc, ip, ieff *float64, rateUPerH, dtMin float64) {
+func (c *MPCConfig) advance(bg *float64, isc, ip, ieff *float64, rateUPerH, dtMin float64) {
 	const h = 1.0 // 1-minute Euler steps are ample for this smooth model
 	id := rateUPerH * 1e6 / 60
 	steps := int(dtMin/h + 0.5)
 	for k := 0; k < steps; k++ {
-		dIsc := -*isc/m.cfg.Tau1 + id/(m.cfg.Tau1*m.cfg.CI)
-		dIp := -(*ip - *isc) / m.cfg.Tau2
-		dIeff := -m.cfg.P2**ieff + m.cfg.P2*m.cfg.SI**ip
-		dBG := -(m.cfg.GEZI+*ieff)**bg + m.cfg.EGP
+		dIsc := -*isc/c.Tau1 + id/(c.Tau1*c.CI)
+		dIp := -(*ip - *isc) / c.Tau2
+		dIeff := -c.P2**ieff + c.P2*c.SI**ip
+		dBG := -(c.GEZI+*ieff)**bg + c.EGP
 		*isc += h * dIsc
 		*ip += h * dIp
 		*ieff += h * dIeff
@@ -131,23 +154,23 @@ func (m *MPC) advance(bg *float64, isc, ip, ieff *float64, rateUPerH, dtMin floa
 	}
 }
 
-// Step implements Monitor: predict BG after executing the command for
-// the horizon; alarm when the prediction exits the safe range.
-func (m *MPC) Step(obs Observation) Verdict {
+// step runs one cycle of a lane: predict BG after executing the command
+// for the horizon; alarm when the prediction exits the safe range.
+func (l *mpcLane) step(cfg *MPCConfig, obs Observation) Verdict {
 	// Predict from the current observation with a scratch copy of the
 	// insulin state.
 	bg := obs.CGM
-	isc, ip, ieff := m.isc, m.ip, m.ieff
-	m.advance(&bg, &isc, &ip, &ieff, obs.Rate, m.cfg.HorizonMin)
+	isc, ip, ieff := l.isc, l.ip, l.ieff
+	cfg.advance(&bg, &isc, &ip, &ieff, obs.Rate, cfg.HorizonMin)
 
 	// Commit the monitor's insulin state by one cycle at the issued rate
 	// (the best estimate of what will be delivered).
-	m.advance(new(float64), &m.isc, &m.ip, &m.ieff, obs.Rate, obs.CycleMin)
+	cfg.advance(new(float64), &l.isc, &l.ip, &l.ieff, obs.Rate, obs.CycleMin)
 
 	switch {
-	case bg < m.cfg.BGLow:
+	case bg < cfg.BGLow:
 		return Verdict{Alarm: true, Hazard: trace.HazardH1}
-	case bg > m.cfg.BGHigh:
+	case bg > cfg.BGHigh:
 		return Verdict{Alarm: true, Hazard: trace.HazardH2}
 	default:
 		return Verdict{}

@@ -17,10 +17,10 @@ import (
 
 var (
 	_ snapshot.LaneSnapshotter = (*BatchContextAware)(nil)
-	_ snapshot.Snapshotter     = (*Guideline)(nil)
+	_ snapshot.LaneSnapshotter = (*BatchGuideline)(nil)
 	_ snapshot.LaneSnapshotter = (*BatchML)(nil)
 	_ snapshot.LaneSnapshotter = (*BatchSequence)(nil)
-	_ snapshot.Snapshotter     = (*MPC)(nil)
+	_ snapshot.LaneSnapshotter = (*BatchMPC)(nil)
 )
 
 // SnapshotState implements snapshot.Snapshotter with the lane's
@@ -71,28 +71,29 @@ func (m *BatchContextAware) RestoreLane(lane int, dec *snapshot.Decoder) error {
 	return nil
 }
 
-// SnapshotState implements snapshot.Snapshotter: the CGM history point
-// and the two duration timers (NaN while inactive, preserved exactly).
-func (m *Guideline) SnapshotState(enc *snapshot.Encoder) {
-	enc.Float64(m.prevCGM)
-	enc.Bool(m.havePrev)
-	enc.Float64(m.belowSince)
-	enc.Float64(m.aboveSince)
+// SnapshotLane implements snapshot.LaneSnapshotter: the lane's CGM
+// history point and its two duration timers (NaN while inactive,
+// preserved exactly).
+func (b *BatchGuideline) SnapshotLane(lane int, enc *snapshot.Encoder) {
+	l := &b.lanes[lane]
+	enc.Float64(l.prevCGM)
+	enc.Bool(l.havePrev)
+	enc.Float64(l.belowSince)
+	enc.Float64(l.aboveSince)
 }
 
-// RestoreState implements snapshot.Snapshotter.
-func (m *Guideline) RestoreState(dec *snapshot.Decoder) error {
-	prevCGM := dec.Float64()
-	havePrev := dec.Bool()
-	belowSince := dec.Float64()
-	aboveSince := dec.Float64()
+// RestoreLane implements snapshot.LaneSnapshotter.
+func (b *BatchGuideline) RestoreLane(lane int, dec *snapshot.Decoder) error {
+	l := guidelineLane{
+		prevCGM:    dec.Float64(),
+		havePrev:   dec.Bool(),
+		belowSince: dec.Float64(),
+		aboveSince: dec.Float64(),
+	}
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	m.prevCGM = prevCGM
-	m.havePrev = havePrev
-	m.belowSince = belowSince
-	m.aboveSince = aboveSince
+	b.lanes[lane] = l
 	return nil
 }
 
@@ -135,23 +136,21 @@ func (b *BatchSequence) RestoreLane(lane int, dec *snapshot.Decoder) error {
 	return dec.Err()
 }
 
-// SnapshotState implements snapshot.Snapshotter: the monitor-side
-// insulin compartments.
-func (m *MPC) SnapshotState(enc *snapshot.Encoder) {
-	enc.Float64(m.isc)
-	enc.Float64(m.ip)
-	enc.Float64(m.ieff)
+// SnapshotLane implements snapshot.LaneSnapshotter: the lane's
+// monitor-side insulin compartments.
+func (b *BatchMPC) SnapshotLane(lane int, enc *snapshot.Encoder) {
+	l := &b.lanes[lane]
+	enc.Float64(l.isc)
+	enc.Float64(l.ip)
+	enc.Float64(l.ieff)
 }
 
-// RestoreState implements snapshot.Snapshotter.
-func (m *MPC) RestoreState(dec *snapshot.Decoder) error {
-	isc := dec.Float64()
-	ip := dec.Float64()
-	ieff := dec.Float64()
+// RestoreLane implements snapshot.LaneSnapshotter.
+func (b *BatchMPC) RestoreLane(lane int, dec *snapshot.Decoder) error {
+	l := mpcLane{isc: dec.Float64(), ip: dec.Float64(), ieff: dec.Float64()}
 	if err := dec.Err(); err != nil {
 		return err
 	}
-	m.isc, m.ip, m.ieff = isc, ip, ieff
-	m.initialized = true
+	b.lanes[lane] = l
 	return nil
 }
