@@ -43,7 +43,10 @@ bench:
 ## — each op is a whole 100-session fleet), and one LSTM replay over a
 ## fixed 37-trace set (per-session Replay vs batched lanes on one worker
 ## vs EvaluateMonitor's worker split; two iterations — each op replays
-## ~5.5k windows), and one epoch of MLP and LSTM training at the paper
+## ~5.5k windows), the LSTM forward kernel on the suite's 32-16 model
+## (the Go kernel vs the AVX2 kernel, skipped where the vector path is
+## off, at widths 1, 4 and 35; reported as ns per window), and one epoch
+## of MLP and LSTM training at the paper
 ## workload's shapes (the per-sample oracle vs the batched trainer on
 ## one worker and on GOMAXPROCS workers; two iterations — each op trains
 ## a whole epoch), and drawing the paper workload's ML training sets
@@ -66,6 +69,8 @@ bench-smoke:
 		-benchtime 10x -benchmem . >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayLSTM' \
 		-benchtime 2x -benchmem ./internal/experiment >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
+	$(GO) test -run '^$$' -bench 'BenchmarkLSTMForward' \
+		-benchtime 1000x -benchmem ./internal/ml >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainLSTM|BenchmarkTrainMLP' \
 		-benchtime 2x -benchmem ./internal/ml >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkDrawTrainingSet' \

@@ -237,7 +237,11 @@ func traceCSV(t *testing.T, tr *trace.Trace) []byte {
 // it once.
 func TestEvaluateMitigationRejectsMismatchedBaseline(t *testing.T) {
 	plat := Glucosym()
-	s := &Suite{Platform: plat, PopThresholds: scs.Defaults(scs.TableI())}
+	basals, err := cohortBasals(plat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &Suite{Platform: plat, PopThresholds: scs.Defaults(scs.TableI()), basals: basals}
 	scen := ScenarioSubset(90)
 	baseline := func(patient int, scen []fault.Scenario) []*trace.Trace {
 		traces, err := Run(CampaignConfig{Platform: plat, Patients: []int{patient}, Scenarios: scen})
@@ -272,5 +276,49 @@ func TestEvaluateMitigationRejectsMismatchedBaseline(t *testing.T) {
 	dup := CampaignConfig{Patients: []int{0, 4, 0}, Scenarios: scen}
 	if _, err := s.EvaluateMitigation("CAWT", nil, dup); err == nil || !strings.Contains(err.Error(), "duplicate patient") {
 		t.Errorf("patient listed twice: err %v, want a duplicate-patient rejection", err)
+	}
+}
+
+// TestPatientMonitorsNeedCohortPatient: CAWT and MPC are built from a
+// patient's own thresholds and basal, so replaying another platform's
+// trace through them is an error that names the patient, not a silent
+// population table and a made-up basal. A cohort patient without
+// training traces runs CAWT on the population table.
+func TestPatientMonitorsNeedCohortPatient(t *testing.T) {
+	if testing.Short() {
+		t.Skip("suite training is seconds-long")
+	}
+	fx := quickSuite(t)
+	foreign, err := FaultFree(T1DS2013(), []int{0}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := foreign[0].PatientID
+	for _, name := range []string{"CAWT", "MPC"} {
+		ev, err := fx.suite.EvaluateMonitor(name, foreign)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q is not one", id)) {
+			t.Errorf("%s over a %s trace on a %s suite: %+v, %v; want an error naming %q",
+				name, T1DS2013().Name, fx.plat.Name, ev.Sample, err, id)
+		}
+	}
+
+	replayAs := func(name, patientID string) [][]monitor.Verdict {
+		t.Helper()
+		b, err := fx.suite.NewBatchMonitor(name, patientID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return monitor.ReplayBatch(b, fx.test)
+	}
+	pop := replayAs("CAWT-pop", "")
+	if reflect.DeepEqual(replayAs("CAWT", fx.test[0].PatientID), pop) {
+		t.Fatal("a trained patient's CAWT replays like the population table: the fallback check below would be vacuous")
+	}
+	untrained := fx.plat.Name + "-1"
+	if _, ok := fx.suite.PatientThresholds[untrained]; ok {
+		t.Fatalf("%s has thresholds of its own", untrained)
+	}
+	if !reflect.DeepEqual(replayAs("CAWT", untrained), pop) {
+		t.Errorf("CAWT for %s, a cohort patient without training traces, does not replay like the population table", untrained)
 	}
 }

@@ -86,23 +86,18 @@ type Suite struct {
 	MLP  *ml.MLP
 	LSTM *ml.LSTM
 
-	basals map[string]float64 // patient ID -> basal (for MPC)
+	basals map[string]float64 // cohort patient ID -> basal (for MPC)
 }
 
 // BuildSuite trains every monitor from labeled training traces plus the
 // platform's fault-free runs.
 func BuildSuite(platform Platform, training, faultFree []*trace.Trace, cfg SuiteConfig) (*Suite, error) {
 	cfg = cfg.withDefaults()
-	s := &Suite{Platform: platform, Config: cfg, basals: make(map[string]float64)}
-
-	// Patient basal rates (for the MPC monitor's steady-state init).
-	for i := 0; i < platform.NumPatients; i++ {
-		p, err := platform.NewPatient(i)
-		if err != nil {
-			return nil, err
-		}
-		s.basals[p.ID()] = p.Basal()
+	basals, err := cohortBasals(platform)
+	if err != nil {
+		return nil, err
 	}
+	s := &Suite{Platform: platform, Config: cfg, basals: basals}
 
 	// CAWT thresholds: patient-specific and population-level.
 	learnCfg := stllearn.Config{Loss: cfg.Loss}
@@ -110,7 +105,8 @@ func BuildSuite(platform Platform, training, faultFree []*trace.Trace, cfg Suite
 	if err != nil {
 		return nil, err
 	}
-	// Patients absent from the training set fall back to population.
+	// Cohort patients absent from the training set run CAWT on the
+	// population table.
 	pop, report, err := stllearn.Learn(scs.TableI(), training, learnCfg)
 	if err != nil {
 		return nil, err
@@ -173,19 +169,38 @@ func BuildSuite(platform Platform, training, faultFree []*trace.Trace, cfg Suite
 	return s, nil
 }
 
+// cohortBasals maps each of the platform's patient IDs to the patient's
+// basal rate (for the MPC monitor's steady-state init).
+func cohortBasals(platform Platform) (map[string]float64, error) {
+	basals := make(map[string]float64, platform.NumPatients)
+	for i := 0; i < platform.NumPatients; i++ {
+		p, err := platform.NewPatient(i)
+		if err != nil {
+			return nil, err
+		}
+		basals[p.ID()] = p.Basal()
+	}
+	return basals, nil
+}
+
 // MonitorNames lists the suite's monitors in the paper's order.
 var MonitorNames = []string{"Guideline", "MPC", "CAWOT", "CAWT", "DT", "MLP", "LSTM"}
 
 // NewBatchMonitor instantiates a batch monitor for a patient's
 // sessions, one per fleet shard or replay worker; the ML monitors share
 // this suite's trained weights. CAWT uses the patient-specific
-// thresholds (population fallback) and MPC the patient's basal, so
-// every lane of those two must replay or run that patient; CAWT-pop
-// forces the population table (Table VIII comparison). Every other
-// monitor ignores patientID.
+// thresholds and MPC the patient's basal, so every lane of those two
+// must replay or run that patient, and for a patient outside the
+// platform's cohort both are an error. A cohort patient without
+// training traces has no thresholds of its own, and its CAWT runs the
+// population table. CAWT-pop forces the population table (Table VIII
+// comparison). Every other monitor ignores patientID.
 func (s *Suite) NewBatchMonitor(name, patientID string) (monitor.BatchMonitor, error) {
 	switch name {
 	case "CAWT":
+		if _, ok := s.basals[patientID]; !ok {
+			return nil, s.notInCohort(name, patientID)
+		}
 		th, ok := s.PatientThresholds[patientID]
 		if !ok {
 			th = s.PopThresholds
@@ -201,8 +216,8 @@ func (s *Suite) NewBatchMonitor(name, patientID string) (monitor.BatchMonitor, e
 		})
 	case "MPC":
 		basal, ok := s.basals[patientID]
-		if !ok || basal <= 0 {
-			basal = 1.3
+		if !ok {
+			return nil, s.notInCohort(name, patientID)
 		}
 		return monitor.NewBatchMPC(monitor.MPCConfig{Basal: basal})
 	case "DT":
@@ -214,6 +229,12 @@ func (s *Suite) NewBatchMonitor(name, patientID string) (monitor.BatchMonitor, e
 	default:
 		return nil, fmt.Errorf("experiment: unknown monitor %q", name)
 	}
+}
+
+// notInCohort is NewBatchMonitor's error for a patient-specific
+// monitor asked for a patient the platform's cohort does not hold.
+func (s *Suite) notInCohort(name, patientID string) error {
+	return fmt.Errorf("experiment: %s needs a %s cohort patient, and %q is not one", name, s.Platform.Name, patientID)
 }
 
 // patientSpecific reports whether NewBatchMonitor builds the named

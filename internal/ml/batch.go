@@ -242,6 +242,11 @@ type LSTMBatch struct {
 	z          []float64 // gate pre-activations, n x units x 4
 	logits     []float64 // n x classes
 	cap        int
+	// The vector kernel's four-lane tile: one timestep's inputs (in x 4),
+	// the hidden state (units x 4), and per unit lstmCacheWidth vectors
+	// (gate pre-activations, then activations i, f, g, o, the cell state
+	// and its tanh).
+	xT, hT, rec []float64
 }
 
 // NewBatch creates a batched-inference context sharing this model's
@@ -272,6 +277,15 @@ func (b *LSTMBatch) ensure(n int) {
 	b.c = make([]float64, n*maxUnits)
 	b.z = make([]float64, n*maxUnits*4)
 	b.logits = make([]float64, n*b.m.cfg.Classes)
+	if lstmVector {
+		maxIn := 0
+		for _, l := range b.m.layers {
+			maxIn = max(maxIn, l.in)
+		}
+		b.xT = make([]float64, maxIn*4)
+		b.hT = make([]float64, maxUnits*4)
+		b.rec = make([]float64, maxUnits*lstmCacheWidth*4)
+	}
 	b.cap = n
 }
 
@@ -343,7 +357,28 @@ func (b *LSTMBatch) forward(windows [][][]float64) []float64 {
 
 // forwardLayer runs one LSTM layer over n sequences of t steps, reading
 // row-major input frames from cur (n x t x l.in) and writing hidden
-// states into nxt (n x t x l.units). Gate weight rows are loaded once
+// states into nxt (n x t x l.units).
+//
+// Training passes a non-nil cache (n x t x l.units x lstmCacheWidth),
+// which receives every timestep's gate activations i, f, g, o, the cell
+// state c and tanh(c): all that backpropagation through time reads
+// besides the hidden states in nxt.
+//
+// Where lstmVector holds it runs the AVX2 kernel (lstm_amd64.go), which
+// computes the same bits as forwardLayerGo four samples per instruction;
+// everywhere else forwardLayerGo, which is also the vector kernel's test
+// oracle.
+//
+//fleetvet:noalloc
+func (b *LSTMBatch) forwardLayer(l *lstmLayer, cur, nxt []float64, n, t int, cache []float64) {
+	if lstmVector {
+		b.forwardLayerVector(l, cur, nxt, n, t, cache)
+		return
+	}
+	b.forwardLayerGo(l, cur, nxt, n, t, cache)
+}
+
+// forwardLayerGo is forwardLayer in Go. Gate weight rows are loaded once
 // per timestep and reused across the whole batch, and the pre-activation
 // dot products are register-tiled over four samples like
 // forwardBatchDense: four independent accumulators share each weight
@@ -351,13 +386,8 @@ func (b *LSTMBatch) forward(windows [][][]float64) []float64 {
 // hidden terms, in the per-sample order (bias, inputs, hidden state), so
 // results are bit-identical to a scalar pass.
 //
-// Training passes a non-nil cache (n x t x l.units x lstmCacheWidth),
-// which receives every timestep's gate activations i, f, g, o, the cell
-// state c and tanh(c): all that backpropagation through time reads
-// besides the hidden states in nxt.
-//
 //fleetvet:noalloc
-func (b *LSTMBatch) forwardLayer(l *lstmLayer, cur, nxt []float64, n, t int, cache []float64) {
+func (b *LSTMBatch) forwardLayerGo(l *lstmLayer, cur, nxt []float64, n, t int, cache []float64) {
 	u, in := l.units, l.in
 	h := b.h[:n*u]
 	c := b.c[:n*u]
@@ -418,13 +448,7 @@ func (b *LSTMBatch) forwardLayer(l *lstmLayer, cur, nxt []float64, n, t int, cac
 		for s := 0; s < n; s++ {
 			for uu := 0; uu < u; uu++ {
 				zs := z[(s*u+uu)*4 : (s*u+uu)*4+4]
-				iGate := sigmoid(zs[0])
-				fGate := sigmoid(zs[1])
-				gGate := math.Tanh(zs[2])
-				oGate := sigmoid(zs[3])
-				cv := fGate*c[s*u+uu] + iGate*gGate
-				tc := math.Tanh(cv)
-				hv := oGate * tc
+				iGate, fGate, gGate, oGate, cv, tc, hv := lstmCell(zs[0], zs[1], zs[2], zs[3], c[s*u+uu])
 				c[s*u+uu] = cv
 				h[s*u+uu] = hv
 				nxt[(s*t+tt)*u+uu] = hv
@@ -435,4 +459,14 @@ func (b *LSTMBatch) forwardLayer(l *lstmLayer, cur, nxt []float64, n, t int, cac
 			}
 		}
 	}
+}
+
+// lstmCell is one unit's cell update from its gate pre-activations and
+// previous cell state: the gate activations, the new cell state c, tanh(c)
+// and the hidden state.
+func lstmCell(zi, zf, zg, zo, cPrev float64) (i, f, g, o, c, tc, h float64) {
+	i, f, g, o = sigmoid(zi), sigmoid(zf), math.Tanh(zg), sigmoid(zo)
+	c = f*cPrev + i*g
+	tc = math.Tanh(c)
+	return i, f, g, o, c, tc, o * tc
 }

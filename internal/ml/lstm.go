@@ -89,6 +89,15 @@ func (l *lstmLayer) gateRow(w []float64, gate, u int) []float64 {
 
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
+// On amd64, math.Exp runs exp_amd64.s, which fuses multiply-adds where
+// the CPU has FMA; elsewhere it runs Go's exp. The paths differ in the
+// last bit of Exp(expProbe), which reads expFMABits only on the fused
+// path.
+const (
+	expProbe   = -2.421875
+	expFMABits = 0x3fb6b8a6925d28af
+)
+
 // step scales the mini-batch gradient to a mean, clips its norm and
 // applies Adam. The gradient kernel overwrites l.g every mini-batch, so
 // nothing needs zeroing afterwards.
