@@ -45,7 +45,10 @@ bench:
 ## vs EvaluateMonitor's worker split; two iterations — each op replays
 ## ~5.5k windows), the LSTM forward kernel on the suite's 32-16 model
 ## (the Go kernel vs the AVX2 kernel, skipped where the vector path is
-## off, at widths 1, 4 and 35; reported as ns per window), and one epoch
+## off, at widths 1, 4 and 35; reported as ns per window), the dense
+## product kernel under the trainers and MLP inference (Go vs AVX2 at the
+## LSTM row products, a BPTT matvec, an MLP row product and the MLP
+## forward at k = 6 and 64; ns per call), and one epoch
 ## of MLP and LSTM training at the paper
 ## workload's shapes (the per-sample oracle vs the batched trainer on
 ## one worker and on GOMAXPROCS workers; two iterations — each op trains
@@ -69,7 +72,7 @@ bench-smoke:
 		-benchtime 10x -benchmem . >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkReplayLSTM' \
 		-benchtime 2x -benchmem ./internal/experiment >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
-	$(GO) test -run '^$$' -bench 'BenchmarkLSTMForward' \
+	$(GO) test -run '^$$' -bench 'BenchmarkLSTMForward|BenchmarkGEMM' \
 		-benchtime 1000x -benchmem ./internal/ml >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainLSTM|BenchmarkTrainMLP' \
 		-benchtime 2x -benchmem ./internal/ml >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }

@@ -392,8 +392,8 @@ func TestMitigationScaleByMargin(t *testing.T) {
 	}
 }
 
-// TestStepperLastVerdict: the stepper must retain the applied verdict —
-// margin and rule included — for telemetry consumers.
+// TestStepperLastVerdict: the stepper must retain the applied verdict,
+// margin and rule included, which the session snapshot encodes.
 func TestStepperLastVerdict(t *testing.T) {
 	p, ctrl := newGlucosymRig(t, 0)
 	st, err := NewStepper(Config{
@@ -403,13 +403,12 @@ func TestStepperLastVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.LastVerdict(); ok {
-		t.Fatal("LastVerdict before any step should report false")
+	if len(st.tr.Samples) != 0 || st.lastVerdict != (Verdict{}) {
+		t.Fatalf("before any step: %d samples, lastVerdict %+v; want none and the zero verdict", len(st.tr.Samples), st.lastVerdict)
 	}
 	st.Step()
-	v, ok := st.LastVerdict()
-	if !ok || !v.Alarm || v.Margin != -0.75 || v.Rule != 6 {
-		t.Fatalf("LastVerdict = %+v (ok=%v), want the monitor's margin verdict", v, ok)
+	if v := st.lastVerdict; !v.Alarm || v.Margin != -0.75 || v.Rule != 6 {
+		t.Fatalf("lastVerdict = %+v, want the monitor's margin verdict", v)
 	}
 }
 

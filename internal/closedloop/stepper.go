@@ -151,17 +151,6 @@ func (st *Stepper) LastSample() (trace.Sample, bool) {
 	return st.tr.Samples[len(st.tr.Samples)-1], true
 }
 
-// LastVerdict returns the monitor verdict applied at the most recently
-// completed cycle — including the margin and rule attribution that the
-// trace sample does not carry — so telemetry consumers can read the
-// monitor's single evaluation instead of running a second one.
-func (st *Stepper) LastVerdict() (Verdict, bool) {
-	if len(st.tr.Samples) == 0 {
-		return Verdict{}, false
-	}
-	return st.lastVerdict, true
-}
-
 // CycleTime returns the simulation time (minutes) of the next cycle to
 // run — the timestamp a batched sensor sweep must stamp on this
 // session's reading.

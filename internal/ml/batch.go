@@ -5,10 +5,9 @@ import "math"
 // Batched inference. The fleet engine evaluates one monitor over many
 // concurrent sessions per control cycle; scoring those observations in a
 // single call amortizes the model's weight traffic across the batch.
-// A per-sample MLP forward streams every weight matrix once per sample
-// (memory-bound for the paper's 256-128 architecture); the batch path
-// tiles samples so each weight row is loaded once per tile, and reuses
-// scratch buffers so the hot path allocates nothing.
+// The MLP's layers are each one gemm over all the batch's samples, and
+// the LSTM kernels tile four samples so each weight is loaded once per
+// tile; scratch buffers are reused so the hot path allocates nothing.
 //
 // Batch predictions are bit-identical to their per-sample counterparts:
 // the inner accumulation order is the same, so fleet traces are
@@ -43,76 +42,16 @@ type BatchSequenceClassifier interface {
 
 // forwardBatchDense computes out = act(W·x + b) for n samples stored
 // row-major in `in` (n x l.in), writing row-major into `out` (n x l.out).
-//
-// The kernel is register-tiled over four samples: a scalar dot product
-// is latency-bound on its single accumulator's FP dependency chain
-// (one FMA every ~4 cycles), so per-sample inference leaves most of
-// the FPU idle; four independent accumulators sharing one weight-row
-// read give the instruction-level parallelism (and 4x less weight
-// traffic) that makes batching pay — measured 2.0-2.3x at batch 100 on
-// the paper's 256-128 MLP. (A wider 8-sample tile spills registers
-// and measures slower.) Each accumulator performs the same operations
-// in the same order as denseLayer.forward, so results are
-// bit-identical to the per-sample path.
+// It is one gemm over the transposed weights l.wt: each output starts at
+// its bias and adds w·x terms with inputs ascending, the order of
+// denseLayer.forward, so results are bit-identical to the per-sample
+// path. The Go kernel keeps four outputs of a sample in registers and
+// the AVX2 kernel four per YMM register, so even a single sample, as in
+// MLP.PredictProba and a one-lane monitor, fills the vector lanes.
 //
 //fleetvet:noalloc
 func forwardBatchDense(l *denseLayer, in, out []float64, n int, relu bool) {
-	nIn, nOut := l.in, l.out
-	s := 0
-	for ; s+4 <= n; s += 4 {
-		x0 := in[s*nIn : (s+1)*nIn]
-		x1 := in[(s+1)*nIn : (s+2)*nIn]
-		x2 := in[(s+2)*nIn : (s+3)*nIn]
-		x3 := in[(s+3)*nIn : (s+4)*nIn]
-		for o := 0; o < nOut; o++ {
-			row := l.w[o*nIn : (o+1)*nIn]
-			bias := l.b[o]
-			a0, a1, a2, a3 := bias, bias, bias, bias
-			x0 := x0[:len(row)]
-			x1 := x1[:len(row)]
-			x2 := x2[:len(row)]
-			x3 := x3[:len(row)]
-			for i, w := range row {
-				a0 += w * x0[i]
-				a1 += w * x1[i]
-				a2 += w * x2[i]
-				a3 += w * x3[i]
-			}
-			if relu {
-				a0 = relu0(a0)
-				a1 = relu0(a1)
-				a2 = relu0(a2)
-				a3 = relu0(a3)
-			}
-			out[s*nOut+o] = a0
-			out[(s+1)*nOut+o] = a1
-			out[(s+2)*nOut+o] = a2
-			out[(s+3)*nOut+o] = a3
-		}
-	}
-	for ; s < n; s++ {
-		x := in[s*nIn : (s+1)*nIn]
-		for o := 0; o < nOut; o++ {
-			row := l.w[o*nIn : (o+1)*nIn]
-			sum := l.b[o]
-			for i, w := range row {
-				sum += w * x[i]
-			}
-			if relu && sum < 0 {
-				sum = 0
-			}
-			out[s*nOut+o] = sum
-		}
-	}
-}
-
-// relu0 matches forwardInfer's branch form exactly (preserving -0.0),
-// keeping batch results bit-identical to the per-sample path.
-func relu0(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	return v
+	gemm(out, l.out, in, l.in, l.wt, l.out, n, l.out, l.in, l.b, relu)
 }
 
 // PredictBatchInto implements BatchClassifier. The tree walk is cheap, so
@@ -277,7 +216,7 @@ func (b *LSTMBatch) ensure(n int) {
 	b.c = make([]float64, n*maxUnits)
 	b.z = make([]float64, n*maxUnits*4)
 	b.logits = make([]float64, n*b.m.cfg.Classes)
-	if lstmVector {
+	if vector {
 		maxIn := 0
 		for _, l := range b.m.layers {
 			maxIn = max(maxIn, l.in)
@@ -364,14 +303,14 @@ func (b *LSTMBatch) forward(windows [][][]float64) []float64 {
 // state c and tanh(c): all that backpropagation through time reads
 // besides the hidden states in nxt.
 //
-// Where lstmVector holds it runs the AVX2 kernel (lstm_amd64.go), which
+// Where vector holds it runs the AVX2 kernel (lstm_amd64.go), which
 // computes the same bits as forwardLayerGo four samples per instruction;
 // everywhere else forwardLayerGo, which is also the vector kernel's test
 // oracle.
 //
 //fleetvet:noalloc
 func (b *LSTMBatch) forwardLayer(l *lstmLayer, cur, nxt []float64, n, t int, cache []float64) {
-	if lstmVector {
+	if vector {
 		b.forwardLayerVector(l, cur, nxt, n, t, cache)
 		return
 	}
@@ -380,9 +319,8 @@ func (b *LSTMBatch) forwardLayer(l *lstmLayer, cur, nxt []float64, n, t int, cac
 
 // forwardLayerGo is forwardLayer in Go. Gate weight rows are loaded once
 // per timestep and reused across the whole batch, and the pre-activation
-// dot products are register-tiled over four samples like
-// forwardBatchDense: four independent accumulators share each weight
-// read. Every accumulator adds the bias, then the input terms, then the
+// dot products are register-tiled over four samples: four independent
+// accumulators share each weight read. Every accumulator adds the bias, then the input terms, then the
 // hidden terms, in the per-sample order (bias, inputs, hidden state), so
 // results are bit-identical to a scalar pass.
 //

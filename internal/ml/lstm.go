@@ -240,6 +240,7 @@ func (m *LSTM) restore(weights [][]float64) {
 	}
 	copy(m.head.w, weights[len(m.layers)])
 	copy(m.head.b, weights[len(m.layers)+1])
+	m.head.transpose()
 }
 
 // PredictProba returns class probabilities for one window (timesteps x

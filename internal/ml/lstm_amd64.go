@@ -27,17 +27,6 @@ import "math"
 // kernels agree bit for bit on every input; the differential tests hold
 // them to it.
 
-// lstmVector selects the vector kernel. It is fixed at init from the
-// platform alone: the CPU must have AVX2, and math.Exp must run on its
-// FMA path, which also implies the OS saves YMM state. Where math.Exp
-// takes its unfused path (no FMA, or GODEBUG=cpu.fma=off) the Go
-// kernel runs, because its sigmoid then rounds differently from the
-// port.
-var lstmVector = cpuAVX2() && math.Float64bits(math.Exp(expProbe)) == expFMABits
-
-// cpuAVX2 reports CPUID leaf 7's AVX2 bit (EBX bit 5).
-func cpuAVX2() bool
-
 // lstmGates4 writes one four-lane tile's gate pre-activations for one
 // timestep into the first four vectors of each unit's record: rec holds
 // units records of lstmCacheWidth vectors of four lanes, x the tile's

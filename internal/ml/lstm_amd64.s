@@ -110,24 +110,6 @@
 	VANDPD lstmConsts_absMask(R8), V, M; \
 	VCMPPD $LE_OQ, lstmConsts_maxFinite(R8), M, M
 
-// func cpuAVX2() bool
-TEXT ·cpuAVX2(SB), NOSPLIT, $0-1
-	XORL AX, AX
-	CPUID
-	CMPL AX, $7
-	JLT  no
-	MOVL $7, AX
-	XORL CX, CX
-	CPUID
-	SHRL $5, BX
-	ANDL $1, BX
-	MOVB BX, ret+0(FP)
-	RET
-
-no:
-	MOVB $0, ret+0(FP)
-	RET
-
 // GATES adds one term to the four gate accumulators Y0-Y3: the inputs
 // at BX times the broadcast weights at AX (gate i), AX+R12 (f), AX+2*R12
 // (g) and AX+R13 (o). Clobbers Y4, Y5.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"runtime"
 	"testing"
 )
@@ -15,18 +16,22 @@ import (
 // expNoFMABits is Exp(expProbe) on exp_amd64.s's unfused path.
 const expNoFMABits = 0x3fb6b8a6925d28b0
 
-// TestLSTMVectorGate checks that the vector kernel is on exactly where
-// the CPU has AVX2 and math.Exp runs its FMA path.
+// TestLSTMVectorGate checks that the vector kernels are on exactly where
+// the CPU has AVX2, GODEBUG leaves it on, and math.Exp runs its FMA
+// path.
 func TestLSTMVectorGate(t *testing.T) {
 	probe := math.Float64bits(math.Exp(expProbe))
-	if want := cpuAVX2() && probe == expFMABits; lstmVector != want {
-		t.Fatalf("lstmVector = %v, want %v (AVX2 %v, Exp(%v) bits %#x)", lstmVector, want, cpuAVX2(), expProbe, probe)
+	masked := cpuOptionOff(os.Getenv("GODEBUG"), "avx2")
+	if want := cpuAVX2() && !masked && probe == expFMABits; vector != want {
+		t.Fatalf("vector = %v, want %v (AVX2 %v, masked by GODEBUG %v, Exp(%v) bits %#x)",
+			vector, want, cpuAVX2(), masked, expProbe, probe)
 	}
 	if runtime.GOARCH == "amd64" && probe != expFMABits && probe != expNoFMABits {
 		t.Errorf("Exp(%v) bits %#x are neither the fused (%#x) nor the unfused (%#x) path's",
 			expProbe, probe, uint64(expFMABits), uint64(expNoFMABits))
 	}
-	t.Logf("%s: AVX2 %v, Exp(%v) bits %#x, vector kernel %v", runtime.GOARCH, cpuAVX2(), expProbe, probe, lstmVector)
+	t.Logf("%s: AVX2 %v, masked by GODEBUG %v, Exp(%v) bits %#x, vector kernel %v",
+		runtime.GOARCH, cpuAVX2(), masked, expProbe, probe, vector)
 }
 
 // vectorWidths are every remainder of the four-lane tile, and the
@@ -37,7 +42,7 @@ var vectorWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 35}
 // pass-through layer over ordinary, saturating, out-of-range and
 // non-finite frames at every width, through both kernels.
 func TestLSTMVectorMatchesGoKernel(t *testing.T) {
-	if !lstmVector {
+	if !vector {
 		t.Skipf("vector LSTM kernel off on %s (AVX2 %v, Exp(%v) bits %#x): the Go kernel is the only kernel",
 			runtime.GOARCH, cpuAVX2(), expProbe, math.Float64bits(math.Exp(expProbe)))
 	}
@@ -233,7 +238,7 @@ func BenchmarkLSTMForward(b *testing.B) {
 	}{{"go", (*LSTMBatch).forwardLayerGo}, {"vector", (*LSTMBatch).forwardLayerVector}} {
 		for _, n := range []int{1, 4, 35} {
 			b.Run(fmt.Sprintf("%s/width=%d", k.name, n), func(b *testing.B) {
-				if k.name == "vector" && !lstmVector {
+				if k.name == "vector" && !vector {
 					b.Skip("vector LSTM kernel off on this host")
 				}
 				batch := m.NewBatch()

@@ -54,17 +54,22 @@ func (c MLPConfig) withDefaults() MLPConfig {
 type denseLayer struct {
 	in, out int
 	w       []float64 // out x in
-	b       []float64
-	gw      []float64
-	gb      []float64
-	adamW   *Adam
-	adamB   *Adam
+	// wt is w transposed (in x out), the k-major operand of
+	// forwardBatchDense. transpose derives it wherever w changes: at
+	// initialization, after each Adam step and on restore.
+	wt    []float64
+	b     []float64
+	gw    []float64
+	gb    []float64
+	adamW *Adam
+	adamB *Adam
 }
 
 func newDenseLayer(in, out int, lr float64, rng *rand.Rand) *denseLayer {
 	l := &denseLayer{
 		in: in, out: out,
 		w:  make([]float64, in*out),
+		wt: make([]float64, in*out),
 		b:  make([]float64, out),
 		gw: make([]float64, in*out),
 		gb: make([]float64, out),
@@ -74,6 +79,7 @@ func newDenseLayer(in, out int, lr float64, rng *rand.Rand) *denseLayer {
 	for i := range l.w {
 		l.w[i] = rng.NormFloat64() * scale
 	}
+	l.transpose()
 	l.adamW = NewAdam(len(l.w), lr)
 	l.adamB = NewAdam(len(l.b), lr)
 	return l
@@ -104,6 +110,18 @@ func (l *denseLayer) step(batch float64) {
 	}
 	l.adamW.Step(l.w, l.gw)
 	l.adamB.Step(l.b, l.gb)
+	l.transpose()
+}
+
+// transpose derives wt from w.
+//
+//fleetvet:noalloc
+func (l *denseLayer) transpose() {
+	for o := 0; o < l.out; o++ {
+		for i, v := range l.w[o*l.in : (o+1)*l.in] {
+			l.wt[i*l.out+o] = v
+		}
+	}
 }
 
 // MLP is the multi-layer perceptron baseline monitor model. Its
@@ -209,6 +227,7 @@ func (m *MLP) restore(weights [][]float64) {
 	for i, l := range m.layers {
 		copy(l.w, weights[2*i])
 		copy(l.b, weights[2*i+1])
+		l.transpose()
 	}
 }
 

@@ -11,15 +11,16 @@ import (
 // Batched training. FitMLP and FitLSTM run each mini-batch in three
 // phases over row-major scratch:
 //
-//  1. Samples. The forward pass runs on the four-sample tiles of
+//  1. Samples. The forward pass runs on the inference kernels,
 //     forwardBatchDense and LSTMBatch.forwardLayer; then each sample's
 //     backward pass (ReLU/dropout backprop, or BPTT through the LSTM
 //     stack) stores its pre-activation gradients. Workers take
 //     contiguous sample ranges.
-//  2. Rows. gemmNT keeps each parameter's gradient in a register and
-//     adds its terms in the order the per-sample loops accumulated
-//     them: samples ascending and, inside a sample, LSTM timesteps
-//     descending. Workers take contiguous ranges of weight rows.
+//  2. Rows. gemm keeps each parameter's gradient in a register, or a
+//     vector lane, and adds its terms in the order the per-sample loops
+//     accumulated them: samples ascending and, inside a sample, LSTM
+//     timesteps descending. Workers take contiguous ranges of weight
+//     rows.
 //  3. Serial. The caller scales each gradient to a mean, clips the LSTM
 //     norms and steps Adam, in the order it always has.
 //
@@ -154,9 +155,9 @@ const lstmCacheWidth = 6
 // lstmTrainer holds FitLSTM's mini-batch scratch. Buffers indexed by a
 // sample's position in the mini-batch are written by the worker that
 // owns the sample in the sample phase and read by every worker in the
-// row phase. The row phase's operands have one column per sample and
-// timestep, k = s*t + (t-1-τ) for sample s at timestep τ, so that k
-// ascending runs samples ascending and timesteps descending.
+// row phase. The row phase reduces over one k per sample and timestep,
+// k = s*t + (t-1-τ) for sample s at timestep τ, so that k ascending runs
+// samples ascending and timesteps descending.
 type lstmTrainer struct {
 	m     *LSTM
 	xs    []float64 // standardized training windows, len(X) x t x in
@@ -171,15 +172,15 @@ type lstmTrainer struct {
 	// dz[li] is layer li's pre-activation gradients, one row per weight
 	// row (gate*units+u), one column per k: 4*units x n*t.
 	dz [][]float64
-	// xt[li] holds what each of layer li's weight columns multiplies, by
-	// k: in rows of input, units rows of the previous hidden state (zero
-	// at τ = 0) and a row of ones for the bias: (in+units+1) x n*t.
-	xt [][]float64
-	// wt[li] is layer li's weights transposed for the input gradients:
-	// (in+units) x 4*units, each row unit-major, gate-minor.
-	wt     [][]float64
+	// xh[li] holds, one row per k, what layer li's weight columns
+	// multiply: the input, the previous hidden state (zero at τ = 0) and
+	// a one for the bias: n*t x (in+units+1), gemm's k-major operand.
+	xh [][]float64
+	// wu[li] is layer li's weight rows in unit-then-gate order, row
+	// u*4+gate, the order of one timestep's pre-activation gradients:
+	// the BPTT input gradients' k-major operand (4*units x in+units+1).
+	wu     [][]float64
 	deltaT []float64 // the head's logit gradients, classes x n
-	lastT  []float64 // the top layer's final hidden states, units x n
 	work   []lstmWorker
 	team   *team
 
@@ -224,15 +225,15 @@ func newLSTMTrainer(m *LSTM, X [][][]float64, y []int, valIdx []int, workers int
 		tr.seq = append(tr.seq, make([]float64, n*t*l.units))
 		tr.cache = append(tr.cache, make([]float64, n*t*l.units*lstmCacheWidth))
 		tr.dz = append(tr.dz, make([]float64, 4*l.units*n*t))
-		xt := make([]float64, (l.in+l.units+1)*n*t)
-		for k := (l.in + l.units) * n * t; k < len(xt); k++ {
-			xt[k] = 1
+		stride := l.in + l.units + 1
+		xh := make([]float64, n*t*stride)
+		for k := 0; k < n*t; k++ {
+			xh[k*stride+stride-1] = 1
 		}
-		tr.xt = append(tr.xt, xt)
-		tr.wt = append(tr.wt, make([]float64, (l.in+l.units)*4*l.units))
+		tr.xh = append(tr.xh, xh)
+		tr.wu = append(tr.wu, make([]float64, 4*l.units*stride))
 	}
 	tr.deltaT = make([]float64, cfg.Classes*n)
-	tr.lastT = make([]float64, maxUnits*n)
 	for _, i := range valIdx {
 		tr.valX = append(tr.valX, X[i])
 		tr.valY = append(tr.valY, y[i])
@@ -264,15 +265,10 @@ func newLSTMTrainer(m *LSTM, X [][][]float64, y []int, valIdx []int, workers int
 func (tr *lstmTrainer) gradients(batch []int) {
 	tr.batch = batch
 	for li, l := range tr.m.layers {
-		u, cols := l.units, l.in+l.units
-		wt := tr.wt[li]
-		for uu := 0; uu < u; uu++ {
+		stride := l.in + l.units + 1
+		for uu := 0; uu < l.units; uu++ {
 			for gate := 0; gate < 4; gate++ {
-				row := l.gateRow(l.w, gate, uu)[:cols]
-				k := uu*4 + gate
-				for j, v := range row {
-					wt[j*4*u+k] = v
-				}
+				copy(tr.wu[li][(uu*4+gate)*stride:][:stride], l.gateRow(l.w, gate, uu))
 			}
 		}
 	}
@@ -281,8 +277,8 @@ func (tr *lstmTrainer) gradients(batch []int) {
 }
 
 // samples is worker w's sample phase: the forward pass over its sample
-// range, its columns of the row phase's inputs, then each sample's head
-// and BPTT.
+// range, its rows of the row phase's inputs, then each sample's head and
+// BPTT.
 //
 //fleetvet:noalloc
 func (tr *lstmTrainer) samples(w int) {
@@ -291,7 +287,7 @@ func (tr *lstmTrainer) samples(w int) {
 		return
 	}
 	wk := &tr.work[w]
-	m, t, nt := tr.m, tr.t, tr.n*tr.t
+	m, t := tr.m, tr.t
 	in0 := m.layers[0].in
 	for s := lo; s < hi; s++ {
 		src := tr.xs[tr.batch[s]*t*in0:][:t*in0]
@@ -304,28 +300,20 @@ func (tr *lstmTrainer) samples(w int) {
 	}
 	for li, l := range m.layers {
 		in, u := l.in, l.units
-		x, h, xt := tr.seq[li], tr.seq[li+1], tr.xt[li]
+		x, h := tr.seq[li], tr.seq[li+1]
 		for s := lo; s < hi; s++ {
 			for tt := 0; tt < t; tt++ {
-				k := s*t + t - 1 - tt
-				for j, v := range x[(s*t+tt)*in:][:in] {
-					xt[j*nt+k] = v
-				}
-				for j := 0; j < u; j++ {
-					var v float64
-					if tt > 0 {
-						v = h[(s*t+tt-1)*u+j]
-					}
-					xt[(in+j)*nt+k] = v
+				row := tr.xh[li][(s*t+t-1-tt)*(in+u+1):][:in+u]
+				copy(row, x[(s*t+tt)*in:][:in])
+				if tt > 0 {
+					copy(row[in:], h[(s*t+tt-1)*u:][:u])
+				} else {
+					clear(row[in:])
 				}
 			}
 		}
 	}
-	top := m.layers[len(m.layers)-1].units
 	for s := lo; s < hi; s++ {
-		for i, v := range tr.seq[len(m.layers)][(s*t+t-1)*top:][:top] {
-			tr.lastT[i*tr.n+s] = v
-		}
 		tr.backward(wk, s)
 	}
 }
@@ -368,7 +356,7 @@ func (tr *lstmTrainer) backward(wk *lstmWorker, s int) {
 		}
 		clear(dc)
 		cache := tr.cache[li][s*t*u*lstmCacheWidth : (s+1)*t*u*lstmCacheWidth]
-		dz, wt := tr.dz[li], tr.wt[li]
+		dz, wu, stride := tr.dz[li], tr.wu[li], in+u+1
 		dzt := wk.dzt[:4*u]
 		for tt := t - 1; tt >= 0; tt-- {
 			if li < nl-1 {
@@ -401,12 +389,12 @@ func (tr *lstmTrainer) backward(wk *lstmWorker, s int) {
 			}
 			// The gradients of the previous hidden state and of the
 			// input sum their terms units ascending, then gates: the
-			// column order of wt.
+			// row order of wu.
 			if tt > 0 {
-				gemmNT(dhPrev, 0, dzt, 0, wt[in*4*u:], 4*u, 1, u, 4*u)
+				gemm(dhPrev, 0, dzt, 0, wu[in:], stride, 1, u, 4*u, nil, false)
 			}
 			if li > 0 {
-				gemmNT(down[tt*in:], 0, dzt, 0, wt, 4*u, 1, in, 4*u)
+				gemm(down[tt*in:], 0, dzt, 0, wu, stride, 1, in, 4*u, nil, false)
 			}
 			dh, dhPrev = dhPrev, dh
 			dc, dcPrev = dcPrev, dc
@@ -421,15 +409,17 @@ func (tr *lstmTrainer) backward(wk *lstmWorker, s int) {
 //fleetvet:noalloc
 func (tr *lstmTrainer) rows(w int) {
 	k := len(tr.work)
-	n, nt := len(tr.batch), tr.n*tr.t
+	n, t, nt := len(tr.batch), tr.t, tr.n*tr.t
 	for li, l := range tr.m.layers {
 		stride := l.in + l.units + 1
 		lo, hi := span(4*l.units, w, k)
-		gemmNT(l.g[lo*stride:], stride, tr.dz[li][lo*nt:], nt, tr.xt[li], nt, hi-lo, stride, n*tr.t)
+		gemm(l.g[lo*stride:], stride, tr.dz[li][lo*nt:], nt, tr.xh[li], stride, hi-lo, stride, n*t, nil, false)
 	}
-	head := tr.m.head
+	// The head's k-major operand is each sample's last hidden state of
+	// the top layer, read in place.
+	head, top := tr.m.head, tr.seq[len(tr.m.layers)]
 	lo, hi := span(head.out, w, k)
-	gemmNT(head.gw[lo*head.in:], head.in, tr.deltaT[lo*tr.n:], tr.n, tr.lastT, tr.n, hi-lo, head.in, n)
+	gemm(head.gw[lo*head.in:], head.in, tr.deltaT[lo*tr.n:], tr.n, top[(t-1)*head.in:], t*head.in, hi-lo, head.in, n, nil, false)
 	for o := lo; o < hi; o++ {
 		var gb float64
 		for _, v := range tr.deltaT[o*tr.n:][:n] {
@@ -486,17 +476,14 @@ type mlpTrainer struct {
 	// masks[li] is hidden activation li's dropout scale, 0 or 1/keep
 	// (n x dims[li]); masks[0] is unused.
 	masks [][]float64
-	// actT[li] is acts[li] transposed (dims[li] x n), and deltaT[li] the
-	// gradient of layer li-1's output, after the ReLU derivative and
-	// dropout for hidden layers, transposed (dims[li] x n): the row
-	// phase's operands.
-	actT, deltaT [][]float64
-	// wt[li] is layer li's weights transposed (in x out) for the input
-	// gradients; wt[0] is unused.
-	wt    [][]float64
-	probs [][]float64    // per worker, classes
-	dx    [][2][]float64 // per worker, two gradient vectors of the widest layer
-	team  *team
+	// deltaT[li] is the gradient of layer li-1's output, after the ReLU
+	// derivative and dropout for hidden layers, transposed (dims[li] x
+	// n): the row phase's broadcast operand. Its k-major operand is
+	// acts[li-1], read in place.
+	deltaT [][]float64
+	probs  [][]float64    // per worker, classes
+	dx     [][2][]float64 // per worker, two gradient vectors of the widest layer
+	team   *team
 
 	valX  [][]float64 // the validation rows, raw
 	valY  []int
@@ -523,19 +510,12 @@ func newMLPTrainer(m *MLP, X [][]float64, y []int, valIdx []int, rng *rand.Rand,
 	widest := d0
 	tr.acts = append(tr.acts, make([]float64, n*d0))
 	tr.masks = append(tr.masks, nil)
-	tr.actT = append(tr.actT, make([]float64, d0*n))
 	tr.deltaT = append(tr.deltaT, nil)
-	for li, l := range m.layers {
+	for _, l := range m.layers {
 		widest = max(widest, l.out)
 		tr.acts = append(tr.acts, make([]float64, n*l.out))
 		tr.masks = append(tr.masks, make([]float64, n*l.out))
-		tr.actT = append(tr.actT, make([]float64, l.out*n))
 		tr.deltaT = append(tr.deltaT, make([]float64, l.out*n))
-		var wt []float64
-		if li > 0 {
-			wt = make([]float64, l.in*l.out)
-		}
-		tr.wt = append(tr.wt, wt)
 	}
 	for _, i := range valIdx {
 		tr.valX = append(tr.valX, X[i])
@@ -573,21 +553,12 @@ func (tr *mlpTrainer) gradients(batch []int) {
 			}
 		}
 	}
-	for li, l := range tr.m.layers[1:] {
-		wt := tr.wt[li+1]
-		for o := 0; o < l.out; o++ {
-			for i, v := range l.w[o*l.in : (o+1)*l.in] {
-				wt[i*l.out+o] = v
-			}
-		}
-	}
 	tr.team.run(tr.samplePhase)
 	tr.team.run(tr.rowPhase)
 }
 
 // samples is worker w's sample phase: the forward pass over its sample
-// range with the drawn dropout, its columns of the row phase's inputs,
-// then each sample's backprop.
+// range with the drawn dropout, then each sample's backprop.
 //
 //fleetvet:noalloc
 func (tr *mlpTrainer) samples(w int) {
@@ -615,11 +586,6 @@ func (tr *mlpTrainer) samples(w int) {
 				out[i] = math.Float64frombits(math.Float64bits(out[i]*mk) & keep)
 			}
 		}
-		for s := lo; s < hi; s++ {
-			for i, v := range tr.acts[li][s*l.in:][:l.in] {
-				tr.actT[li][i*tr.n+s] = v
-			}
-		}
 	}
 	classes := layers[nl-1].out
 	probs := tr.probs[w]
@@ -636,7 +602,7 @@ func (tr *mlpTrainer) samples(w int) {
 		for li := nl - 1; li > 0; li-- {
 			l := layers[li]
 			dx := next[:l.in]
-			gemmNT(dx, 0, d, 0, tr.wt[li], l.out, 1, l.in, l.out)
+			gemm(dx, 0, d, 0, l.w, l.in, 1, l.in, l.out, nil, false)
 			act := tr.acts[li][s*l.in:][:l.in]
 			mk := tr.masks[li][s*l.in:][:l.in]
 			for i := range dx {
@@ -665,7 +631,7 @@ func (tr *mlpTrainer) rows(w int) {
 	for li, l := range tr.m.layers {
 		delta := tr.deltaT[li+1]
 		lo, hi := span(l.out, w, k)
-		gemmNT(l.gw[lo*l.in:], l.in, delta[lo*tr.n:], tr.n, tr.actT[li], tr.n, hi-lo, l.in, n)
+		gemm(l.gw[lo*l.in:], l.in, delta[lo*tr.n:], tr.n, tr.acts[li], l.in, hi-lo, l.in, n, nil, false)
 		for o := lo; o < hi; o++ {
 			var gb float64
 			for _, v := range delta[o*tr.n:][:n] {
@@ -695,43 +661,4 @@ func (tr *mlpTrainer) valLoss() float64 {
 	}
 	tr.team.run(tr.valPhase)
 	return meanCrossEntropy(tr.valP, tr.valY)
-}
-
-// gemmNT writes c[r·ldc+j] = Σ a[r·lda+k]·b[j·ldb+k] over k < kn,
-// ascending, for r < rows and j < cols: a times the transpose of b, both
-// contiguous along the reduction. Every gradient the trainers compute is
-// one such sum, with operands laid out so that k runs in the per-sample
-// accumulation order. Four columns are summed in registers at a time,
-// sharing each load of a; wider blocks spill registers and measure
-// slower.
-//
-//fleetvet:noalloc
-func gemmNT(c []float64, ldc int, a []float64, lda int, b []float64, ldb int, rows, cols, kn int) {
-	for r := 0; r < rows; r++ {
-		ar := a[r*lda:][:kn]
-		cr := c[r*ldc:][:cols]
-		j := 0
-		for ; j+4 <= cols; j += 4 {
-			b0 := b[j*ldb:][:kn]
-			b1 := b[(j+1)*ldb:][:kn]
-			b2 := b[(j+2)*ldb:][:kn]
-			b3 := b[(j+3)*ldb:][:kn]
-			var s0, s1, s2, s3 float64
-			for k, x := range ar {
-				s0 += x * b0[k]
-				s1 += x * b1[k]
-				s2 += x * b2[k]
-				s3 += x * b3[k]
-			}
-			cr[j], cr[j+1], cr[j+2], cr[j+3] = s0, s1, s2, s3
-		}
-		for ; j < cols; j++ {
-			bj := b[j*ldb:][:kn]
-			var s float64
-			for k, x := range ar {
-				s += x * bj[k]
-			}
-			cr[j] = s
-		}
-	}
 }

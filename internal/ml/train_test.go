@@ -212,7 +212,14 @@ func TestMLPGradientCheck(t *testing.T) {
 	tr := newMLPTrainer(m, [][]float64{x}, []int{label}, nil, rng, 1)
 	defer tr.team.stop()
 	tr.gradients([]int{0})
-	loss := func() float64 { return crossEntropy(m.PredictProba(x), label) }
+	// The check perturbs w in place, so the loss derives the forward
+	// pass's transposed weights again before it scores.
+	loss := func() float64 {
+		for _, l := range m.layers {
+			l.transpose()
+		}
+		return crossEntropy(m.PredictProba(x), label)
+	}
 	for li, l := range m.layers {
 		checkGrads(t, fmt.Sprintf("layer %d w", li), l.w, l.gw, loss)
 		checkGrads(t, fmt.Sprintf("layer %d b", li), l.b, l.gb, loss)
