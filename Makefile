@@ -55,8 +55,11 @@ bench:
 ## a whole epoch), and drawing the paper workload's ML training sets
 ## (10,000 rows and 2,000 windows from a thin-32 campaign's training
 ## folds: the build-all-then-subsample oracle vs the sampler that builds
-## only what it keeps; five iterations). Output lands in bench-smoke.txt
-## for the CI artifact.
+## only what it keeps; five iterations), fitting the DT baseline (10,000
+## tied rows of six features: the per-node-sort oracle vs the presorted
+## CART; ten iterations), and learning per-patient thresholds from a
+## thin-32 training fold (one worker vs GOMAXPROCS workers; ten
+## iterations). Output lands in bench-smoke.txt for the CI artifact.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkSTLOnlinePush|BenchmarkCAWTStep|BenchmarkNewCAWOT|BenchmarkSCSBatchPush' \
 		-benchtime 1000x -benchmem ./internal/stl ./internal/monitor . > bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
@@ -78,6 +81,8 @@ bench-smoke:
 		-benchtime 2x -benchmem ./internal/ml >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	$(GO) test -run '^$$' -bench 'BenchmarkDrawTrainingSet' \
 		-benchtime 5x -benchmem ./internal/experiment >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
+	$(GO) test -run '^$$' -bench 'BenchmarkFitTree|BenchmarkLearnPerPatient' \
+		-benchtime 10x -benchmem ./internal/ml ./internal/stllearn >> bench-smoke.txt || { cat bench-smoke.txt; exit 1; }
 	@cat bench-smoke.txt
 
 ## smoke-fleetd: end-to-end control-plane smoke — start fleetd, admit a

@@ -127,8 +127,8 @@ func FitStandardizer(X [][]float64) (*Standardizer, error) {
 			return nil, fmt.Errorf("ml: ragged design matrix (%d vs %d)", len(row), d)
 		}
 		for j, v := range row {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("ml: non-finite feature %v at row %d, column %d", v, i, j)
+			if err := checkFeature(v, i, j); err != nil {
+				return nil, err
 			}
 			s.Mean[j] += v
 		}
@@ -150,6 +150,14 @@ func FitStandardizer(X [][]float64) (*Standardizer, error) {
 		}
 	}
 	return s, nil
+}
+
+// checkFeature rejects a NaN or infinite feature v at row i, column j.
+func checkFeature(v float64, i, j int) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("ml: non-finite feature %v at row %d, column %d", v, i, j)
+	}
+	return nil
 }
 
 // Transform returns the standardized copy of x.

@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"sort"
 )
 
 // The per-sample trainers: one sample at a time through scalar forward
@@ -421,4 +422,111 @@ func fitMLPPerSample(X [][]float64, y []int, cfg MLPConfig, rng *rand.Rand) (*ML
 	}
 	m.restore(bestWeights)
 	return m, epochs, nil
+}
+
+// fitTreePerNodeSort is the CART builder FitTree replaced: it sorts the
+// node's rows by every feature at every node. It is the oracle the
+// presorted builder must match node for node.
+func fitTreePerNodeSort(X [][]float64, y []int, cfg TreeConfig) *Tree {
+	cfg = cfg.withDefaults()
+	idx := make([]int, len(X))
+	for i := range idx {
+		idx[i] = i
+	}
+	return &Tree{cfg: cfg, root: buildPerNodeSort(X, y, idx, 0, cfg)}
+}
+
+func buildPerNodeSort(X [][]float64, y []int, idx []int, depth int, cfg TreeConfig) *treeNode {
+	counts := make([]int, cfg.Classes)
+	for _, i := range idx {
+		counts[y[i]]++
+	}
+	node := &treeNode{}
+	pure := false
+	for _, c := range counts {
+		if c == len(idx) {
+			pure = true
+		}
+	}
+	if depth >= cfg.MaxDepth || len(idx) < 2*cfg.MinLeafSamples || pure {
+		node.proba = probaFromCounts(counts)
+		return node
+	}
+
+	feature, threshold, gain := bestSplitPerNodeSort(X, y, idx, cfg)
+	if gain <= 1e-12 {
+		node.proba = probaFromCounts(counts)
+		return node
+	}
+	var left, right []int
+	for _, i := range idx {
+		if X[i][feature] <= threshold {
+			left = append(left, i)
+		} else {
+			right = append(right, i)
+		}
+	}
+	if len(left) < cfg.MinLeafSamples || len(right) < cfg.MinLeafSamples {
+		node.proba = probaFromCounts(counts)
+		return node
+	}
+	node.feature = feature
+	node.threshold = threshold
+	node.left = buildPerNodeSort(X, y, left, depth+1, cfg)
+	node.right = buildPerNodeSort(X, y, right, depth+1, cfg)
+	return node
+}
+
+// bestSplitPerNodeSort sorts every feature's values and scans them for
+// the split with the highest Gini gain.
+func bestSplitPerNodeSort(X [][]float64, y []int, idx []int, cfg TreeConfig) (feature int, threshold, gain float64) {
+	nFeatures := len(X[idx[0]])
+	parent := giniOf(y, idx, cfg.Classes)
+	bestGain := 0.0
+	bestFeature, bestThreshold := -1, 0.0
+
+	order := make([]int, len(idx))
+	leftCounts := make([]int, cfg.Classes)
+	rightCounts := make([]int, cfg.Classes)
+	for f := 0; f < nFeatures; f++ {
+		copy(order, idx)
+		sort.Slice(order, func(a, b int) bool { return X[order[a]][f] < X[order[b]][f] })
+		for c := range leftCounts {
+			leftCounts[c] = 0
+			rightCounts[c] = 0
+		}
+		for _, i := range order {
+			rightCounts[y[i]]++
+		}
+		nLeft, nRight := 0, len(order)
+		for k := 0; k < len(order)-1; k++ {
+			i := order[k]
+			leftCounts[y[i]]++
+			rightCounts[y[i]]--
+			nLeft++
+			nRight--
+			if X[order[k]][f] == X[order[k+1]][f] {
+				continue // cannot split between equal values
+			}
+			g := parent - (float64(nLeft)*giniCounts(leftCounts, nLeft)+
+				float64(nRight)*giniCounts(rightCounts, nRight))/float64(len(order))
+			if g > bestGain {
+				bestGain = g
+				bestFeature = f
+				bestThreshold = (X[order[k]][f] + X[order[k+1]][f]) / 2
+			}
+		}
+	}
+	if bestFeature < 0 {
+		return 0, 0, 0
+	}
+	return bestFeature, bestThreshold, bestGain
+}
+
+func giniOf(y []int, idx []int, classes int) float64 {
+	counts := make([]int, classes)
+	for _, i := range idx {
+		counts[y[i]]++
+	}
+	return giniCounts(counts, len(idx))
 }

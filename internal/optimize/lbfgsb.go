@@ -8,6 +8,8 @@
 // This is the projected-LBFGS variant — adequate for the low-dimensional
 // threshold problems here; the deviation from the full
 // Byrd-Lu-Nocedal-Zhu subspace algorithm is documented in DESIGN.md.
+//
+//fleetvet:deterministic
 package optimize
 
 import (

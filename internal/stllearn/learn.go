@@ -2,7 +2,11 @@ package stllearn
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/optimize"
 	"repro/internal/scs"
@@ -117,13 +121,19 @@ func ExtractExamples(r scs.Rule, traces []*trace.Trace, cfg Config) []float64 {
 // margin of an example µ is r = β − µ; for "µ > β" rules r = µ − β. With
 // a tight loss, β lands just past the example set's extreme, so all
 // hazardous contexts satisfy the predicate (and trigger the monitor)
-// with minimal slack.
+// with minimal slack. It rejects a NaN or infinite example: one would
+// make every loss value NaN, and a NaN β never alarms.
 func LearnRule(r scs.Rule, examples []float64, cfg Config) (RuleReport, error) {
 	cfg = cfg.withDefaults()
 	rep := RuleReport{RuleID: r.ID, Examples: len(examples), Beta: r.Default}
 	if len(examples) == 0 {
 		rep.UsedDefault = true
 		return rep, nil
+	}
+	for i, mu := range examples {
+		if math.IsNaN(mu) || math.IsInf(mu, 0) {
+			return rep, fmt.Errorf("stllearn: rule %d: non-finite example %v at index %d", r.ID, mu, i)
+		}
 	}
 	lessThan := r.LearnOp == stl.OpLT || r.LearnOp == stl.OpLE
 	trim := cfg.TrimQuantile
@@ -191,41 +201,104 @@ func trimExtremes(examples []float64, q float64, lessThan bool) []float64 {
 }
 
 // Learn fits thresholds for every rule from the given labeled traces.
+// The rules are fitted on runtime.GOMAXPROCS(0) goroutines; each fit
+// reads only its own rule's examples, so the thresholds and the report
+// have the same bits at any worker count. The error is the first failing
+// rule's, in rule order.
 func Learn(rules []scs.Rule, traces []*trace.Trace, cfg Config) (scs.Thresholds, Report, error) {
-	cfg = cfg.withDefaults()
-	th := make(scs.Thresholds, len(rules))
-	var report Report
-	for _, r := range rules {
-		examples := ExtractExamples(r, traces, cfg)
-		rep, err := LearnRule(r, examples, cfg)
+	return learn(rules, traces, cfg, runtime.GOMAXPROCS(0))
+}
+
+// learn is Learn with an explicit worker count.
+func learn(rules []scs.Rule, traces []*trace.Trace, cfg Config, workers int) (scs.Thresholds, Report, error) {
+	reps, errs := fit(rules, [][]*trace.Trace{traces}, cfg, workers)
+	for _, err := range errs {
 		if err != nil {
 			return nil, Report{}, err
 		}
-		th[r.ID] = rep.Beta
-		report.Rules = append(report.Rules, rep)
-		report.TotalExamples += rep.Examples
 	}
+	th, report := join(reps)
 	sort.Slice(report.Rules, func(i, j int) bool { return report.Rules[i].RuleID < report.Rules[j].RuleID })
 	return th, report, nil
 }
 
 // LearnPerPatient fits patient-specific thresholds: traces are grouped by
 // PatientID and each group is learned independently, the paper's
-// patient-specific CAWT configuration (Table VIII).
+// patient-specific CAWT configuration (Table VIII). Every patient's rules
+// are fitted on runtime.GOMAXPROCS(0) goroutines, with Learn's bits. The
+// error names the first failing patient in trace order.
 func LearnPerPatient(rules []scs.Rule, traces []*trace.Trace, cfg Config) (map[string]scs.Thresholds, error) {
-	groups := make(map[string][]*trace.Trace)
+	return learnPerPatient(rules, traces, cfg, runtime.GOMAXPROCS(0))
+}
+
+// learnPerPatient is LearnPerPatient with an explicit worker count.
+func learnPerPatient(rules []scs.Rule, traces []*trace.Trace, cfg Config, workers int) (map[string]scs.Thresholds, error) {
+	var ids []string
+	var groups [][]*trace.Trace
+	group := make(map[string]int)
 	for _, tr := range traces {
-		groups[tr.PatientID] = append(groups[tr.PatientID], tr)
+		g, ok := group[tr.PatientID]
+		if !ok {
+			g = len(groups)
+			group[tr.PatientID] = g
+			ids = append(ids, tr.PatientID)
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], tr)
+	}
+	reps, errs := fit(rules, groups, cfg, workers)
+	for k, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("stllearn: patient %s: %w", ids[k/len(rules)], err)
+		}
 	}
 	out := make(map[string]scs.Thresholds, len(groups))
-	for id, group := range groups {
-		th, _, err := Learn(rules, group, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("stllearn: patient %s: %w", id, err)
-		}
-		out[id] = th
+	for g, id := range ids {
+		out[id], _ = join(reps[g*len(rules) : (g+1)*len(rules)])
 	}
 	return out, nil
+}
+
+// fit extracts the examples of every rule from every group of traces
+// and fits the rule to them, spreading the fits over workers goroutines,
+// the caller's among them. Fit k is rule k mod len(rules) on group
+// k / len(rules); its report and error land at index k.
+func fit(rules []scs.Rule, groups [][]*trace.Trace, cfg Config, workers int) ([]RuleReport, []error) {
+	cfg = cfg.withDefaults()
+	n := len(groups) * len(rules)
+	reps := make([]RuleReport, n)
+	errs := make([]error, n)
+	var next atomic.Int64
+	work := func() {
+		for k := int(next.Add(1) - 1); k < n; k = int(next.Add(1) - 1) {
+			r := rules[k%len(rules)]
+			reps[k], errs[k] = LearnRule(r, ExtractExamples(r, groups[k/len(rules)], cfg), cfg)
+		}
+	}
+	var wg sync.WaitGroup
+	for range min(workers, n) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return reps, errs
+}
+
+// join collects one group's reports, in rule order, into its thresholds
+// and report.
+func join(reps []RuleReport) (scs.Thresholds, Report) {
+	th := make(scs.Thresholds, len(reps))
+	var report Report
+	for _, rep := range reps {
+		th[rep.RuleID] = rep.Beta
+		report.Rules = append(report.Rules, rep)
+		report.TotalExamples += rep.Examples
+	}
+	return th, report
 }
 
 // Folds splits traces into k cross-validation folds by round-robin,

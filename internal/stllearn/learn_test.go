@@ -1,7 +1,10 @@
 package stllearn
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/scs"
@@ -186,6 +189,20 @@ func TestLearnRuleNoExamples(t *testing.T) {
 	}
 }
 
+func TestLearnRuleRejectsNonFinite(t *testing.T) {
+	r := rule9(t)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		rep, err := LearnRule(r, []float64{0.5, 0.8, bad, 1.1}, Config{})
+		if err == nil {
+			t.Errorf("example %v: β = %v, want an error", bad, rep.Beta)
+			continue
+		}
+		if want := fmt.Sprintf("rule 9: non-finite example %v at index 2", bad); !strings.Contains(err.Error(), want) {
+			t.Errorf("example %v: error %q does not say %q", bad, err, want)
+		}
+	}
+}
+
 func TestLearnRuleRespectsBounds(t *testing.T) {
 	r := rule9(t)
 	// Absurd examples beyond Hi: β must clamp at Hi.
@@ -265,6 +282,30 @@ func TestLearnPerPatient(t *testing.T) {
 	// Patient-specific thresholds must reflect their own data.
 	if per["pA"][9] >= per["pB"][9] {
 		t.Errorf("patient A β9 %v should be below patient B %v", per["pA"][9], per["pB"][9])
+	}
+}
+
+// TestLearnPerPatientNamesFirstFailingPatient gives five of eight
+// patients a non-finite example and checks that every call, at one and
+// at GOMAXPROCS workers, names the first of them in trace order.
+func TestLearnPerPatientNamesFirstFailingPatient(t *testing.T) {
+	var traces []*trace.Trace
+	for round := 0; round < 2; round++ {
+		for _, id := range []string{"p7", "p1", "p5", "p0", "p6", "p2", "p4", "p3"} {
+			iob := 0.8
+			if id != "p7" && id != "p1" && id != "p0" {
+				iob = math.NaN()
+			}
+			traces = append(traces, hazardTrace(id, iob))
+		}
+	}
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		for range 20 {
+			_, err := learnPerPatient(scs.TableI(), traces, Config{}, workers)
+			if err == nil || !strings.HasPrefix(err.Error(), "stllearn: patient p5: ") {
+				t.Fatalf("%d workers: error %v, want one naming patient p5", workers, err)
+			}
+		}
 	}
 }
 

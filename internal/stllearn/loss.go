@@ -3,6 +3,8 @@
 // campaigns provide negative examples; per rule, a scalar boundary β is
 // learned with L-BFGS-B by minimizing a tightness loss over the
 // satisfaction margins r = ±(µ(d(t)) − β).
+//
+//fleetvet:deterministic
 package stllearn
 
 import (
@@ -12,7 +14,8 @@ import (
 
 // Loss is a pointwise tightness loss over the satisfaction margin r of a
 // learnable predicate. Minimizing the expected loss drives thresholds to
-// sit tightly above (below) the hazardous examples.
+// sit tightly above (below) the hazardous examples. Learn and
+// LearnPerPatient call Value from several goroutines at once.
 type Loss interface {
 	Name() string
 	Value(r float64) float64
